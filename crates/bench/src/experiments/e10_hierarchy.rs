@@ -5,7 +5,7 @@
 //! separated). The experiment builds the practical-threshold hierarchy across
 //! sizes and reports depth, cell counts, leaf populations and leader
 //! conflicts; it also reports the paper-faithful `(log n)^8` threshold, which
-//! never splits at laptop sizes (the substitution documented in DESIGN.md).
+//! never splits at laptop sizes (README.md, "Paper substitutions", item 1).
 
 use super::{ExperimentOutput, Scale};
 use geogossip_analysis::Table;
@@ -66,7 +66,7 @@ pub fn run(scale: Scale, seed: u64) -> ExperimentOutput {
             format!(
                 "total leader conflicts across all sizes: {conflicts_total} (paper: zero w.h.p.)"
             ),
-            "the practical threshold yields Θ(log log n)-growth depth; the paper's literal (log n)^8 threshold never splits at these sizes — see DESIGN.md substitution 2".into(),
+            "the practical threshold yields Θ(log log n)-growth depth; the paper's literal (log n)^8 threshold never splits at these sizes — see README.md, Paper substitutions, item 1".into(),
         ],
     }
 }

@@ -20,8 +20,8 @@
 //! use the paper's `O(ñ·log(ñ/ε_r))` round counts with a configurable
 //! constant. The paper's accuracy cascade `ε_{r+1} = ε_r/(25·n^{7/2+a})`
 //! (Section 4.1) is replaced by a configurable per-level decay factor —
-//! DESIGN.md §2, substitution 3 — because the literal cascade is unreachable
-//! in floating point for any interesting `n`.
+//! README.md, "Paper substitutions", item 3 — because the literal cascade is
+//! unreachable in floating point for any interesting `n`.
 
 use crate::affine::hierarchy::Hierarchy;
 use crate::error::ProtocolError;
@@ -29,7 +29,7 @@ use crate::state::GossipState;
 use crate::update::{affine_exchange, convex_average, AffineCoefficient};
 use geogossip_geometry::point::NodeId;
 use geogossip_geometry::PartitionConfig;
-use geogossip_graph::GeometricGraph;
+use geogossip_graph::{CsrAdjacency, GeometricGraph};
 use geogossip_routing::greedy::route_terminus_to_node;
 use geogossip_sim::clock::Tick;
 use geogossip_sim::engine::{Activation, Clocking, SquaredError};
@@ -46,8 +46,8 @@ use serde::{Deserialize, Serialize};
 /// fluctuates by ±50%, and an `E#`-based coefficient can exceed the realized
 /// population — making the effective mixing weight larger than 1 and the
 /// exchange divergent. The implementation therefore scales the coefficient by
-/// the **realized** population handed in by the caller (DESIGN.md §2,
-/// substitution 2); in the paper's regime the two coincide.
+/// the **realized** population handed in by the caller (README.md, "Paper
+/// substitutions", item 2); in the paper's regime the two coincide.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum CoefficientRule {
     /// `α = fraction · #(□)` — the paper uses `fraction = 2/5` (Section 4.2).
@@ -221,6 +221,10 @@ pub struct RoundBasedAffineGossip<'a> {
     state: GossipState,
     config: RoundBasedConfig,
     stats: RoundStats,
+    /// Leaf-gossip partner rows by arena cell index, built on the cell's
+    /// first exchange: row `k` of cell `c` is the graph row of
+    /// `members(c)[k]` restricted to `c`'s members, in graph row order.
+    in_cell_rows: Vec<Option<CsrAdjacency>>,
 }
 
 impl<'a> RoundBasedAffineGossip<'a> {
@@ -264,12 +268,14 @@ impl<'a> RoundBasedAffineGossip<'a> {
             });
         }
         let hierarchy = Hierarchy::build(graph, config.partition)?;
+        let in_cell_rows = vec![None; hierarchy.partition().num_cells()];
         Ok(RoundBasedAffineGossip {
             graph,
             hierarchy,
             state: GossipState::new(initial_values),
             config,
             stats: RoundStats::default(),
+            in_cell_rows,
         })
     }
 
@@ -553,12 +559,10 @@ impl<'a> RoundBasedAffineGossip<'a> {
         tx: &mut TransmissionCounter,
         rng: &mut R,
     ) {
-        let members: Vec<usize> = self.hierarchy.members(cell_idx).to_vec();
-        let m = members.len();
+        let m = self.hierarchy.members(cell_idx).len();
         if m <= 1 {
             return;
         }
-        let member_set: std::collections::HashSet<usize> = members.iter().copied().collect();
         let cap = match self.config.local_averaging {
             LocalAveraging::Gossip {
                 max_exchanges_factor,
@@ -569,6 +573,12 @@ impl<'a> RoundBasedAffineGossip<'a> {
         if self.cell_spread(cell_idx) <= epsilon_r {
             return;
         }
+        if self.in_cell_rows[cell_idx].is_none() {
+            self.in_cell_rows[cell_idx] =
+                Some(in_cell_rows(self.graph, self.hierarchy.members(cell_idx)));
+        }
+        let rows = self.in_cell_rows[cell_idx].as_ref().expect("built above");
+        let members = self.hierarchy.members(cell_idx);
         let mut attempts = 0u64;
         loop {
             // A batch of exchanges between error checks keeps the check cost
@@ -577,18 +587,13 @@ impl<'a> RoundBasedAffineGossip<'a> {
             // forever.
             for _ in 0..m {
                 attempts += 1;
-                let u = members[rng.gen_range(0..m)];
-                let in_cell_neighbors: Vec<usize> = self
-                    .graph
-                    .neighbors(NodeId(u))
-                    .iter()
-                    .map(|&v| v as usize)
-                    .filter(|v| member_set.contains(v))
-                    .collect();
-                if in_cell_neighbors.is_empty() {
+                let k = rng.gen_range(0..m);
+                let partners = rows.neighbors(k);
+                if partners.is_empty() {
                     continue;
                 }
-                let v = in_cell_neighbors[rng.gen_range(0..in_cell_neighbors.len())];
+                let u = members[k];
+                let v = partners[rng.gen_range(0..partners.len())] as usize;
                 let (nu, nv) = convex_average(self.state.value(u), self.state.value(v));
                 self.state.set(u, nu);
                 self.state.set(v, nv);
@@ -604,6 +609,28 @@ impl<'a> RoundBasedAffineGossip<'a> {
             }
         }
     }
+}
+
+/// The in-cell neighbour rows of a cell: row `k` holds the graph neighbours
+/// of `members[k]` that are themselves members, in graph row order. Cell
+/// members are listed in ascending index order, so membership is a binary
+/// search.
+fn in_cell_rows(graph: &GeometricGraph, members: &[usize]) -> CsrAdjacency {
+    debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
+    let mut offsets = Vec::with_capacity(members.len() + 1);
+    let mut neighbors = Vec::new();
+    offsets.push(0);
+    for &u in members {
+        neighbors.extend(
+            graph
+                .neighbors(NodeId(u))
+                .iter()
+                .filter(|&&v| members.binary_search(&(v as usize)).is_ok()),
+        );
+        offsets.push(neighbors.len() as u32);
+    }
+    neighbors.shrink_to_fit();
+    CsrAdjacency::from_raw_parts(offsets, neighbors)
 }
 
 /// The round-based protocol as a **self-paced [`Activation`]**, so it can be
@@ -862,9 +889,10 @@ mod tests {
         // n = 384 gives a three-level hierarchy, so this exercises the nested
         // recursion (leaf gossip inside child-leader rounds inside top-level
         // rounds). The target is modest: nested gossip's accuracy floor at
-        // this size is governed by the ε_r cascade, and EXPERIMENTS.md E4
-        // tracks the achievable accuracy; the unit test only requires solid
-        // convergence well below the pre-averaging plateau (~0.4).
+        // this size is governed by the ε_r cascade, and experiment E4
+        // (`crates/bench/src/experiments`) tracks the achievable accuracy;
+        // the unit test only requires solid convergence well below the
+        // pre-averaging plateau (~0.4).
         let g = graph(384, 4);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let values = InitialCondition::Bimodal.generate(g.len(), &mut rng);
@@ -1018,5 +1046,80 @@ mod tests {
         let mut gossip =
             RoundBasedAffineGossip::new(&g, values, RoundBasedConfig::idealized(g.len())).unwrap();
         let _ = gossip.run_until(0.0, &mut rng);
+    }
+
+    #[test]
+    fn cached_rows_are_graph_rows_filtered_to_the_cell() {
+        use geogossip_geometry::Topology;
+        use geogossip_sim::field::Field;
+        use geogossip_sim::scenario::{PlacementSpec, RadiusSpec, TopologySpec};
+        use std::collections::HashSet;
+
+        let n = 384;
+        let clustered = PlacementSpec::Clustered {
+            clusters: 6,
+            spread: 0.1,
+        };
+        let mut multi_leaf_cells = 0;
+        for (placement, surface) in [
+            (PlacementSpec::UniformSquare, Topology::UnitSquare),
+            (PlacementSpec::UniformSquare, Topology::Torus),
+            (clustered, Topology::UnitSquare),
+        ] {
+            let topology = TopologySpec {
+                n,
+                placement,
+                radius: RadiusSpec::ConnectivityConstant(2.0),
+                surface,
+            };
+            let g = topology.build_with_rng(&mut ChaCha8Rng::seed_from_u64(4));
+            for partition in [
+                PartitionConfig::practical(n),
+                PartitionConfig::with_threshold(n, 4.0),
+            ] {
+                let values = Field::SpatialGradient.values(&g, &mut ChaCha8Rng::seed_from_u64(4));
+                let config = RoundBasedConfig {
+                    partition,
+                    ..RoundBasedConfig::practical(n)
+                };
+                let mut gossip = RoundBasedAffineGossip::new(&g, values, config).unwrap();
+                let top_children = gossip.hierarchy.populated_children(0);
+                gossip.pre_average_pass(
+                    &top_children,
+                    0.01,
+                    &mut TransmissionCounter::new(),
+                    &mut ChaCha8Rng::seed_from_u64(5),
+                );
+
+                let h = &gossip.hierarchy;
+                let mut cached = 0;
+                for (cell, rows) in gossip.in_cell_rows.iter().enumerate() {
+                    let Some(rows) = rows else { continue };
+                    cached += 1;
+                    let members = h.members(cell);
+                    let member_set: HashSet<usize> = members.iter().copied().collect();
+                    assert_eq!(rows.len(), members.len());
+                    for (k, &u) in members.iter().enumerate() {
+                        let expected: Vec<u32> = g
+                            .neighbors(NodeId(u))
+                            .iter()
+                            .copied()
+                            .filter(|&v| member_set.contains(&(v as usize)))
+                            .collect();
+                        assert_eq!(rows.neighbors(k), expected, "cell {cell}, member {u}");
+                    }
+                    let leaf = h.leaf_of(NodeId(members[0]));
+                    if members.iter().any(|&v| h.leaf_of(NodeId(v)) != leaf) {
+                        multi_leaf_cells += 1;
+                    }
+                }
+                assert!(cached > 0, "no cell gossiped for {partition:?}");
+            }
+        }
+        // A gossip cell is not always an arena leaf: the low threshold on
+        // clustered sensors leaves cells with one populated child whose
+        // members lie in several leaves, so the cache cannot be keyed by
+        // `Hierarchy::leaf_of`.
+        assert!(multi_leaf_cells > 0, "no gossip cell spans several leaves");
     }
 }

@@ -182,7 +182,7 @@ mod tests {
     fn literal_constants_are_astronomical() {
         // Even for a modest network the paper's latency at the root exceeds
         // 10^40 ticks — the quantitative justification for the practical
-        // schedule substitution documented in DESIGN.md.
+        // schedule substitution (README.md, "Paper substitutions", item 4).
         let s = PaperSchedule::new(1024, 3, 1e-3, 1e-2, 1.0);
         assert!(s.latency_at(0) > 1e40);
     }

@@ -24,7 +24,7 @@
 //! structural property that long-range exchanges are much rarer than local
 //! averaging periods), while [`ScheduleParams::from_paper_schedule`] plugs in
 //! the literal — astronomically conservative — formulas of Section 4.1 for
-//! small demonstrations. See DESIGN.md §2, substitution 3.
+//! small demonstrations. See README.md, "Paper substitutions", item 4.
 
 use crate::affine::hierarchy::Hierarchy;
 use crate::affine::round_based::CoefficientRule;
@@ -340,14 +340,13 @@ impl<'a> AffineStateMachine<'a> {
         faults: &FaultContext<'_>,
     ) {
         let leaf = self.hierarchy.leaf_of(NodeId(s));
-        let members = self.hierarchy.members(leaf);
         // Candidate partners: graph neighbors that share the leaf square.
         let candidates: Vec<usize> = self
             .graph
             .neighbors(NodeId(s))
             .iter()
             .map(|&v| v as usize)
-            .filter(|v| members.contains(v))
+            .filter(|&v| self.hierarchy.leaf_of(NodeId(v)) == leaf)
             .collect();
         if candidates.is_empty() {
             return;

@@ -10,9 +10,9 @@
 //!
 //! The paper's split threshold is `(log n)^8`, which exceeds `n` for every
 //! simulable `n`; [`PartitionConfig::practical`] therefore substitutes a
-//! laptop-scale threshold (`max(16, log²n)`) while
-//! [`PartitionConfig::paper_faithful`] keeps the literal constant. DESIGN.md §2
-//! documents this substitution.
+//! laptop-scale threshold (`max(16, 4·ln n)`) while
+//! [`PartitionConfig::paper_faithful`] keeps the literal constant. README.md,
+//! "Paper substitutions", item 1 documents this substitution.
 
 use crate::point::{NodeId, Point};
 use crate::rect::Rect;
@@ -123,7 +123,8 @@ impl PartitionConfig {
     /// Laptop-scale configuration: split while the expected population exceeds
     /// `max(16, 4·ln n)`, capped at 8 levels. This preserves the paper's
     /// `Θ(log log n)` depth (poly-logarithmic leaf populations) at sizes a
-    /// simulation can actually reach; see DESIGN.md §2, substitution 2.
+    /// simulation can actually reach; see README.md, "Paper substitutions",
+    /// item 1.
     pub fn practical(n: usize) -> Self {
         let ln = (n.max(2) as f64).ln();
         PartitionConfig {
@@ -273,7 +274,7 @@ impl Cell {
         self.children.is_empty()
     }
 
-    /// Indices of the sensors located inside the cell.
+    /// Indices of the sensors located inside the cell, in ascending order.
     pub fn members(&self) -> &[usize] {
         &self.members
     }
@@ -657,6 +658,14 @@ mod tests {
             "expected at least 3 levels, got {}",
             part.levels()
         );
+    }
+
+    #[test]
+    fn members_are_in_ascending_order() {
+        let (_, part) = build(350, 9);
+        for cell in part.cells() {
+            assert!(cell.members().windows(2).all(|w| w[0] < w[1]));
+        }
     }
 
     #[test]

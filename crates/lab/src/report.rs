@@ -11,6 +11,7 @@
 use crate::aggregate::SweepAggregate;
 use geogossip_analysis::json::JsonValue;
 use geogossip_analysis::Table;
+use geogossip_sim::scenario::format_epsilon;
 use geogossip_sim::ProtocolError;
 use std::path::{Path, PathBuf};
 
@@ -77,7 +78,7 @@ impl SweepReport {
                 cell.protocol.clone(),
                 cell.group.clone(),
                 cell.n.to_string(),
-                format!("{}", cell.epsilon),
+                format_epsilon(cell.epsilon),
                 cell.trials.to_string(),
                 cell.converged.to_string(),
                 format!("{}", cell.mean_transmissions),
@@ -233,7 +234,7 @@ impl SweepReport {
                 cell.index.to_string(),
                 cell.protocol.clone(),
                 cell.n.to_string(),
-                format!("{}", cell.epsilon),
+                format_epsilon(cell.epsilon),
                 format!("{}/{}", cell.converged, cell.trials),
                 format!(
                     "{:.0} [{:.0}, {:.0}]",

@@ -52,7 +52,7 @@ pub mod runner;
 pub mod spec;
 pub mod sweep;
 
-pub use report::{reports_table, ScenarioReport, ScenarioSummary, TrialCost};
+pub use report::{format_epsilon, reports_table, ScenarioReport, ScenarioSummary, TrialCost};
 pub use runner::{ProtocolFactory, Runner};
 pub use spec::{
     ParamMap, ParamValue, PlacementSpec, ProtocolSpec, RadiusSpec, ScenarioSpec, TopologySpec,

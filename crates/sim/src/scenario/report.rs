@@ -266,7 +266,7 @@ pub fn reports_table(reports: &[ScenarioReport]) -> Table {
             report.spec.name.clone(),
             report.protocol_label.clone(),
             report.spec.topology.n.to_string(),
-            format!("{}", report.spec.stop.epsilon),
+            format_epsilon(report.spec.stop.epsilon),
             format!(
                 "{}/{}",
                 report.summary.converged_trials, report.summary.trials
@@ -279,9 +279,29 @@ pub fn reports_table(reports: &[ScenarioReport]) -> Table {
     table
 }
 
+/// Renders an accuracy target for a report table: as a plain decimal when
+/// that takes at most 12 characters (`0.001`), in scientific notation
+/// otherwise (`1e-300`), so a tiny ε cannot print hundreds of digits.
+pub fn format_epsilon(epsilon: f64) -> String {
+    let plain = format!("{epsilon}");
+    if plain.len() <= 12 {
+        plain
+    } else {
+        format!("{epsilon:e}")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn epsilon_renders_short() {
+        assert_eq!(format_epsilon(1e-300), "1e-300");
+        assert_eq!(format_epsilon(0.1), "0.1");
+        assert_eq!(format_epsilon(0.01), "0.01");
+        assert_eq!(format_epsilon(0.001), "0.001");
+    }
 
     fn cost(converged: bool, tx: u64, rounds: u64, err: f64) -> TrialCost {
         let mut counter = TransmissionCounter::new();
