@@ -1,7 +1,7 @@
 //! Statistics, regression and table rendering for the gossip experiments.
 //!
-//! Every experiment in EXPERIMENTS.md reduces simulation output to one of a
-//! few statistical summaries:
+//! Every experiment (E1–E10 in `crates/bench/src/experiments/`) reduces
+//! simulation output to one of a few statistical summaries:
 //!
 //! * [`stats`] — streaming mean/variance/min/max, quantiles, and confidence
 //!   intervals over repeated trials;
@@ -11,7 +11,7 @@
 //! * [`concentration`] — Chernoff-style occupancy checks for the partition
 //!   (Section 3's `|#(□_i)/√n − 1| < 1/10` claim);
 //! * [`table`] — plain-text/Markdown table rendering and CSV/JSON emission so
-//!   the benchmark binaries print exactly the rows quoted in EXPERIMENTS.md;
+//!   the experiment binaries print exactly the rows their modules compute;
 //! * [`histogram`] — log-bucketed (power-of-two) histograms with exactly
 //!   associative merges, backing the telemetry layer's wall-clock phase
 //!   profiles;

@@ -1,8 +1,9 @@
 //! Plain-text / Markdown / CSV table rendering for the experiment binaries.
 //!
-//! Every experiment binary prints a Markdown table (the rows quoted in
-//! EXPERIMENTS.md) and can additionally emit the same rows as CSV or JSON so
-//! the numbers can be re-plotted without re-running the simulation.
+//! Every experiment binary prints a Markdown table (the rows its module in
+//! `crates/bench/src/experiments/` computes) and can additionally emit the
+//! same rows as CSV or JSON so the numbers can be re-plotted without
+//! re-running the simulation.
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;

@@ -1,5 +1,6 @@
 //! Runs every experiment (E1–E10) at the requested scale and prints all
-//! tables — the single command that regenerates EXPERIMENTS.md's numbers.
+//! tables — the single command that regenerates every experiment's numbers
+//! (each module in `crates/bench/src/experiments/` documents its claim).
 //!
 //! Usage: `cargo run --release -p geogossip-bench --bin all_experiments [smoke|quick|full] [seed]`
 

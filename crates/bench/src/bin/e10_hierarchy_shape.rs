@@ -1,4 +1,5 @@
-//! Binary for experiment E10 — see EXPERIMENTS.md.
+//! Binary for experiment E10 — see the module header of
+//! `crates/bench/src/experiments/e10_hierarchy.rs`.
 //!
 //! Usage: `cargo run --release -p geogossip-bench --bin e10_hierarchy_shape [smoke|quick|full] [seed]`
 

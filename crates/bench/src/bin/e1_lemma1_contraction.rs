@@ -1,4 +1,5 @@
-//! Binary for experiment E1 — see EXPERIMENTS.md.
+//! Binary for experiment E1 — see the module header of
+//! `crates/bench/src/experiments/e01_lemma1.rs`.
 //!
 //! Usage: `cargo run --release -p geogossip-bench --bin e1_lemma1_contraction [smoke|quick|full] [seed]`
 

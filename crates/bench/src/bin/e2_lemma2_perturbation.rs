@@ -1,4 +1,5 @@
-//! Binary for experiment E2 — see EXPERIMENTS.md.
+//! Binary for experiment E2 — see the module header of
+//! `crates/bench/src/experiments/e02_lemma2.rs`.
 //!
 //! Usage: `cargo run --release -p geogossip-bench --bin e2_lemma2_perturbation [smoke|quick|full] [seed]`
 

@@ -1,4 +1,5 @@
-//! Binary for experiment E3 — see EXPERIMENTS.md.
+//! Binary for experiment E3 — see the module header of
+//! `crates/bench/src/experiments/e03_trajectories.rs`.
 //!
 //! Usage: `cargo run --release -p geogossip-bench --bin e3_convergence_trajectories [smoke|quick|full] [seed]`
 

@@ -1,4 +1,5 @@
-//! Binary for experiment E4 — see EXPERIMENTS.md.
+//! Binary for experiment E4 — see the module header of
+//! `crates/bench/src/experiments/e04_scaling.rs`.
 //!
 //! Usage: `cargo run --release -p geogossip-bench --bin e4_scaling_exponents [smoke|quick|full] [seed]`
 

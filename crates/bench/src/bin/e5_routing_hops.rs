@@ -1,4 +1,5 @@
-//! Binary for experiment E5 — see EXPERIMENTS.md.
+//! Binary for experiment E5 — see the module header of
+//! `crates/bench/src/experiments/e05_routing.rs`.
 //!
 //! Usage: `cargo run --release -p geogossip-bench --bin e5_routing_hops [smoke|quick|full] [seed]`
 

@@ -1,4 +1,5 @@
-//! Binary for experiment E6 — see EXPERIMENTS.md.
+//! Binary for experiment E6 — see the module header of
+//! `crates/bench/src/experiments/e06_connectivity.rs`.
 //!
 //! Usage: `cargo run --release -p geogossip-bench --bin e6_connectivity_threshold [smoke|quick|full] [seed]`
 

@@ -1,4 +1,5 @@
-//! Binary for experiment E7 — see EXPERIMENTS.md.
+//! Binary for experiment E7 — see the module header of
+//! `crates/bench/src/experiments/e07_occupancy.rs`.
 //!
 //! Usage: `cargo run --release -p geogossip-bench --bin e7_cell_occupancy [smoke|quick|full] [seed]`
 

@@ -1,4 +1,5 @@
-//! Binary for experiment E8 — see EXPERIMENTS.md.
+//! Binary for experiment E8 — see the module header of
+//! `crates/bench/src/experiments/e08_coefficient.rs`.
 //!
 //! Usage: `cargo run --release -p geogossip-bench --bin e8_affine_coefficient_ablation [smoke|quick|full] [seed]`
 

@@ -1,4 +1,5 @@
-//! Binary for experiment E9 — see EXPERIMENTS.md.
+//! Binary for experiment E9 — see the module header of
+//! `crates/bench/src/experiments/e09_uniformity.rs`.
 //!
 //! Usage: `cargo run --release -p geogossip-bench --bin e9_target_uniformity [smoke|quick|full] [seed]`
 

@@ -1,4 +1,5 @@
-//! One module per experiment of EXPERIMENTS.md.
+//! One module per experiment, E1–E10. Each module's header states the
+//! paper's claim it measures and how.
 //!
 //! Every experiment is a pure function from a [`Scale`] and a master seed to
 //! an [`ExperimentOutput`]; the binaries in `src/bin/` only parse arguments,
@@ -25,7 +26,7 @@ pub enum Scale {
     Smoke,
     /// A few minutes — the default for the binaries.
     Quick,
-    /// The sizes quoted in EXPERIMENTS.md.
+    /// The full-scale sizes each experiment module sets.
     Full,
 }
 
@@ -73,6 +74,6 @@ impl ExperimentOutput {
     }
 }
 
-/// Standard seed used by the binaries so EXPERIMENTS.md numbers are
+/// Standard seed used by the binaries so every experiment's table is
 /// regenerable verbatim.
 pub const DEFAULT_SEED: u64 = 20070612;

@@ -184,15 +184,15 @@ const SCAN_LANES: usize = 8;
 /// with `|dx| ≤ 1` (the torus fold is 1-Lipschitz and only shrinks deltas).
 /// Squaring and summing: `|d2_f32 − d2| ≤ 2(|dx| + |dy|)·1.9e-7` plus three
 /// `f32` roundings of values ≤ 2, together ≤ 9e-7. The candidate window in
-/// [`greedy_walk_metric`] needs twice that (error on the minimum plus error
+/// [`greedy_hop`] needs twice that (error on the minimum plus error
 /// on the probe) plus one more `f32` add rounding; `4e-6` covers it all with
 /// margin.
 const SCAN_ABS_ERROR: f32 = 4e-6;
 
-/// Capacity of the per-walk scan scratch buffer, in neighbors. Degrees at
-/// the connectivity radius are `Θ(log n)` (≈ 160 even at `n = 2²⁰`), so the
-/// buffered fast path virtually always applies; wider rows fall back to the
-/// buffer-free scan, which is bit-identical.
+/// Capacity of the scan scratch buffer (one per walk or step), in neighbors.
+/// Degrees at the connectivity radius are `Θ(log n)` (≈ 160 even at
+/// `n = 2²⁰`), so the buffered fast path virtually always applies; wider rows
+/// fall back to the buffer-free scan, which is bit-identical.
 const SCAN_BUF: usize = 512;
 
 /// Pass 1 of the per-hop argmin: computes every approximate squared
@@ -209,7 +209,7 @@ const SCAN_BUF: usize = 512;
 /// at large `n`. The stored distances let pass 2 test the candidate window
 /// without recomputing; the minimum is only used to open a
 /// [`SCAN_ABS_ERROR`]-wide window that provably contains the exact argmin —
-/// see [`greedy_walk_metric`].
+/// see [`greedy_hop`].
 ///
 /// # Panics
 ///
@@ -253,20 +253,89 @@ fn min_d2_scan<M: RouteMetric>(
     min_dist
 }
 
-/// Monomorphised walk body behind [`greedy_walk`] — the overhauled per-hop
-/// argmin.
+/// One hop of the greedy walk: the per-hop argmin that every unmasked entry
+/// point shares. [`greedy_walk_metric`] loops it and [`greedy_step`] calls it
+/// once, so the walk and the stateless step cannot drift apart.
 ///
-/// Per hop: **pass 1** streams the half-width `f32` scan row into a stack
-/// scratch buffer and finds the approximate minimum ([`min_d2_scan`],
-/// vectorized, 8 bytes/neighbor). **Pass 2** walks the (L1-hot) buffer and,
-/// for every neighbor within [`SCAN_ABS_ERROR`] of the approximate minimum —
-/// the window provably contains every exact minimizer, see the constant's
-/// docs — gathers the **exact** `f64` distance from the CSR coordinate
-/// mirror and keeps the strictly-smallest, first-encountered winner. Since
-/// CSR rows are sorted and the window is conservative, the selected
-/// neighbor, its exact distance, and the tie-breaking (lowest neighbor index
-/// on equal distance) are **bit-identical** to the preserved all-`f64`
-/// scalar walk ([`greedy_walk_reference`]), which property tests pin.
+/// **Pass 1** streams `current`'s half-width `f32` scan row into `scratch`
+/// and finds the approximate minimum ([`min_d2_scan`], vectorized, 8
+/// bytes/neighbor). **Pass 2** walks the (L1-hot) buffer and, for every
+/// neighbor within [`SCAN_ABS_ERROR`] of the approximate minimum — the
+/// window provably contains every exact minimizer, see the constant's docs —
+/// gathers the **exact** `f64` distance from [`GeometricGraph::position`]
+/// and keeps the strictly-smallest, first-encountered winner. Since CSR rows
+/// are sorted and the window is conservative, the selected neighbor, its
+/// exact distance, and the tie-breaking (lowest neighbor index on equal
+/// distance) are **bit-identical** to the preserved all-`f64` scalar walk
+/// ([`greedy_walk_reference`]), which property tests pin.
+///
+/// One hop touches exactly one random-access stream — the packed scan row
+/// `[x_bits… y_bits… idx…]` — plus the position table for the few exact
+/// confirmations (small enough to stay cache-resident). The cold `f64`
+/// coordinate mirrors are never read, and nothing is allocated.
+///
+/// Returns the winner's exact squared distance and index; an empty row
+/// returns `(f64::INFINITY, u32::MAX)`. The caller applies the progress rule.
+#[inline(always)]
+fn greedy_hop<M: RouteMetric>(
+    graph: &GeometricGraph,
+    current: NodeId,
+    target: Point,
+    metric: M,
+    scratch: &mut [f32; SCAN_BUF],
+) -> (f64, u32) {
+    let tx = target.x as f32;
+    let ty = target.y as f32;
+    let (xs32, ys32, idx) = graph.scan_block(current);
+    let mut min_dist = f64::INFINITY;
+    let mut best = u32::MAX;
+    if xs32.len() <= SCAN_BUF {
+        let buf = &mut scratch[..xs32.len()];
+        let approx_min = min_d2_scan(metric, xs32, ys32, buf, tx, ty);
+        // Every exact minimizer's approximate distance lies within the
+        // window (an empty row leaves it at infinity).
+        let window = approx_min + SCAN_ABS_ERROR;
+        for (k, &d32) in buf.iter().enumerate() {
+            if d32 <= window {
+                let p = graph.position(NodeId(idx[k] as usize));
+                let d = metric.d2(p.x - target.x, p.y - target.y);
+                // Strict `<` keeps the first-encountered minimum: the
+                // lowest neighbor index, CSR rows being sorted.
+                if d < min_dist {
+                    min_dist = d;
+                    best = idx[k];
+                }
+            }
+        }
+    } else {
+        // Rows wider than the scratch buffer (far above any
+        // connectivity-radius degree) recompute the approximate distances
+        // in pass 2 — same window, same winner.
+        let mut approx_min = f32::INFINITY;
+        for (&x, &y) in xs32.iter().zip(ys32) {
+            approx_min =
+                approx_min.min(metric.d2_f32(f32::from_bits(x) - tx, f32::from_bits(y) - ty));
+        }
+        let window = approx_min + SCAN_ABS_ERROR;
+        for (k, (&x32, &y32)) in xs32.iter().zip(ys32).enumerate() {
+            if metric.d2_f32(f32::from_bits(x32) - tx, f32::from_bits(y32) - ty) <= window {
+                let p = graph.position(NodeId(idx[k] as usize));
+                let d = metric.d2(p.x - target.x, p.y - target.y);
+                if d < min_dist {
+                    min_dist = d;
+                    best = idx[k];
+                }
+            }
+        }
+    }
+    (min_dist, best)
+}
+
+/// Monomorphised walk body behind [`greedy_walk`]: [`greedy_hop`] until no
+/// neighbor is strictly closer to the target than the current node. The
+/// distance carried from hop to hop is the winner's exact `f64` squared
+/// distance, computed from [`GeometricGraph::position`] in pass 2 — the same
+/// value [`greedy_step`] derives afresh at every node.
 #[inline(always)]
 fn greedy_walk_metric<M: RouteMetric>(
     graph: &GeometricGraph,
@@ -275,71 +344,24 @@ fn greedy_walk_metric<M: RouteMetric>(
     metric: M,
     mut on_hop: impl FnMut(NodeId),
 ) -> (NodeId, usize) {
-    let mut current = source.index();
+    let mut current = source;
     let src = graph.position(source);
     let mut current_dist = metric.d2(src.x - target.x, src.y - target.y);
-    let tx = target.x as f32;
-    let ty = target.y as f32;
     // Per-walk scratch for pass 1's approximate distances (stack, zeroed
     // once per walk, reused across hops).
     let mut scratch = [0f32; SCAN_BUF];
     let mut hops = 0usize;
     loop {
-        // One hop touches exactly one random-access stream — the packed scan
-        // row `[x_bits… y_bits… idx…]` — plus the position table for the few
-        // exact confirmations (small enough to stay cache-resident). The
-        // cold `f64` coordinate mirrors are never read on this path.
-        let (xs32, ys32, idx) = graph.scan_block(NodeId(current));
-        let mut min_dist = f64::INFINITY;
-        let mut best = u32::MAX;
-        if xs32.len() <= SCAN_BUF {
-            let buf = &mut scratch[..xs32.len()];
-            let approx_min = min_d2_scan(metric, xs32, ys32, buf, tx, ty);
-            // Every exact minimizer's approximate distance lies within the
-            // window (an empty row leaves it at infinity and stops below).
-            let window = approx_min + SCAN_ABS_ERROR;
-            for (k, &d32) in buf.iter().enumerate() {
-                if d32 <= window {
-                    let p = graph.position(NodeId(idx[k] as usize));
-                    let d = metric.d2(p.x - target.x, p.y - target.y);
-                    // Strict `<` keeps the first-encountered minimum: the
-                    // lowest neighbor index, CSR rows being sorted.
-                    if d < min_dist {
-                        min_dist = d;
-                        best = idx[k];
-                    }
-                }
-            }
-        } else {
-            // Rows wider than the scratch buffer (far above any
-            // connectivity-radius degree) recompute the approximate
-            // distances in pass 2 — same window, same winner.
-            let mut approx_min = f32::INFINITY;
-            for (&x, &y) in xs32.iter().zip(ys32) {
-                approx_min =
-                    approx_min.min(metric.d2_f32(f32::from_bits(x) - tx, f32::from_bits(y) - ty));
-            }
-            let window = approx_min + SCAN_ABS_ERROR;
-            for (k, (&x32, &y32)) in xs32.iter().zip(ys32).enumerate() {
-                if metric.d2_f32(f32::from_bits(x32) - tx, f32::from_bits(y32) - ty) <= window {
-                    let p = graph.position(NodeId(idx[k] as usize));
-                    let d = metric.d2(p.x - target.x, p.y - target.y);
-                    if d < min_dist {
-                        min_dist = d;
-                        best = idx[k];
-                    }
-                }
-            }
-        }
+        let (min_dist, best) = greedy_hop(graph, current, target, metric, &mut scratch);
         // A neighbor must be strictly closer than the current node to make
         // progress; otherwise the packet stops here.
         if min_dist >= current_dist {
-            return (NodeId(current), hops);
+            return (current, hops);
         }
-        current = best as usize;
+        current = NodeId(best as usize);
         current_dist = min_dist;
         hops += 1;
-        on_hop(NodeId(current));
+        on_hop(current);
     }
 }
 
@@ -643,13 +665,15 @@ pub fn round_trip(graph: &GeometricGraph, a: NodeId, b: NodeId) -> (usize, bool)
 /// stops here.
 ///
 /// This is the per-node forwarding decision of the message-passing runtime
-/// (`geogossip-net`), where no walker carries state between hops. Iterating
-/// it from a source reproduces [`route_terminus`] **bit-identically** (same
-/// terminus, same hop count): the walk's carried current-distance is exactly
-/// the chosen neighbor's `f64` squared distance, which this function
-/// recomputes from [`GeometricGraph::position`] — the same value, bit for
-/// bit, because the CSR coordinate mirror stores the same `f64` coordinates.
-/// The parity is pinned by `iterated_greedy_step_matches_route_terminus`.
+/// (`geogossip-net`), where no walker carries state between hops. It is one
+/// iteration of the walk behind [`route_terminus`] — the same [`greedy_hop`]
+/// scan — so iterating it from a source reproduces [`route_terminus`]
+/// **bit-identically** (same terminus, same hop count): the walk's carried
+/// current-distance is exactly the chosen neighbor's `f64` squared distance
+/// from [`GeometricGraph::position`], which this function recomputes. The
+/// parity is pinned by `iterated_greedy_step_matches_route_terminus` and, on
+/// ties, seam ties and rows wider than the scan scratch, by the routing
+/// property tests.
 ///
 /// # Panics
 ///
@@ -661,10 +685,9 @@ pub fn greedy_step(graph: &GeometricGraph, current: NodeId, target: Point) -> Op
     }
 }
 
-/// Monomorphised body of [`greedy_step`]: a single strict-`<` scan over the
-/// CSR neighbor block, identical in arithmetic and tie-breaking to one
-/// iteration of [`greedy_walk_reference`] (first-encountered minimum = lowest
-/// neighbor index, CSR rows being sorted).
+/// Monomorphised body of [`greedy_step`]: [`greedy_hop`] once, on a stack
+/// scratch buffer, plus the walk's progress rule against `current`'s own
+/// distance.
 #[inline]
 fn greedy_step_metric<M: RouteMetric>(
     graph: &GeometricGraph,
@@ -674,21 +697,9 @@ fn greedy_step_metric<M: RouteMetric>(
 ) -> Option<NodeId> {
     let pos = graph.position(current);
     let current_dist = metric.d2(pos.x - target.x, pos.y - target.y);
-    let (nbrs, xs, ys) = graph.neighbor_block(current);
-    let mut min_dist = f64::INFINITY;
-    let mut best = 0u32;
-    for k in 0..nbrs.len() {
-        let d = metric.d2(xs[k] - target.x, ys[k] - target.y);
-        if d < min_dist {
-            min_dist = d;
-            best = nbrs[k];
-        }
-    }
-    if min_dist >= current_dist {
-        None
-    } else {
-        Some(NodeId(best as usize))
-    }
+    let mut scratch = [0f32; SCAN_BUF];
+    let (min_dist, best) = greedy_hop(graph, current, target, metric, &mut scratch);
+    (min_dist < current_dist).then_some(NodeId(best as usize))
 }
 
 /// [`greedy_step`] restricted to live neighbors: the per-hop forwarding

@@ -8,14 +8,15 @@
 //! vectorized argmin scan (and any future scan) from silently changing
 //! termini: pass 2 of the walk recovers the first index attaining the
 //! minimum, CSR rows are sorted, so equal distances must resolve to the
-//! lowest index. Both the production scan and the preserved scalar reference
-//! are asserted against the same expectation.
+//! lowest index. The production walk, the stateless `greedy_step` iterated
+//! hop by hop, and the preserved scalar reference are asserted against the
+//! same expectation.
 
 use geogossip_geometry::point::NodeId;
 use geogossip_geometry::topology::wrap_delta;
 use geogossip_geometry::{Point, Topology};
 use geogossip_graph::GeometricGraph;
-use geogossip_routing::greedy::{route_terminus, route_terminus_reference};
+use geogossip_routing::greedy::{greedy_step, route_terminus, route_terminus_reference, FastRoute};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -56,7 +57,8 @@ fn tie_instance(
 
 /// Asserts the walk from `source` towards `target` forwards to the lowest
 /// ring index in one hop and stops there (no node is closer than the ring),
-/// on both the production scan and the scalar reference.
+/// on the production scan, the iterated `greedy_step` and the scalar
+/// reference.
 fn assert_lowest_index_wins(
     graph: &GeometricGraph,
     source: NodeId,
@@ -72,6 +74,25 @@ fn assert_lowest_index_wins(
     assert_eq!(fast.hops, 1, "the tie decides the first and only hop");
     let reference = route_terminus_reference(graph, source, target);
     assert_eq!(fast, reference, "fast scan diverged from scalar reference");
+    let mut terminus = source;
+    let mut hops = 0;
+    while let Some(next) = greedy_step(graph, terminus, target) {
+        terminus = next;
+        hops += 1;
+        assert!(
+            hops <= graph.len(),
+            "iterated greedy_step failed to terminate"
+        );
+    }
+    let stepped = FastRoute {
+        source,
+        terminus,
+        hops,
+    };
+    assert_eq!(
+        stepped, reference,
+        "iterated greedy_step diverged from scalar reference"
+    );
 }
 
 proptest! {

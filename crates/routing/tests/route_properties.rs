@@ -1,21 +1,42 @@
 //! Property tests for the allocation-free routing fast path: on arbitrary
 //! random instances and targets, `route_terminus` / `route_terminus_to_node` /
 //! the scratch-buffer variant must agree exactly with the path-returning API,
-//! and the chunked vectorizable argmin scan must agree exactly with the
+//! and the chunked vectorizable argmin scan — walked by `route_terminus` or
+//! iterated hop by hop through `greedy_step` — must agree exactly with the
 //! preserved scalar reference walk (`route_terminus_reference`).
 
 use geogossip_geometry::point::NodeId;
 use geogossip_geometry::sampling::{sample_unit_square, uniform_point_in};
 use geogossip_geometry::unit_square;
-use geogossip_geometry::Topology;
+use geogossip_geometry::{Point, Topology};
 use geogossip_graph::GeometricGraph;
 use geogossip_routing::greedy::{
-    round_trip, route_terminus, route_terminus_reference, route_terminus_to_node, route_to_node,
-    route_to_position, route_to_position_into,
+    greedy_step, round_trip, route_terminus, route_terminus_reference, route_terminus_to_node,
+    route_to_node, route_to_position, route_to_position_into, FastRoute,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// Iterates the stateless `greedy_step` from `source` until it stops, as the
+/// message-passing runtime forwards a packet hop by hop.
+fn iterated_step(graph: &GeometricGraph, source: NodeId, target: Point) -> FastRoute {
+    let mut terminus = source;
+    let mut hops = 0;
+    while let Some(next) = greedy_step(graph, terminus, target) {
+        terminus = next;
+        hops += 1;
+        assert!(
+            hops <= graph.len(),
+            "iterated greedy_step failed to terminate"
+        );
+    }
+    FastRoute {
+        source,
+        terminus,
+        hops,
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -93,12 +114,14 @@ proptest! {
             let fast = route_terminus(&g, src, target);
             let reference = route_terminus_reference(&g, src, target);
             prop_assert_eq!(fast, reference);
+            prop_assert_eq!(iterated_step(&g, src, target), reference);
         }
     }
 
-    /// Degrees beyond the walk's stack scratch capacity take the buffer-free
-    /// fallback; it must agree with the reference exactly too. A radius of
-    /// 0.9 on 600 nodes makes nearly every row wider than the buffer.
+    /// Degrees beyond the scan's stack scratch capacity take the buffer-free
+    /// fallback; it must agree with the reference exactly too, walked or
+    /// stepped. A radius of 0.9 on 600 nodes makes nearly every row wider
+    /// than the buffer.
     #[test]
     fn dense_rows_beyond_scratch_capacity_match_reference(
         seed in 0u64..200,
@@ -113,6 +136,7 @@ proptest! {
             let fast = route_terminus(&g, src, target);
             let reference = route_terminus_reference(&g, src, target);
             prop_assert_eq!(fast, reference);
+            prop_assert_eq!(iterated_step(&g, src, target), reference);
         }
     }
 

@@ -1,10 +1,11 @@
 //! Deterministic seed management.
 //!
-//! Every experiment in EXPERIMENTS.md is identified by a single master seed;
-//! the placement, the clock schedule, the target draws and the protocol's
-//! internal randomness each get an independent, reproducible stream derived
-//! from it. Deriving streams (rather than sharing one RNG) keeps results
-//! stable when one component changes how much randomness it consumes.
+//! Every experiment (E1–E10 in `crates/bench/src/experiments/`) is
+//! identified by a single master seed; the placement, the clock schedule,
+//! the target draws and the protocol's internal randomness each get an
+//! independent, reproducible stream derived from it. Deriving streams
+//! (rather than sharing one RNG) keeps results stable when one component
+//! changes how much randomness it consumes.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

@@ -177,6 +177,14 @@ impl TopologySpec {
                 format!("need at least two sensors, got {}", self.n),
             ));
         }
+        if u32::try_from(self.n).is_err() {
+            // The CSR adjacency indexes nodes as `u32`; past that the build
+            // would abort on its assertion after a huge allocation.
+            return Err(ProtocolError::invalid(
+                "topology.n",
+                format!("at most {} sensors, got {}", u32::MAX, self.n),
+            ));
+        }
         self.placement.validate()?;
         self.radius.validate()?;
         if self.surface == Topology::Torus && self.radius.radius(self.n) >= 0.5 {

@@ -55,7 +55,8 @@
 //! (`quickstart`), a three-way protocol comparison (`compare_protocols`), a
 //! scaling study (`scaling_study`) and a routing/hierarchy demonstration
 //! (`network_anatomy`). The experiment harness reproducing every quantitative
-//! claim of the paper lives in `crates/bench` (see EXPERIMENTS.md).
+//! claim of the paper lives in `crates/bench`: one module per experiment,
+//! E1–E10, in `crates/bench/src/experiments/`, whose header states the claim.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

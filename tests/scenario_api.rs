@@ -292,6 +292,24 @@ fn transport_out_of_range_values_name_the_spec_path() {
     }
 }
 
+/// Networks beyond `u32::MAX` sensors are rejected by validation, naming
+/// `topology.n`: the CSR adjacency indexes nodes as `u32`, so `validate`
+/// must refuse what `run` cannot build.
+#[test]
+fn topology_n_beyond_u32_hard_errors_with_spec_path() {
+    let spec = |n: u64| {
+        ScenarioSpec::from_json(&format!(
+            r#"{{"topology": {{"n": {n}}}, "protocol": {{"name": "pairwise"}}, "stop": {{"epsilon": 0.5}}}}"#
+        ))
+    };
+    let err = spec(u64::from(u32::MAX) + 1)
+        .expect_err("a spec with n = 2^32 was accepted")
+        .to_string();
+    assert!(err.contains("topology.n"), "got `{err}`");
+    // The largest size the adjacency can index still validates.
+    spec(u64::from(u32::MAX)).expect("n = u32::MAX validates");
+}
+
 /// Activation loss (`faults.drop-rate`) cannot be combined with a transport
 /// spec — wire loss lives in `transport.reliability.drop` — and the refusal
 /// names the key the user must delete. Node churn and stale sensors, by
