@@ -7,10 +7,10 @@
 //! sharper constant `1 − 8/(9(n−1))` that appears inside the proof).
 //!
 //! The dynamics run through the scenario API as the `affine-complete`
-//! registry protocol (a self-paced [`Activation`]
-//! (geogossip_sim::Activation)): the engine's trace samples the relative norm
-//! once per `n` ticks, which is exactly the checkpoint series the
-//! geometric-mean rate estimate needs. The geometric graph of the spec is a
+//! registry protocol (a self-paced
+//! [`Activation`](geogossip_sim::Activation)): the engine's trace samples the
+//! relative norm once per `n` ticks, which is exactly the checkpoint series
+//! the geometric-mean rate estimate needs. The geometric graph of the spec is a
 //! placement-only stand-in (tiny absolute radius) — the complete-graph model
 //! ignores adjacency.
 

@@ -2,7 +2,7 @@
 //!
 //! Geographic gossip contacts "the node nearest a uniformly random position",
 //! whose law is proportional to Voronoi-cell areas; rejection sampling is used
-//! in [5] (and inherited by the paper) to make it roughly uniform over nodes.
+//! in \[5\] (and inherited by the paper) to make it roughly uniform over nodes.
 //! The experiment draws many partners under three selectors — uniform by
 //! index (the ideal), nearest-to-position (no correction), and
 //! rejection-sampled — and reports two skew statistics.

@@ -4,10 +4,9 @@
 //! speedup **measured in the same tree**: this module re-implements the
 //! geographic-gossip hot path exactly as the seed had it — `Vec<Vec<usize>>`
 //! adjacency, a heap-allocated `path` vector per routing call, and
-//! per-neighbor position gathering — so `benches/microbench.rs` and the
-//! `bench_baseline` binary can put old and new side by side on the same
-//! machine and the same instances. Nothing outside benchmarking should use
-//! this module.
+//! per-neighbor position gathering — so the `bench_baseline` binary can put
+//! old and new side by side on the same machine and the same instances.
+//! Nothing outside benchmarking should use this module.
 
 use geogossip_geometry::point::NodeId;
 use geogossip_geometry::sampling::uniform_point_in;

@@ -15,9 +15,6 @@
 //!   honest,
 //! * [`Scale::Quick`] — a few minutes; the default for the binaries,
 //! * [`Scale::Full`] — the full-scale sizes each experiment module sets.
-//!
-//! Criterion micro-benchmarks for the underlying primitives (graph
-//! construction, routing, update sweeps) live in `benches/microbench.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,7 +3,7 @@
 //! On each clock tick the activated sensor draws a target *position* uniformly
 //! at random from the unit square, greedily routes a packet with its value to
 //! the node nearest that position, and the two nodes replace their values with
-//! the average (Section 1.1 of the paper, citing [5]). Each exchange costs a
+//! the average (Section 1.1 of the paper, citing \[5\]). Each exchange costs a
 //! routed round trip of `Θ(sqrt(n / log n))` hops, but because the contacted
 //! partner is (roughly) uniform over the whole network, only `Õ(n)` exchanges
 //! are needed — `Õ(n^1.5)` transmissions in total.

@@ -3,7 +3,7 @@
 //! On each clock tick the activated sensor `s` sends its value to a neighbor
 //! `v` chosen uniformly at random from its adjacency list, receives `v`'s
 //! value, and both set their value to the average (Section 1.1 of the paper,
-//! citing Boyd et al. [1]). One round costs 2 transmissions. On a geometric
+//! citing Boyd et al. \[1\]). One round costs 2 transmissions. On a geometric
 //! random graph at the connectivity radius the number of transmissions to
 //! ε-average scales as `Õ(n²)` — the quantity experiment E4 measures.
 

@@ -64,7 +64,7 @@ pub fn unit_square() -> Rect {
 ///
 /// For `c` above a constant threshold (≈1 for the unit square), the geometric
 /// random graph `G(n, r)` is connected with probability `1 − n^{-Θ(1)}`
-/// (Gupta & Kumar 2000, cited as [4] in the paper). The paper assumes
+/// (Gupta & Kumar 2000, cited as \[4\] in the paper). The paper assumes
 /// `r = Θ(sqrt(log n / n))` throughout (Section 2.1).
 ///
 /// # Panics

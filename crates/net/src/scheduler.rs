@@ -1,14 +1,15 @@
 //! The deterministic simulated scheduler driving sensor actors.
 //!
-//! [`NetScheduler::run`] is a message-passing re-implementation of the
-//! shared-memory engine loop (`geogossip_sim::engine::AsyncEngine::run`):
-//! the same stop checks in the same order, the same squared-domain
-//! convergence fast path (including [`geogossip_sim::engine::SQ_THRESHOLD_SLACK`]),
-//! the same trace stride/thinning discipline, and a Poisson activation clock
-//! consuming the identical `"run"` RNG stream. On the instant-lossless
-//! schedule every message a tick produces is delivered before the next loop
-//! iteration observes anything, so reports are **bit-identical** to the
-//! shared-memory oracle — pinned by `tests/net_parity.rs`.
+//! [`NetScheduler::run`] drives sensor actors through the same run kernel as
+//! the shared-memory engine ([`RunKernel`]), which owns the stop checks, the
+//! squared-domain convergence fast path, the trace stride cap, the
+//! transmission count, and the `convergence-crossed` / `tick-committed`
+//! events. The scheduler owns only how a tick is drawn — a Poisson
+//! activation clock consuming the identical `"run"` RNG stream — and how it
+//! is applied, through the message queue. On the instant-lossless schedule
+//! every message a tick produces is delivered before the kernel checks the
+//! next tick, so reports are **bit-identical** to the shared-memory oracle —
+//! pinned by `tests/net_parity.rs`.
 //!
 //! # Determinism contract
 //!
@@ -59,9 +60,10 @@
 use crate::fault::NetFaultPlan;
 use crate::message::Message;
 use geogossip_geometry::point::NodeId;
-use geogossip_sim::engine::{EngineReport, SquaredError, StopCondition, StopReason};
-use geogossip_sim::engine::{DEFAULT_MAX_TRACE_POINTS, SQ_THRESHOLD_SLACK};
-use geogossip_sim::metrics::{ConvergenceTrace, TracePoint, TransmissionCounter};
+use geogossip_sim::engine::{
+    EngineReport, RunKernel, SquaredError, StopCondition, DEFAULT_MAX_TRACE_POINTS,
+};
+use geogossip_sim::metrics::TransmissionCounter;
 use geogossip_sim::transport::{LatencyModel, ReliabilitySpec};
 use geogossip_sim::{EventQueue, GlobalPoissonClock};
 use geogossip_telemetry::{Event, Probe};
@@ -391,14 +393,12 @@ pub trait NetProtocol {
 
 /// The simulated event-driven scheduler.
 ///
-/// Construction mirrors `AsyncEngine::new`: the trace sampling stride
-/// defaults to one point per `n` ticks and traces are thinned geometrically
-/// above [`DEFAULT_MAX_TRACE_POINTS`].
+/// Like `AsyncEngine::new`, it samples the trace once per `n` ticks and
+/// thins it geometrically above [`DEFAULT_MAX_TRACE_POINTS`]; unlike the
+/// engine, it has no setter for either.
 #[derive(Debug, Clone)]
 pub struct NetScheduler {
     n: usize,
-    sample_every: u64,
-    max_trace_points: usize,
 }
 
 impl NetScheduler {
@@ -410,11 +410,7 @@ impl NetScheduler {
     /// before a scheduler is ever built).
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "the net scheduler needs at least one sensor");
-        NetScheduler {
-            n,
-            sample_every: (n as u64).max(1),
-            max_trace_points: DEFAULT_MAX_TRACE_POINTS,
-        }
+        NetScheduler { n }
     }
 
     /// Runs `protocol` on a reliable wire with no node faults — the
@@ -439,34 +435,6 @@ impl NetScheduler {
         )
     }
 
-    /// Runs `protocol` exactly like [`NetScheduler::run_wire`] — same loop,
-    /// same draws, same report — while streaming telemetry events into
-    /// `probe`. `run_wire` is this with `probe = None`; the unprobed path
-    /// never constructs an event.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_wire_probed(
-        &mut self,
-        protocol: &mut dyn NetProtocol,
-        stop: StopCondition,
-        latency: LatencyModel,
-        reliability: ReliabilitySpec,
-        faults: Option<&mut NetFaultPlan>,
-        rng: &mut dyn RngCore,
-        net_rng: &mut dyn RngCore,
-        probe: Option<&mut (dyn Probe + '_)>,
-    ) -> (EngineReport, MessageLedger) {
-        self.run_wire_inner(
-            protocol,
-            stop,
-            latency,
-            reliability,
-            faults,
-            rng,
-            net_rng,
-            probe,
-        )
-    }
-
     /// Runs `protocol` under the given latency schedule, wire reliability,
     /// and optional node-fault plan until `stop` is met.
     ///
@@ -479,14 +447,14 @@ impl NetScheduler {
     /// and dead sensors consume their tick without acting, exactly like the
     /// shared-memory orchestrator.
     ///
-    /// The loop replicates the shared-memory engine body statement for
-    /// statement; the only additions are the two `deliver_due` drains —
-    /// pending messages (and retransmission timers) due by the tick's exact
-    /// time are processed *before* the tick's activation (network catches up
-    /// to the clock), and the activation's own cascade is drained *after* it
-    /// (instant messages land within their tick). Stop checks therefore
-    /// observe exactly the oracle's transmission totals on the instant
-    /// schedule.
+    /// The stop check, the trace, and the report come from the engine's
+    /// [`RunKernel`]; the scheduler adds only the two `deliver_due` drains
+    /// around each activation. Pending messages (and retransmission timers)
+    /// due by the tick's exact time are processed *before* the tick's
+    /// activation (network catches up to the clock), and the activation's
+    /// own cascade is drained *after* it (instant messages land within their
+    /// tick). Stop checks therefore observe exactly the oracle's
+    /// transmission totals on the instant schedule.
     #[allow(clippy::too_many_arguments)]
     pub fn run_wire(
         &mut self,
@@ -498,7 +466,7 @@ impl NetScheduler {
         rng: &mut dyn RngCore,
         net_rng: &mut dyn RngCore,
     ) -> (EngineReport, MessageLedger) {
-        self.run_wire_inner(
+        self.run_wire_probed(
             protocol,
             stop,
             latency,
@@ -510,8 +478,12 @@ impl NetScheduler {
         )
     }
 
+    /// Runs `protocol` exactly like [`NetScheduler::run_wire`] — same loop,
+    /// same draws, same report — while streaming telemetry events into
+    /// `probe`. `run_wire` is this with `probe = None`; the unprobed path
+    /// never constructs an event.
     #[allow(clippy::too_many_arguments)]
-    fn run_wire_inner(
+    pub fn run_wire_probed(
         &mut self,
         protocol: &mut dyn NetProtocol,
         stop: StopCondition,
@@ -524,52 +496,33 @@ impl NetScheduler {
     ) -> (EngineReport, MessageLedger) {
         let mut clock = GlobalPoissonClock::new(self.n);
         let mut queue: EventQueue<Envelope> = EventQueue::new();
-        let mut tx = TransmissionCounter::new();
         let mut ledger = MessageLedger::default();
-        let mut trace = ConvergenceTrace::new();
-        let mut ticks: u64 = 0;
-        let mut stride = self.sample_every.max(1);
         let mut next_id: u64 = 0;
         // The id of the last envelope handed to a handler (see the module
         // docs for why one id suffices). Lossy ids start at 1, and lossless
         // ids are all 0 and never checked.
         let mut last_handled: u64 = 0;
-
-        trace.push(TracePoint {
-            transmissions: 0,
-            ticks: 0,
-            relative_error: protocol.relative_error(),
-        });
-
-        let threshold_hi = protocol.squared_error().map(|sq| {
-            let target = stop.epsilon * sq.initial;
-            (target * target) * SQ_THRESHOLD_SLACK
-        });
+        let mut kernel = RunKernel::new(
+            stop,
+            self.n as u64,
+            DEFAULT_MAX_TRACE_POINTS,
+            protocol.relative_error(),
+            protocol.squared_error(),
+        );
 
         let reason = loop {
-            let clearly_above = match (threshold_hi, protocol.squared_error()) {
-                (Some(hi), Some(sq)) => sq.current_sq > hi,
-                _ => false,
-            };
-            if !clearly_above && protocol.relative_error() <= stop.epsilon {
-                if let Some(probe) = probe.as_deref_mut() {
-                    probe.on_event(Event::ConvergenceCrossed {
-                        tick: ticks,
-                        transmissions: tx.total(),
-                        relative_error: protocol.relative_error(),
-                    });
-                }
-                break StopReason::Converged;
-            }
-            if stop.max_ticks.is_some_and(|m| ticks >= m) {
-                break StopReason::TickBudgetExhausted;
-            }
-            if stop.max_transmissions.is_some_and(|m| tx.total() >= m) {
-                break StopReason::TransmissionBudgetExhausted;
+            // A `NetProtocol` has no halt signal: only the error target and
+            // the budgets stop a net run.
+            if let Some(reason) = kernel.stop_reason(
+                protocol.squared_error(),
+                || protocol.relative_error(),
+                false,
+                &mut probe,
+            ) {
+                break reason;
             }
 
             let tick = clock.next_tick(&mut *rng);
-            ticks = tick.index;
 
             // Churn applies before the tick's activation is processed, then a
             // dead sensor's tick is consumed with nothing else — the same
@@ -602,7 +555,7 @@ impl NetScheduler {
                 latency,
                 reliability,
                 net_rng,
-                &mut tx,
+                kernel.tx(),
                 &mut ledger,
                 &mut next_id,
                 &mut last_handled,
@@ -625,7 +578,7 @@ impl NetScheduler {
                     reliability,
                     net_rng: &mut *net_rng,
                     queue: &mut queue,
-                    tx: &mut tx,
+                    tx: kernel.tx(),
                     ledger: &mut ledger,
                     next_id: &mut next_id,
                     alive,
@@ -641,7 +594,7 @@ impl NetScheduler {
                 latency,
                 reliability,
                 net_rng,
-                &mut tx,
+                kernel.tx(),
                 &mut ledger,
                 &mut next_id,
                 &mut last_handled,
@@ -649,47 +602,11 @@ impl NetScheduler {
                 stale,
                 probe.as_deref_mut(),
             );
-            if let Some(probe) = probe.as_deref_mut() {
-                probe.on_event(Event::TickCommitted {
-                    tick: tick.index,
-                    node: tick.node.index() as u32,
-                    sim_time: tick.time,
-                    transmissions: tx.total(),
-                });
-            }
-
-            if tick.index.is_multiple_of(stride) {
-                while trace.len() >= self.max_trace_points {
-                    stride = stride.saturating_mul(2);
-                    trace.thin_to_stride(stride);
-                }
-                if tick.index.is_multiple_of(stride) {
-                    trace.push(TracePoint {
-                        transmissions: tx.total(),
-                        ticks: tick.index,
-                        relative_error: protocol.relative_error(),
-                    });
-                }
-            }
+            kernel.commit(tick, || protocol.relative_error(), &mut probe);
         };
 
-        trace.push(TracePoint {
-            transmissions: tx.total(),
-            ticks,
-            relative_error: protocol.relative_error(),
-        });
-
-        (
-            EngineReport {
-                reason,
-                transmissions: tx,
-                ticks,
-                time: clock.now(),
-                final_error: protocol.relative_error(),
-                trace,
-            },
-            ledger,
-        )
+        let final_error = protocol.relative_error();
+        (kernel.finish(reason, clock.now(), final_error), ledger)
     }
 }
 
@@ -806,6 +723,7 @@ fn deliver_due(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geogossip_sim::engine::StopReason;
     use geogossip_sim::transport::RetryPolicy;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;

@@ -4,7 +4,7 @@
 //! neighbor of `u` that is closest to `t`, provided that neighbor is strictly
 //! closer to `t` than `u` itself; otherwise the packet stops. On a geometric
 //! random graph at the connectivity radius this succeeds w.h.p. and uses
-//! `O(sqrt(n / log n))` hops (Dimakis et al., cited as [5]; the paper uses the
+//! `O(sqrt(n / log n))` hops (Dimakis et al., cited as \[5\]; the paper uses the
 //! coarser `O(√n)` bound). Experiment E5 measures the constant.
 //!
 //! "Closest" is measured in the metric of the [`Topology`] the graph was
@@ -26,7 +26,7 @@
 //! The per-hop argmin is a two-pass filtered scan: pass 1 streams the
 //! graph's half-width `f32` scan mirror (8 bytes/neighbor — the walk is
 //! memory-bound at large `n`) through a chunked, unrolled multi-accumulator
-//! min-reduction the compiler vectorizes ([`min_d2_scan`]); pass 2 confirms
+//! min-reduction the compiler vectorizes (`min_d2_scan`); pass 2 confirms
 //! the few neighbors inside a provably conservative error window with exact
 //! `f64` distances, so the selected hop is **bit-identical** to the
 //! preserved all-`f64` scalar walk ([`route_terminus_reference`]) — including
@@ -460,7 +460,7 @@ fn greedy_walk_masked<M: RouteMetric>(
 
 /// [`route_terminus`] restricted to live nodes: routes from `source` towards
 /// the *position* `target`, skipping neighbors whose entry in `alive` is
-/// `false` (see [`greedy_walk_masked`] for the degradation semantics).
+/// `false` (see `greedy_walk_masked` for the degradation semantics).
 ///
 /// # Panics
 ///
@@ -666,7 +666,7 @@ pub fn round_trip(graph: &GeometricGraph, a: NodeId, b: NodeId) -> (usize, bool)
 ///
 /// This is the per-node forwarding decision of the message-passing runtime
 /// (`geogossip-net`), where no walker carries state between hops. It is one
-/// iteration of the walk behind [`route_terminus`] — the same [`greedy_hop`]
+/// iteration of the walk behind [`route_terminus`] — the same `greedy_hop`
 /// scan — so iterating it from a source reproduces [`route_terminus`]
 /// **bit-identically** (same terminus, same hop count): the walk's carried
 /// current-distance is exactly the chosen neighbor's `f64` squared distance
@@ -704,7 +704,7 @@ fn greedy_step_metric<M: RouteMetric>(
 
 /// [`greedy_step`] restricted to live neighbors: the per-hop forwarding
 /// decision of the message-passing runtime under node churn. Same mask
-/// semantics as [`greedy_walk_masked`] (indices beyond `alive`'s length count
+/// semantics as `greedy_walk_masked` (indices beyond `alive`'s length count
 /// as alive, so the empty mask degenerates to the unmasked step), same
 /// progress rule and tie-breaking — iterating it from a live source
 /// reproduces [`route_terminus_masked`] **bit-identically** (same terminus,

@@ -13,7 +13,7 @@
 //!   hierarchical partition), with transmission accounting.
 //! * [`target`] — selection of a "uniformly random node" by sampling a uniform
 //!   position and routing to the nearest sensor, with optional rejection
-//!   sampling to flatten the node distribution (the trick used in [5] and
+//!   sampling to flatten the node distribution (the trick used in \[5\] and
 //!   inherited by the paper).
 //!
 //! # Example

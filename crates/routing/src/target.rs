@@ -1,7 +1,7 @@
 //! Selection of a (roughly) uniformly random node by geographic addressing.
 //!
 //! A sensor cannot draw a uniformly random *node* directly — it only knows its
-//! own position. Geographic gossip (Dimakis et al. [5], inherited by the
+//! own position. Geographic gossip (Dimakis et al. \[5\], inherited by the
 //! paper) instead draws a uniformly random *position* in the unit square and
 //! contacts the node nearest to it. The probability of contacting node `v` is
 //! then proportional to the area of `v`'s Voronoi cell, which is only

@@ -1,4 +1,4 @@
-//! Conflict-partitioned tick batching: the engine's intra-trial parallel path.
+//! Tick batching: the engine's intra-trial parallel path.
 //!
 //! The Poisson tick stream of the paper's gossip protocols has a structural
 //! property this module exploits: **every random decision of a tick is
@@ -18,34 +18,34 @@
 //!    floating-point deltas, so commits must replay in the exact order the
 //!    sequential engine applies them — the *batch draw-order contract*).
 //!
-//! On top of this, a [`WavePartitioner`] groups consecutive ticks into
-//! **conflict-free waves** by footprint disjointness: the footprint of a tick
-//! conservatively over-approximates every sensor its round may read, write,
-//! or relay through (exact partner pairs for pairwise gossip; grid-cell route
-//! corridors for geographic gossip — the disk around the target of radius
-//! `d(s, t)` contains every greedy hop, and the disk around the caller of
-//! radius `2·d(s, t)` contains the return path, by the triangle inequality).
-//! Within a wave the write-sets are provably disjoint, so each tick's average
-//! reads exactly the wave-start values no matter how the wave's commits are
-//! interleaved — which is what makes the batch-wide concurrent resolution
-//! sound to *overlap* with earlier waves' effects conceptually, and what a
-//! conflicting tick (a singleton wave, the *sequential replay residue*)
-//! cannot guarantee. The engine walks waves in order and commits each tick in
-//! draw order either way, so the partition is a proof structure, not a
-//! scheduling freedom: reports, traces, metrics, and RNG end state stay
-//! bit-identical to [`crate::engine::AsyncEngine::run`].
+//! Reports, traces, metrics, and RNG end state therefore stay bit-identical
+//! to [`crate::engine::AsyncEngine::run`].
+//!
+//! # Footprints, for the day commits run concurrently
+//!
+//! Nothing gates on conflicts today, because commits replay in draw order.
+//! Concurrent commits would be sound only among ticks with disjoint
+//! **footprints**, and a footprint must over-approximate every sensor a tick
+//! can read, write, or relay through — relays included, not just endpoints.
+//! For pairwise gossip that is the two partners. For a geographic round from
+//! `s` towards target `t` it is the disk of radius `d(s, t)` around `t` (every
+//! greedy hop is strictly closer to `t` than `s`, so the outbound route and
+//! the partner lie inside) united with the disk of radius `2·d(s, t)` around
+//! `s` (the return route, by the triangle inequality). Footprints may only
+//! ever grow: over-approximation costs parallelism, under-approximation is a
+//! silent data race. On geographic instances these corridors cover most of
+//! the unit square, so conflict-free groups would rarely exceed one tick.
 
 use crate::clock::Tick;
 use crate::engine::Activation;
 use crate::error::ProtocolError;
 use crate::metrics::TransmissionCounter;
 use geogossip_geometry::point::NodeId;
-use geogossip_geometry::{Point, Topology};
+use geogossip_geometry::Point;
 use geogossip_graph::GeometricGraph;
 use geogossip_routing::greedy::{route_terminus, route_terminus_to_node};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 
 /// Default number of ticks pre-drawn per batch by the parallel engine path.
 pub const DEFAULT_TICK_BATCH: usize = 1024;
@@ -60,16 +60,17 @@ pub fn available_threads() -> usize {
 /// and how many ticks the engine pre-draws per batch.
 ///
 /// Carried by the optional `parallelism` key of a scenario spec; when the key
-/// is absent the sequential path runs and no partitioner is ever constructed
-/// (the no-key-no-wrapper convention).
+/// is absent the sequential path runs and no batch buffer is ever built (the
+/// no-key-no-wrapper convention).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ParallelSpec {
     /// Maximum worker threads for one trial's tick loop (≥ 1; 1 keeps the
     /// batched structure but resolves inline on the calling thread).
     pub threads: usize,
     /// Ticks pre-drawn per batch (≥ 1). Larger batches amortise the
-    /// snapshot/partition overhead; smaller ones waste fewer pre-drawn ticks
-    /// when a run stops mid-batch. Defaults to [`DEFAULT_TICK_BATCH`].
+    /// per-batch snapshot and pool overhead; smaller ones waste fewer
+    /// pre-drawn ticks when a run stops mid-batch. Defaults to
+    /// [`DEFAULT_TICK_BATCH`].
     pub batch: usize,
 }
 
@@ -176,8 +177,8 @@ pub enum ResolvedPlan {
 ///   `on_tick`'s state mutations, transmission charges, and metric counters
 ///   **exactly**, including the order of error-cache updates.
 pub trait BatchActivation: Activation {
-    /// The static network the protocol runs on (the footprint geometry and
-    /// route resolution source).
+    /// The static network the protocol runs on (the route resolution
+    /// source).
     fn network(&self) -> &GeometricGraph;
 
     /// Draws the tick's value-independent decisions from `rng`.
@@ -225,235 +226,6 @@ fn finish_route(
     }
 }
 
-/// Side length (in cells) of the coarse occupancy grid footprints are stamped
-/// onto. 32×32 = 1024 cells fit in sixteen `u64` words, so clearing and
-/// intersection tests are a handful of word operations.
-const COARSE: usize = 32;
-const CELL_WORDS: usize = COARSE * COARSE / 64;
-
-/// One axis of a disk's bounding box on the coarse grid: a wrapped cell
-/// interval, or `None` when the disk covers the whole axis.
-type AxisSpan = Option<(usize, usize)>;
-
-/// The conservatively over-approximated read/write/relay set of one tick.
-enum Footprint {
-    /// No sensors touched.
-    Empty,
-    /// Exactly the two endpoints of a pairwise exchange.
-    Nodes(NodeId, NodeId),
-    /// Grid cells covering the round's route corridors: the disk of radius
-    /// `d(s, t)` around the target `t` (every greedy hop is strictly closer
-    /// to `t` than the caller `s`, so the whole outbound route and the
-    /// partner lie inside) united with the disk of radius `2·d(s, t)` around
-    /// `s` (the return route, by the triangle inequality). Covers relays,
-    /// not just endpoints, so the rule stays valid if relay-local state is
-    /// ever added.
-    Cells([(AxisSpan, AxisSpan); 2]),
-    /// The corridors cover most of the square; conflicts with everything.
-    Full,
-}
-
-/// Groups consecutive planned ticks into conflict-free waves.
-///
-/// Constructed only when a scenario opts into parallelism (the sequential
-/// path never builds one). Scratch bitsets are reused across batches.
-pub struct WavePartitioner {
-    topology: Topology,
-    /// One bit per sensor, for exact pairwise footprints.
-    node_words: Vec<u64>,
-    touched_node_words: Vec<usize>,
-    /// One bit per coarse grid cell, for geographic corridor footprints.
-    cell_words: [u64; CELL_WORDS],
-    nodes_used: bool,
-    cells_used: bool,
-    full: bool,
-}
-
-impl WavePartitioner {
-    /// Creates a partitioner for the given network.
-    pub fn new(graph: &GeometricGraph) -> Self {
-        WavePartitioner {
-            topology: graph.topology(),
-            node_words: vec![0; graph.len().div_ceil(64)],
-            touched_node_words: Vec::new(),
-            cell_words: [0; CELL_WORDS],
-            nodes_used: false,
-            cells_used: false,
-            full: false,
-        }
-    }
-
-    /// Splits `planned` into maximal runs of consecutive ticks with pairwise
-    /// disjoint footprints. Concatenating the returned ranges yields
-    /// `0..planned.len()` exactly — the partition never reorders or drops a
-    /// tick, it only marks where conflict boundaries fall.
-    pub fn partition(
-        &mut self,
-        graph: &GeometricGraph,
-        planned: &[(Tick, TickPlan)],
-    ) -> Vec<Range<usize>> {
-        let mut waves = Vec::new();
-        if planned.is_empty() {
-            return waves;
-        }
-        self.clear();
-        let mut start = 0usize;
-        for (i, (tick, plan)) in planned.iter().enumerate() {
-            let footprint = self.footprint(graph, tick.node, plan);
-            if i > start && self.conflicts(&footprint) {
-                waves.push(start..i);
-                self.clear();
-                start = i;
-            }
-            self.mark(&footprint);
-        }
-        waves.push(start..planned.len());
-        waves
-    }
-
-    fn clear(&mut self) {
-        for &w in &self.touched_node_words {
-            self.node_words[w] = 0;
-        }
-        self.touched_node_words.clear();
-        self.cell_words = [0; CELL_WORDS];
-        self.nodes_used = false;
-        self.cells_used = false;
-        self.full = false;
-    }
-
-    fn footprint(&self, graph: &GeometricGraph, source: NodeId, plan: &TickPlan) -> Footprint {
-        match *plan {
-            TickPlan::Skip { .. } => Footprint::Empty,
-            TickPlan::Pair { partner } => Footprint::Nodes(source, partner),
-            TickPlan::RoutePosition { target } => self.corridor(graph.position(source), target),
-            TickPlan::RouteNode { target } => {
-                self.corridor(graph.position(source), graph.position(target))
-            }
-        }
-    }
-
-    /// The two-disk corridor footprint (see [`Footprint::Cells`]).
-    fn corridor(&self, source: Point, target: Point) -> Footprint {
-        let d = self.topology.distance(source, target);
-        let wrap = self.topology == Topology::Torus;
-        let disks = [(target, d), (source, 2.0 * d)];
-        let mut spans = [(None, None); 2];
-        let mut cells = 0usize;
-        for (i, &(center, radius)) in disks.iter().enumerate() {
-            let cols = axis_span(center.x, radius, wrap);
-            let rows = axis_span(center.y, radius, wrap);
-            cells += cols.map_or(COARSE, |(_, c)| c) * rows.map_or(COARSE, |(_, c)| c);
-            spans[i] = (cols, rows);
-        }
-        // Corridors covering most of the grid conflict with ~everything
-        // anyway; collapsing them to `Full` keeps the per-tick partition cost
-        // O(1) instead of O(cells) for the common long-range round.
-        if cells >= COARSE * COARSE / 2 {
-            Footprint::Full
-        } else {
-            Footprint::Cells(spans)
-        }
-    }
-
-    fn conflicts(&self, footprint: &Footprint) -> bool {
-        let any = self.nodes_used || self.cells_used || self.full;
-        match footprint {
-            Footprint::Empty => false,
-            Footprint::Full => any,
-            // Mixed node/cell footprints never share a run (one protocol per
-            // run), but if they did, their domains are incomparable — treat
-            // any mix as a conflict rather than reason about it.
-            Footprint::Nodes(a, b) => {
-                self.full || self.cells_used || self.node_bit(*a) || self.node_bit(*b)
-            }
-            Footprint::Cells(spans) => {
-                self.full
-                    || self.nodes_used
-                    || spans.iter().any(|(cols, rows)| {
-                        let mut hit = false;
-                        for_each_cell(*cols, *rows, |word, bit| {
-                            hit |= self.cell_words[word] & (1 << bit) != 0;
-                        });
-                        hit
-                    })
-            }
-        }
-    }
-
-    fn mark(&mut self, footprint: &Footprint) {
-        match footprint {
-            Footprint::Empty => {}
-            Footprint::Full => self.full = true,
-            Footprint::Nodes(a, b) => {
-                self.set_node_bit(*a);
-                self.set_node_bit(*b);
-                self.nodes_used = true;
-            }
-            Footprint::Cells(spans) => {
-                for (cols, rows) in spans {
-                    for_each_cell(*cols, *rows, |word, bit| {
-                        self.cell_words[word] |= 1 << bit;
-                    });
-                }
-                self.cells_used = true;
-            }
-        }
-    }
-
-    fn node_bit(&self, node: NodeId) -> bool {
-        self.node_words[node.index() / 64] & (1 << (node.index() % 64)) != 0
-    }
-
-    fn set_node_bit(&mut self, node: NodeId) {
-        let word = node.index() / 64;
-        if self.node_words[word] == 0 {
-            self.touched_node_words.push(word);
-        }
-        self.node_words[word] |= 1 << (node.index() % 64);
-    }
-}
-
-/// Cell interval of `[center − radius, center + radius]` on one axis of the
-/// coarse grid: `None` when the interval covers the whole axis, otherwise a
-/// `(start, count)` pair (wrapped on the torus, clamped on the square).
-fn axis_span(center: f64, radius: f64, wrap: bool) -> AxisSpan {
-    if 2.0 * radius >= 1.0 {
-        return None;
-    }
-    let lo = center - radius;
-    let hi = center + radius;
-    let cells = COARSE as f64;
-    if wrap {
-        let start = ((lo.rem_euclid(1.0) * cells).floor() as usize).min(COARSE - 1);
-        let end = ((hi.rem_euclid(1.0) * cells).floor() as usize).min(COARSE - 1);
-        let count = if end >= start {
-            end - start + 1
-        } else {
-            COARSE - start + end + 1
-        };
-        Some((start, count))
-    } else {
-        let start = ((lo * cells).floor().max(0.0) as usize).min(COARSE - 1);
-        let end = ((hi * cells).floor().max(0.0) as usize).min(COARSE - 1);
-        Some((start, end - start + 1))
-    }
-}
-
-/// Visits every `(word, bit)` of the rectangle spanned by the two axis spans.
-fn for_each_cell(cols: AxisSpan, rows: AxisSpan, mut f: impl FnMut(usize, usize)) {
-    let (col0, col_count) = cols.unwrap_or((0, COARSE));
-    let (row0, row_count) = rows.unwrap_or((0, COARSE));
-    for r in 0..row_count {
-        let row = (row0 + r) % COARSE;
-        for c in 0..col_count {
-            let col = (col0 + c) % COARSE;
-            let cell = row * COARSE + col;
-            f(cell / 64, cell % 64);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,14 +236,6 @@ mod tests {
     fn graph(n: usize, seed: u64) -> GeometricGraph {
         let pts = sample_unit_square(n, &mut ChaCha8Rng::seed_from_u64(seed));
         GeometricGraph::build_at_connectivity_radius(pts, 2.0)
-    }
-
-    fn tick(index: u64, node: usize) -> Tick {
-        Tick {
-            time: 0.0,
-            index,
-            node: NodeId(node),
-        }
     }
 
     #[test]
@@ -523,127 +287,5 @@ mod tests {
         } else {
             assert_eq!(back, None);
         }
-    }
-
-    #[test]
-    fn disjoint_pairs_share_a_wave_and_overlapping_pairs_split() {
-        let g = graph(64, 3);
-        let mut partitioner = WavePartitioner::new(&g);
-        let disjoint = vec![
-            (tick(1, 0), TickPlan::Pair { partner: NodeId(1) }),
-            (tick(2, 2), TickPlan::Pair { partner: NodeId(3) }),
-            (tick(3, 4), TickPlan::Pair { partner: NodeId(5) }),
-        ];
-        assert_eq!(partitioner.partition(&g, &disjoint), vec![0..3]);
-
-        let overlapping = vec![
-            (tick(1, 0), TickPlan::Pair { partner: NodeId(1) }),
-            (tick(2, 1), TickPlan::Pair { partner: NodeId(2) }),
-            (tick(3, 5), TickPlan::Pair { partner: NodeId(6) }),
-        ];
-        // Tick 2 reuses sensor 1, so it starts a new wave (and sensor 5/6 can
-        // join it).
-        assert_eq!(partitioner.partition(&g, &overlapping), vec![0..1, 1..3]);
-    }
-
-    #[test]
-    fn skips_never_break_a_wave() {
-        let g = graph(64, 4);
-        let mut partitioner = WavePartitioner::new(&g);
-        let planned = vec![
-            (tick(1, 0), TickPlan::Pair { partner: NodeId(1) }),
-            (tick(2, 7), TickPlan::Skip { isolated: true }),
-            (tick(3, 0), TickPlan::Skip { isolated: true }),
-            (tick(4, 2), TickPlan::Pair { partner: NodeId(3) }),
-        ];
-        assert_eq!(partitioner.partition(&g, &planned), vec![0..4]);
-    }
-
-    #[test]
-    fn long_range_rounds_conflict_conservatively() {
-        let g = graph(256, 5);
-        let mut partitioner = WavePartitioner::new(&g);
-        // Two long-range rounds: corridors cover most of the square, so the
-        // second must start its own wave (the sequential replay residue).
-        let far = Point::new(0.95, 0.95);
-        let planned = vec![
-            (tick(1, 0), TickPlan::RoutePosition { target: far }),
-            (tick(2, 1), TickPlan::RoutePosition { target: far }),
-        ];
-        let waves = partitioner.partition(&g, &planned);
-        assert_eq!(waves, vec![0..1, 1..2]);
-    }
-
-    #[test]
-    fn short_disjoint_corridors_share_a_wave() {
-        use geogossip_geometry::Point;
-        // A dense grid-free graph: sensors at two far-apart clusters; each
-        // round stays within its own cluster, so corridors are tiny disks in
-        // opposite corners that must not conflict.
-        let mut pts = Vec::new();
-        for i in 0..8 {
-            pts.push(Point::new(0.05 + 0.004 * i as f64, 0.05));
-            pts.push(Point::new(0.9 + 0.004 * i as f64, 0.9));
-        }
-        let g = GeometricGraph::build(pts, 0.05);
-        let mut partitioner = WavePartitioner::new(&g);
-        let planned = vec![
-            (
-                tick(1, 0),
-                TickPlan::RoutePosition {
-                    target: Point::new(0.06, 0.05),
-                },
-            ),
-            (
-                tick(2, 1),
-                TickPlan::RoutePosition {
-                    target: Point::new(0.91, 0.9),
-                },
-            ),
-        ];
-        assert_eq!(partitioner.partition(&g, &planned), vec![0..2]);
-    }
-
-    #[test]
-    fn partition_covers_the_batch_exactly() {
-        let g = graph(128, 6);
-        let mut partitioner = WavePartitioner::new(&g);
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let planned: Vec<(Tick, TickPlan)> = (0..200)
-            .map(|i| {
-                use rand::Rng;
-                let node = rng.gen_range(0..g.len());
-                let neighbors = g.neighbors(NodeId(node));
-                let plan = if neighbors.is_empty() {
-                    TickPlan::Skip { isolated: true }
-                } else {
-                    let v = neighbors[rng.gen_range(0..neighbors.len())] as usize;
-                    TickPlan::Pair { partner: NodeId(v) }
-                };
-                (tick(i + 1, node), plan)
-            })
-            .collect();
-        let waves = partitioner.partition(&g, &planned);
-        assert!(!waves.is_empty());
-        let mut next = 0usize;
-        for wave in &waves {
-            assert_eq!(wave.start, next, "waves must be contiguous");
-            assert!(wave.end > wave.start, "waves must be non-empty");
-            next = wave.end;
-        }
-        assert_eq!(next, planned.len());
-    }
-
-    #[test]
-    fn axis_span_wraps_on_the_torus_and_clamps_on_the_square() {
-        // A disk near the left edge wraps on the torus...
-        let wrapped = axis_span(0.01, 0.05, true).unwrap();
-        assert!(wrapped.1 >= 2);
-        // ...and clamps to the first cells on the square.
-        let clamped = axis_span(0.01, 0.05, false).unwrap();
-        assert_eq!(clamped.0, 0);
-        // A huge radius covers the whole axis either way.
-        assert_eq!(axis_span(0.5, 0.6, true), None);
-        assert_eq!(axis_span(0.5, 0.6, false), None);
     }
 }

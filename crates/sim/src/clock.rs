@@ -117,7 +117,7 @@ const GAP_BLOCK: usize = 1024;
 /// the tick's node), so a protocol sharing the RNG with the clock sees
 /// bit-identical randomness. What is deferred is only the *arithmetic* on the
 /// gap draws: instead of computing `-(ln(1 − u)) / n` and accumulating it on
-/// every tick, the raw uniforms are buffered and reduced [`GAP_BLOCK`] at a
+/// every tick, the raw uniforms are buffered and reduced `GAP_BLOCK` at a
 /// time in a tight loop over contiguous memory, keeping the transcendental
 /// call and the serial floating-point accumulation off the per-tick critical
 /// path. Because the reduction performs exactly the per-tick operations in

@@ -10,21 +10,23 @@
 //! only in what happens on a tick, so the engine is the single place where the
 //! time model and the stopping logic live.
 //!
-//! # The overhauled tick loop (and its preserved reference)
+//! # One run kernel, the overhauled tick loop, and its preserved reference
 //!
-//! [`AsyncEngine::run`] is the hot path: it draws ticks from a
-//! [`BatchedPoissonClock`] (same RNG stream as the sequential clock, gap
-//! arithmetic deferred into block reductions), checks convergence in the
-//! **squared domain** (the protocol's cached `Σ(x−x̄)²` against a precomputed
+//! Every tick loop — [`AsyncEngine::run`], [`AsyncEngine::run_parallel`],
+//! and the `geogossip-net` scheduler — stops, counts, and traces through one
+//! [`RunKernel`]. The kernel checks convergence in the **squared domain**
+//! (the protocol's cached `Σ(x−x̄)²` against a precomputed
 //! `≳ ε²·‖x(0)−x̄·1‖²` threshold via [`Activation::squared_error`] — zero
 //! sqrt/divides per tick; any apparent crossing is confirmed with the exact
 //! [`Activation::relative_error`] before stopping, so the stopping tick cannot
 //! drift), and caps the convergence trace by stride doubling
-//! ([`AsyncEngine::max_trace_points`]). The pre-overhaul loop is preserved
-//! verbatim as [`AsyncEngine::run_reference`], and the parity property tests
-//! (`tests/engine_parity.rs` at the workspace root) pin the two paths
-//! bit-identical — same reports, same termini and hop counts, same RNG
-//! consumption — whenever the trace stays under the cap.
+//! ([`AsyncEngine::max_trace_points`]). [`AsyncEngine::run`] is the hot path:
+//! it draws ticks from a [`BatchedPoissonClock`] (same RNG stream as the
+//! sequential clock, gap arithmetic deferred into block reductions). The
+//! pre-overhaul loop is preserved verbatim as [`AsyncEngine::run_reference`],
+//! and the parity property tests (`tests/engine_parity.rs` at the workspace
+//! root) pin the two paths bit-identical — same reports, same termini and hop
+//! counts, same RNG consumption — whenever the trace stays under the cap.
 //!
 //! # Object safety and the generic hot path
 //!
@@ -339,12 +341,190 @@ pub const DEFAULT_MAX_TRACE_POINTS: usize = 4096;
 /// threshold of `fl(fl(ε·D)²)` inflated by `1 + 10⁻⁹` (nine orders of
 /// magnitude more slack than the accumulated rounding) can never reject a
 /// state the exact check would accept. States inside the slack band simply
-/// fall through to the exact check.
+/// fall through to the exact check. [`RunKernel`] is its only user.
+const SQ_THRESHOLD_SLACK: f64 = 1.0 + 1e-9;
+
+/// The part of a run every tick loop shares: the stopping rule, the tick and
+/// transmission counts, the capped convergence trace, the
+/// [`Event::ConvergenceCrossed`] and [`Event::TickCommitted`] events, and the
+/// final [`EngineReport`].
 ///
-/// Public so alternative drivers that must stop **bit-identically** to this
-/// engine (the `geogossip-net` scheduler) reuse the same slack rather than
-/// re-deriving it.
-pub const SQ_THRESHOLD_SLACK: f64 = 1.0 + 1e-9;
+/// A loop owns only how it draws a tick and how it applies one. Each
+/// iteration asks [`RunKernel::stop_reason`] first; if the run goes on, the
+/// loop draws and applies one tick, charging its transmissions to
+/// [`RunKernel::tx`], and hands the tick to [`RunKernel::commit`].
+/// [`RunKernel::finish`] builds the report. [`AsyncEngine::run`],
+/// [`AsyncEngine::run_parallel`] and the `geogossip-net` scheduler all drive
+/// this one kernel, so they stop at the same tick and record the same trace
+/// by construction.
+///
+/// The protocol's views (squared error, exact error, halt flag) come in as
+/// values and closures, so any protocol shape can drive the kernel. Methods
+/// that may emit take the probe generically: driven with [`NoProbe`], a run
+/// compiles all event code away.
+#[derive(Debug)]
+pub struct RunKernel {
+    stop: StopCondition,
+    /// `(ε·‖x(0)−x̄·1‖)²` inflated by [`SQ_THRESHOLD_SLACK`], when the
+    /// protocol exposes its squared error.
+    threshold_hi: Option<f64>,
+    ticks: u64,
+    tx: TransmissionCounter,
+    trace: ConvergenceTrace,
+    stride: u64,
+    max_trace_points: usize,
+}
+
+impl RunKernel {
+    /// Starts a run: records the initial trace sample and precomputes the
+    /// squared stop threshold. `stride` is the trace sampling interval in
+    /// ticks and `max_trace_points` the trace cap (see
+    /// [`AsyncEngine::max_trace_points`]); `initial_error` and `squared` are
+    /// the protocol's views before its first tick.
+    pub fn new(
+        stop: StopCondition,
+        stride: u64,
+        max_trace_points: usize,
+        initial_error: f64,
+        squared: Option<SquaredError>,
+    ) -> Self {
+        let mut trace = ConvergenceTrace::new();
+        trace.push(TracePoint {
+            transmissions: 0,
+            ticks: 0,
+            relative_error: initial_error,
+        });
+        // The threshold deliberately overshoots by `SQ_THRESHOLD_SLACK`;
+        // crossings are confirmed with the exact check, which keeps the
+        // stopping tick bit-identical to the reference loop.
+        let threshold_hi = squared.map(|sq| {
+            let target = stop.epsilon * sq.initial;
+            (target * target) * SQ_THRESHOLD_SLACK
+        });
+        RunKernel {
+            stop,
+            threshold_hi,
+            ticks: 0,
+            tx: TransmissionCounter::new(),
+            trace,
+            stride: stride.max(1),
+            max_trace_points,
+        }
+    }
+
+    /// Ticks committed so far.
+    #[inline]
+    pub fn ticks(&self) -> u64 {
+        self.ticks
+    }
+
+    /// The run's transmission counter, which each applied tick is charged to.
+    #[inline]
+    pub fn tx(&mut self) -> &mut TransmissionCounter {
+        &mut self.tx
+    }
+
+    /// Whether the run stops before the next tick, and why.
+    ///
+    /// Checks, in order: the squared-domain pre-filter on `squared`, the
+    /// exact confirmation `relative_error() ≤ ε`, `halted`, the tick budget,
+    /// and the transmission budget. [`Event::ConvergenceCrossed`] is emitted
+    /// only on a confirmed crossing.
+    #[inline]
+    pub fn stop_reason<Pr: Probe + ?Sized>(
+        &self,
+        squared: Option<SquaredError>,
+        relative_error: impl Fn() -> f64,
+        halted: bool,
+        probe: &mut Pr,
+    ) -> Option<StopReason> {
+        // While the squared deviation is clearly above the squared
+        // threshold, skip the exact (sqrt + divide) comparison entirely.
+        let clearly_above = match (self.threshold_hi, squared) {
+            (Some(hi), Some(sq)) => sq.current_sq > hi,
+            _ => false,
+        };
+        if !clearly_above && relative_error() <= self.stop.epsilon {
+            if probe.enabled() {
+                probe.on_event(Event::ConvergenceCrossed {
+                    tick: self.ticks,
+                    transmissions: self.tx.total(),
+                    relative_error: relative_error(),
+                });
+            }
+            return Some(StopReason::Converged);
+        }
+        if halted {
+            return Some(StopReason::ProtocolStalled);
+        }
+        if self.stop.max_ticks.is_some_and(|m| self.ticks >= m) {
+            return Some(StopReason::TickBudgetExhausted);
+        }
+        if self
+            .stop
+            .max_transmissions
+            .is_some_and(|m| self.tx.total() >= m)
+        {
+            return Some(StopReason::TransmissionBudgetExhausted);
+        }
+        None
+    }
+
+    /// Records an applied tick: emits [`Event::TickCommitted`], then takes a
+    /// trace sample when the tick index is a multiple of the stride.
+    ///
+    /// When the trace reaches its cap, the stride doubles and the recorded
+    /// samples are thinned to it ([`ConvergenceTrace::thin_to_stride`]), so
+    /// the trace is exactly "sampled at the final stride throughout".
+    #[inline]
+    pub fn commit<Pr: Probe + ?Sized>(
+        &mut self,
+        tick: Tick,
+        relative_error: impl FnOnce() -> f64,
+        probe: &mut Pr,
+    ) {
+        self.ticks = tick.index;
+        if probe.enabled() {
+            probe.on_event(Event::TickCommitted {
+                tick: tick.index,
+                node: tick.node.index() as u32,
+                transmissions: self.tx.total(),
+            });
+        }
+        if tick.index.is_multiple_of(self.stride) {
+            while self.trace.len() >= self.max_trace_points {
+                self.stride = self.stride.saturating_mul(2);
+                self.trace.thin_to_stride(self.stride);
+            }
+            if tick.index.is_multiple_of(self.stride) {
+                self.trace.push(TracePoint {
+                    transmissions: self.tx.total(),
+                    ticks: tick.index,
+                    relative_error: relative_error(),
+                });
+            }
+        }
+    }
+
+    /// Ends the run: appends the final trace sample and builds the report.
+    /// `time` is the simulation time at the stop and `final_error` the
+    /// protocol's relative error then.
+    pub fn finish(mut self, reason: StopReason, time: f64, final_error: f64) -> EngineReport {
+        self.trace.push(TracePoint {
+            transmissions: self.tx.total(),
+            ticks: self.ticks,
+            relative_error: final_error,
+        });
+        EngineReport {
+            reason,
+            transmissions: self.tx,
+            ticks: self.ticks,
+            time,
+            final_error,
+            trace: self.trace,
+        }
+    }
+}
 
 /// The asynchronous engine: a Poisson clock plus bookkeeping.
 #[derive(Debug, Clone)]
@@ -406,10 +586,11 @@ impl AsyncEngine {
     /// and leave the RNG entirely to the protocol; Poisson protocols share it
     /// with the clock exactly as before.
     ///
-    /// This is the overhauled hot loop: batched clock, squared-domain stop
-    /// pre-filter, strided trace cap (see the module docs). It is pinned
-    /// bit-identical to [`AsyncEngine::run_reference`] whenever the trace
-    /// stays under [`AsyncEngine::max_trace_points`].
+    /// This is the overhauled hot loop: batched clock, plus the
+    /// [`RunKernel`]'s squared-domain stop pre-filter and strided trace cap
+    /// (see the module docs). It is pinned bit-identical to
+    /// [`AsyncEngine::run_reference`] whenever the trace stays under
+    /// [`AsyncEngine::max_trace_points`].
     pub fn run<P, R>(&mut self, protocol: &mut P, stop: StopCondition, rng: &mut R) -> EngineReport
     where
         P: Activation + ?Sized,
@@ -442,6 +623,18 @@ impl AsyncEngine {
         self.run_with(protocol, stop, rng, probe)
     }
 
+    /// A kernel for one run of `protocol`, sampling the trace at the
+    /// protocol's preferred interval, else at the engine's.
+    fn kernel<P: Activation + ?Sized>(&self, protocol: &P, stop: StopCondition) -> RunKernel {
+        RunKernel::new(
+            stop,
+            protocol.trace_interval().unwrap_or(self.sample_every),
+            self.max_trace_points,
+            protocol.relative_error(),
+            protocol.squared_error(),
+        )
+    }
+
     fn run_with<P, R, Pr>(
         &mut self,
         protocol: &mut P,
@@ -455,125 +648,51 @@ impl AsyncEngine {
         Pr: Probe,
     {
         let self_paced = protocol.clocking() == Clocking::SelfPaced;
-        let mut stride = protocol
-            .trace_interval()
-            .unwrap_or(self.sample_every)
-            .max(1);
+        let mut kernel = self.kernel(&*protocol, stop);
         let mut clock = BatchedPoissonClock::new(self.n);
-        let mut ticks: u64 = 0;
-        let mut tx = TransmissionCounter::new();
-        let mut trace = ConvergenceTrace::new();
-        trace.push(TracePoint {
-            transmissions: 0,
-            ticks: 0,
-            relative_error: protocol.relative_error(),
-        });
-
-        // Precompute the squared stop threshold: the per-tick check then
-        // compares the protocol's cached Σ(x−x̄)² against it — no sqrt, no
-        // divide. `threshold_hi` deliberately overshoots by
-        // `SQ_THRESHOLD_SLACK`; crossings are confirmed with the exact check,
-        // which keeps the stopping tick bit-identical to the reference loop.
-        let threshold_hi = protocol.squared_error().map(|sq| {
-            let target = stop.epsilon * sq.initial;
-            (target * target) * SQ_THRESHOLD_SLACK
-        });
 
         let reason = loop {
-            // Squared-domain pre-filter: while the squared deviation is
-            // clearly above the squared threshold, skip the exact (sqrt +
-            // divide) comparison entirely.
-            let clearly_above = match (threshold_hi, protocol.squared_error()) {
-                (Some(hi), Some(sq)) => sq.current_sq > hi,
-                _ => false,
-            };
-            if !clearly_above && protocol.relative_error() <= stop.epsilon {
-                if probe.enabled() {
-                    probe.on_event(Event::ConvergenceCrossed {
-                        tick: ticks,
-                        transmissions: tx.total(),
-                        relative_error: protocol.relative_error(),
-                    });
-                }
-                break StopReason::Converged;
-            }
-            if protocol.halted() {
-                break StopReason::ProtocolStalled;
-            }
-            if stop.max_ticks.is_some_and(|m| ticks >= m) {
-                break StopReason::TickBudgetExhausted;
-            }
-            if stop.max_transmissions.is_some_and(|m| tx.total() >= m) {
-                break StopReason::TransmissionBudgetExhausted;
+            if let Some(reason) = kernel.stop_reason(
+                protocol.squared_error(),
+                || protocol.relative_error(),
+                protocol.halted(),
+                &mut probe,
+            ) {
+                break reason;
             }
             let tick = if self_paced {
-                ticks += 1;
+                let index = kernel.ticks() + 1;
                 Tick {
-                    time: ticks as f64,
-                    index: ticks,
+                    time: index as f64,
+                    index,
                     node: NodeId(0),
                 }
             } else {
-                let tick = clock.next_tick(&mut *rng);
-                ticks = tick.index;
-                tick
+                clock.next_tick(&mut *rng)
             };
             // `&mut &mut R` coerces to `&mut dyn RngCore` via the blanket
             // `RngCore for &mut R` impl, without requiring `R: Sized`.
             let mut reborrow = &mut *rng;
             if probe.enabled() {
-                protocol.on_tick_probed(tick, &mut tx, &mut reborrow, &mut probe);
-                probe.on_event(Event::TickCommitted {
-                    tick: tick.index,
-                    node: tick.node.index() as u32,
-                    sim_time: tick.time,
-                    transmissions: tx.total(),
-                });
+                protocol.on_tick_probed(tick, kernel.tx(), &mut reborrow, &mut probe);
             } else {
-                protocol.on_tick(tick, &mut tx, &mut reborrow);
+                protocol.on_tick(tick, kernel.tx(), &mut reborrow);
             }
-            if tick.index.is_multiple_of(stride) {
-                // Cap the trace by stride doubling: beyond the cap, halve the
-                // sampling density (thinning what was already recorded so the
-                // trace is exactly "sampled at the final stride throughout").
-                while trace.len() >= self.max_trace_points {
-                    stride = stride.saturating_mul(2);
-                    trace.thin_to_stride(stride);
-                }
-                if tick.index.is_multiple_of(stride) {
-                    trace.push(TracePoint {
-                        transmissions: tx.total(),
-                        ticks: tick.index,
-                        relative_error: protocol.relative_error(),
-                    });
-                }
-            }
+            kernel.commit(tick, || protocol.relative_error(), &mut probe);
         };
 
-        trace.push(TracePoint {
-            transmissions: tx.total(),
-            ticks,
-            relative_error: protocol.relative_error(),
-        });
-        EngineReport {
-            reason,
-            transmissions: tx,
-            ticks,
-            time: if self_paced {
-                ticks as f64
-            } else {
-                clock.now()
-            },
-            final_error: protocol.relative_error(),
-            trace,
-        }
+        let time = if self_paced {
+            kernel.ticks() as f64
+        } else {
+            clock.now()
+        };
+        kernel.finish(reason, time, protocol.relative_error())
     }
 
     /// Drives `protocol` like [`AsyncEngine::run`], but with intra-trial
     /// parallelism: ticks are pre-drawn in batches, their value-independent
     /// heavy work (greedy route walks) is resolved concurrently across the
-    /// batch, the batch is partitioned into conflict-free waves by footprint
-    /// disjointness, and commits replay sequentially in draw order (see
+    /// batch, and commits replay sequentially in draw order (see
     /// [`crate::batch`] for why each stage is where it is).
     ///
     /// **Bit-identical to the sequential paths**: reports, traces, metric
@@ -633,49 +752,18 @@ impl AsyncEngine {
         R: RngCore + Clone,
         Pr: Probe,
     {
-        use crate::batch::{resolve_plan, ResolvedPlan, TickPlan, WavePartitioner};
+        use crate::batch::{resolve_plan, ResolvedPlan, TickPlan};
         use rayon::prelude::*;
 
         if protocol.clocking() == Clocking::SelfPaced {
             return self.run_with(protocol, stop, rng, probe);
         }
-        let mut stride = protocol
-            .trace_interval()
-            .unwrap_or(self.sample_every)
-            .max(1);
+        let mut kernel = self.kernel(&*protocol, stop);
         let mut clock = BatchedPoissonClock::new(self.n);
-        let mut ticks: u64 = 0;
-        let mut tx = TransmissionCounter::new();
-        let mut trace = ConvergenceTrace::new();
-        trace.push(TracePoint {
-            transmissions: 0,
-            ticks: 0,
-            relative_error: protocol.relative_error(),
-        });
-        let threshold_hi = protocol.squared_error().map(|sq| {
-            let target = stop.epsilon * sq.initial;
-            (target * target) * SQ_THRESHOLD_SLACK
-        });
-
         let batch_cap = par.batch.max(1);
-        let mut partitioner = WavePartitioner::new(protocol.network());
         let mut planned: Vec<(Tick, TickPlan)> = Vec::with_capacity(batch_cap);
 
-        let reason = 'outer: loop {
-            // Pre-tick stop check for the first tick of the batch; ticks
-            // after it are checked inside the commit loop, so every tick sees
-            // the exact per-tick check order of the sequential engine.
-            if let Some(reason) = check_stop(protocol, &stop, threshold_hi, ticks, &tx) {
-                if probe.enabled() && reason == StopReason::Converged {
-                    probe.on_event(Event::ConvergenceCrossed {
-                        tick: ticks,
-                        transmissions: tx.total(),
-                        relative_error: protocol.relative_error(),
-                    });
-                }
-                break 'outer reason;
-            }
-
+        let reason = 'run: loop {
             // Snapshot the randomness so a mid-batch stop can rewind: the
             // batched clock clones its pending gap buffer, so replaying the
             // committed ticks reproduces the identical reduction schedule.
@@ -689,7 +777,7 @@ impl AsyncEngine {
             // below stays the general fallback.
             let remaining = stop
                 .max_ticks
-                .map_or(u64::MAX, |m| m.saturating_sub(ticks))
+                .map_or(u64::MAX, |m| m.saturating_sub(kernel.ticks()))
                 .max(1);
             let batch = (batch_cap as u64).min(remaining) as usize;
             planned.clear();
@@ -700,16 +788,11 @@ impl AsyncEngine {
                 planned.push((tick, plan));
             }
 
-            // Conflict partition: contiguous waves with provably disjoint
-            // footprints (a proof structure — commits below still replay in
-            // draw order; see the batch module docs).
-            let waves = partitioner.partition(protocol.network(), &planned);
-
             // Stage 2 (concurrent): resolve the whole batch's routing. Route
             // walks are pure functions of the static graph — value- and
-            // order-independent — so they need no wave gating, and the
-            // order-preserving parallel map keeps results bit-identical for
-            // every thread count. Batches with no routed work skip the pool.
+            // order-independent — and the order-preserving parallel map
+            // keeps results bit-identical for every thread count. Batches
+            // with no routed work skip the pool.
             let graph = protocol.network();
             let needs_routing = planned.iter().any(|(_, p)| {
                 matches!(
@@ -732,88 +815,35 @@ impl AsyncEngine {
                     .collect()
             };
 
-            // Stage 3 (sequential): commit wave by wave in draw order — the
-            // batch draw-order contract — with the sequential engine's exact
-            // pre-tick stop check ahead of every tick after the first.
-            let mut committed = 0usize;
-            let mut stop_reason = None;
-            'commit: for wave in waves {
-                for i in wave {
-                    if i > 0 {
-                        if let Some(reason) = check_stop(protocol, &stop, threshold_hi, ticks, &tx)
-                        {
-                            if probe.enabled() && reason == StopReason::Converged {
-                                probe.on_event(Event::ConvergenceCrossed {
-                                    tick: ticks,
-                                    transmissions: tx.total(),
-                                    relative_error: protocol.relative_error(),
-                                });
-                            }
-                            stop_reason = Some(reason);
-                            break 'commit;
-                        }
+            // Stage 3 (sequential): commit in draw order — the batch
+            // draw-order contract — with the kernel's stop check ahead of
+            // every tick, exactly as in the sequential loop.
+            for (committed, (&(tick, _), resolved)) in planned.iter().zip(&resolved).enumerate() {
+                if let Some(reason) = kernel.stop_reason(
+                    protocol.squared_error(),
+                    || protocol.relative_error(),
+                    protocol.halted(),
+                    &mut probe,
+                ) {
+                    // The batch over-drew the RNG: rewind to the batch start
+                    // and redraw exactly the committed ticks (plans discarded
+                    // — the draws are what matters), leaving generator and
+                    // clock in the states the sequential engine leaves them.
+                    *rng = rng_snapshot;
+                    clock = clock_snapshot;
+                    for _ in 0..committed {
+                        let tick = clock.next_tick(&mut *rng);
+                        let mut reborrow = &mut *rng;
+                        let _ = protocol.draw_plan(tick, &mut reborrow);
                     }
-                    let (tick, _) = planned[i];
-                    protocol.commit_plan(tick, &resolved[i], &mut tx);
-                    ticks = tick.index;
-                    committed += 1;
-                    if probe.enabled() {
-                        // Same position and content as the sequential loop's
-                        // post-`on_tick` emission: committed ticks replay in
-                        // draw order, so the stream matches `run_probed`'s
-                        // byte for byte at every thread count.
-                        probe.on_event(Event::TickCommitted {
-                            tick: tick.index,
-                            node: tick.node.index() as u32,
-                            sim_time: tick.time,
-                            transmissions: tx.total(),
-                        });
-                    }
-                    if tick.index.is_multiple_of(stride) {
-                        while trace.len() >= self.max_trace_points {
-                            stride = stride.saturating_mul(2);
-                            trace.thin_to_stride(stride);
-                        }
-                        if tick.index.is_multiple_of(stride) {
-                            trace.push(TracePoint {
-                                transmissions: tx.total(),
-                                ticks: tick.index,
-                                relative_error: protocol.relative_error(),
-                            });
-                        }
-                    }
+                    break 'run reason;
                 }
-            }
-
-            if let Some(reason) = stop_reason {
-                // The batch over-drew the RNG: rewind to the batch start and
-                // redraw exactly the committed ticks (plans discarded — the
-                // draws are what matters), leaving generator and clock in the
-                // states the sequential engine would leave them in.
-                *rng = rng_snapshot;
-                clock = clock_snapshot;
-                for _ in 0..committed {
-                    let tick = clock.next_tick(&mut *rng);
-                    let mut reborrow = &mut *rng;
-                    let _ = protocol.draw_plan(tick, &mut reborrow);
-                }
-                break 'outer reason;
+                protocol.commit_plan(tick, resolved, kernel.tx());
+                kernel.commit(tick, || protocol.relative_error(), &mut probe);
             }
         };
 
-        trace.push(TracePoint {
-            transmissions: tx.total(),
-            ticks,
-            relative_error: protocol.relative_error(),
-        });
-        EngineReport {
-            reason,
-            transmissions: tx,
-            ticks,
-            time: clock.now(),
-            final_error: protocol.relative_error(),
-            trace,
-        }
+        kernel.finish(reason, clock.now(), protocol.relative_error())
     }
 
     /// The pre-overhaul tick loop, preserved **verbatim** (sequential
@@ -914,35 +944,6 @@ impl AsyncEngine {
             trace,
         }
     }
-}
-
-/// The per-tick stop check of the overhauled loop, factored for the parallel
-/// path: squared-domain pre-filter, exact confirmation, then halt/budget
-/// checks, in exactly the order [`AsyncEngine::run`] evaluates them.
-fn check_stop<P: Activation + ?Sized>(
-    protocol: &P,
-    stop: &StopCondition,
-    threshold_hi: Option<f64>,
-    ticks: u64,
-    tx: &TransmissionCounter,
-) -> Option<StopReason> {
-    let clearly_above = match (threshold_hi, protocol.squared_error()) {
-        (Some(hi), Some(sq)) => sq.current_sq > hi,
-        _ => false,
-    };
-    if !clearly_above && protocol.relative_error() <= stop.epsilon {
-        return Some(StopReason::Converged);
-    }
-    if protocol.halted() {
-        return Some(StopReason::ProtocolStalled);
-    }
-    if stop.max_ticks.is_some_and(|m| ticks >= m) {
-        return Some(StopReason::TickBudgetExhausted);
-    }
-    if stop.max_transmissions.is_some_and(|m| tx.total() >= m) {
-        return Some(StopReason::TransmissionBudgetExhausted);
-    }
-    None
 }
 
 #[cfg(test)]

@@ -11,17 +11,19 @@
 //! This crate provides:
 //!
 //! * [`clock`] — Poisson clock processes (global-clock and per-node views).
-//! * [`batch`] — conflict-partitioned tick batching: the engine's intra-trial
-//!   parallel path (pre-drawn tick plans, concurrent route resolution,
-//!   footprint-disjoint waves, draw-order commits), bit-identical to the
-//!   sequential engine and opted into per scenario via the `parallelism` key.
+//! * [`batch`] — tick batching: the engine's intra-trial parallel path
+//!   (pre-drawn tick plans, concurrent route resolution, draw-order
+//!   commits), bit-identical to the sequential engine and opted into per
+//!   scenario via the `parallelism` key.
 //! * [`event`] — a time-ordered event queue for protocols that need to
 //!   schedule future work (timeouts, deferred deactivations).
 //! * [`metrics`] — transmission accounting and error-vs-cost trace recording;
 //!   every experiment figure is produced from these traces.
 //! * [`engine`] — a small driver that repeatedly draws the next clock tick,
 //!   invokes a protocol callback ([`engine::Activation`], an object-safe
-//!   trait), and stops on a caller-supplied condition.
+//!   trait), and stops on a caller-supplied condition; its
+//!   [`engine::RunKernel`] holds the stopping rule and trace every tick
+//!   loop shares.
 //! * [`fault`] — deterministic fault injection (lossy transmissions, node
 //!   churn, stale-value nodes) layered over any fault-aware protocol; a
 //!   no-fault spec runs the bare protocol, bit-identically to before faults

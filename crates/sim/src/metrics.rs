@@ -160,11 +160,11 @@ impl ConvergenceTrace {
     /// Drops every sample whose tick index is not a multiple of `stride`,
     /// in place.
     ///
-    /// This is the engine's trace-capping primitive: when a long run would
-    /// accumulate unbounded [`TracePoint`]s, the engine doubles its sampling
-    /// stride and thins the already-recorded samples to match, so the trace
-    /// always looks as if it had been sampled at the final stride from the
-    /// start. The initial sample (tick 0) is always retained.
+    /// This is the run kernel's trace-capping primitive: when a long run
+    /// would accumulate unbounded [`TracePoint`]s, the kernel doubles its
+    /// sampling stride and thins the already-recorded samples to match, so
+    /// the trace always looks as if it had been sampled at the final stride
+    /// from the start. The initial sample (tick 0) is always retained.
     ///
     /// # Panics
     ///

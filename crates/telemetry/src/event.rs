@@ -44,8 +44,6 @@ pub enum Event {
         tick: u64,
         /// The activated node.
         node: u32,
-        /// Poisson-clock time of the tick.
-        sim_time: f64,
         /// Cumulative transmissions after the tick.
         transmissions: u64,
     },
@@ -205,12 +203,10 @@ impl Event {
             Event::TickCommitted {
                 tick,
                 node,
-                sim_time,
                 transmissions,
             } => {
                 fields.push(("tick", (*tick).into()));
                 fields.push(("node", (*node as u64).into()));
-                fields.push(("sim-time", (*sim_time).into()));
                 fields.push(("transmissions", (*transmissions).into()));
             }
             Event::RouteResolved {
@@ -317,12 +313,11 @@ mod tests {
         let event = Event::TickCommitted {
             tick: 7,
             node: 3,
-            sim_time: 0.5,
             transmissions: 14,
         };
         assert_eq!(
             event.to_jsonl(),
-            r#"{"event":"tick-committed","tick":7,"node":3,"sim-time":0.5,"transmissions":14}"#
+            r#"{"event":"tick-committed","tick":7,"node":3,"transmissions":14}"#
         );
     }
 
@@ -343,7 +338,6 @@ mod tests {
             Event::TickCommitted {
                 tick: 1,
                 node: 0,
-                sim_time: 0.0,
                 transmissions: 0,
             },
             Event::RouteResolved {

@@ -39,6 +39,21 @@ impl<P: Probe + ?Sized> Probe for &mut P {
     }
 }
 
+/// An optional probe: `None` is disabled and observes nothing, so code that
+/// carries `Option<&mut dyn Probe>` can hand it to code generic over
+/// [`Probe`] as is.
+impl<P: Probe> Probe for Option<P> {
+    fn on_event(&mut self, event: Event) {
+        if let Some(probe) = self {
+            probe.on_event(event);
+        }
+    }
+
+    fn enabled(&self) -> bool {
+        self.as_ref().is_some_and(Probe::enabled)
+    }
+}
+
 /// The zero-sized "no telemetry" probe.
 ///
 /// `enabled()` is a compile-time `false`, so engines monomorphized over
@@ -123,7 +138,6 @@ mod tests {
         buffer.on_event(Event::TickCommitted {
             tick: 1,
             node: 0,
-            sim_time: 0.5,
             transmissions: 2,
         });
         buffer.on_event(Event::ActivationDead { tick: 2, node: 3 });

@@ -45,9 +45,9 @@
 #        (default output: BENCH_baseline.json)
 # Force a fresh classic baseline by deleting the file first.
 #
-# `cargo bench -p geogossip-bench` prints the same quantities interactively
-# through the criterion harness; this script uses the dedicated binary so the
-# result is a single machine-readable file.
+# The script drives the dedicated `bench_baseline` binary so the result is a
+# single machine-readable file; `perfbench/` (declared in BENCHMARK.json)
+# measures the end-to-end and per-layer costs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

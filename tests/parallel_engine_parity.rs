@@ -1,7 +1,7 @@
 //! Three-way parity pin for intra-trial parallelism.
 //!
-//! `AsyncEngine::run_parallel` (pre-drawn tick batches, conflict-partitioned
-//! waves, batch-wide concurrent route resolution) must be **bit-identical** to
+//! `AsyncEngine::run_parallel` (pre-drawn tick batches, batch-wide concurrent
+//! route resolution, draw-order commits) must be **bit-identical** to
 //! both `AsyncEngine::run` and the preserved pre-overhaul loop
 //! `AsyncEngine::run_reference` — same `EngineReport` (reason, ticks,
 //! simulation time, transmissions, final error, every trace point), same

@@ -21,7 +21,7 @@
 use geogossip::builtin_runner;
 use geogossip::core::prelude::*;
 use geogossip::graph::GeometricGraph;
-use geogossip::net::{GeographicNet, NetScheduler};
+use geogossip::net::{GeographicNet, NetProtocol, NetScheduler, PairwiseNet};
 use geogossip::sim::scenario::ScenarioSpec;
 use geogossip::sim::transport::{LatencyModel, ReliabilitySpec};
 use geogossip::sim::{AsyncEngine, EngineReport, ParallelSpec, StopCondition, TransportSpec};
@@ -236,6 +236,68 @@ fn net_scheduler_probe_is_a_pure_observer() {
         probed_ledger.retried
     );
     assert!(count(|e| matches!(e, Event::RouteResolved { .. })) > 0);
+}
+
+/// The engine and the net scheduler stop, count, and trace through one run
+/// kernel, so on the instant lossless wire they must emit the same
+/// `tick-committed` and `convergence-crossed` events for the same instance
+/// and seeds.
+#[test]
+fn engine_and_net_scheduler_emit_the_same_kernel_events() {
+    let n = 128;
+    let g = graph(n, 13);
+    let values = InitialCondition::Spike.generate(n, &mut ChaCha8Rng::seed_from_u64(0xdfa));
+    let stop = StopCondition::at_epsilon(0.05).with_max_ticks(400_000);
+
+    let kernel_events = |buffer: EventBuffer| -> Vec<Event> {
+        buffer
+            .into_events()
+            .into_iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    Event::TickCommitted { .. } | Event::ConvergenceCrossed { .. }
+                )
+            })
+            .collect()
+    };
+    let run_both = |oracle: &mut dyn geogossip::sim::Activation, actors: &mut dyn NetProtocol| {
+        let mut engine_buffer = EventBuffer::new();
+        AsyncEngine::new(n).run_probed(
+            oracle,
+            stop,
+            &mut ChaCha8Rng::seed_from_u64(0x66),
+            &mut engine_buffer,
+        );
+        let mut net_buffer = EventBuffer::new();
+        NetScheduler::new(n).run_wire_probed(
+            actors,
+            stop,
+            LatencyModel::Instant,
+            ReliabilitySpec::default(),
+            None,
+            &mut ChaCha8Rng::seed_from_u64(0x66),
+            &mut ChaCha8Rng::seed_from_u64(0x67),
+            Some(&mut net_buffer),
+        );
+        (kernel_events(engine_buffer), kernel_events(net_buffer))
+    };
+
+    let pairwise = run_both(
+        &mut PairwiseGossip::new(&g, values.clone()).expect("valid instance"),
+        &mut PairwiseNet::new(&g, values.clone()).expect("valid actors"),
+    );
+    let geographic = run_both(
+        &mut GeographicGossip::new(&g, values.clone()).expect("valid instance"),
+        &mut GeographicNet::new(&g, values.clone()).expect("valid actors"),
+    );
+    for (name, (engine, net)) in [("pairwise", pairwise), ("geographic", geographic)] {
+        assert!(
+            matches!(engine.last(), Some(Event::ConvergenceCrossed { .. })),
+            "{name}: the engine run must converge"
+        );
+        assert_eq!(engine, net, "{name}: kernel event streams differ");
+    }
 }
 
 /// Renders a probed scenario run to JSONL bytes through the real sink.
