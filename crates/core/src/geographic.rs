@@ -11,12 +11,10 @@
 use crate::error::ProtocolError;
 use crate::state::GossipState;
 use crate::update::convex_average;
+use geogossip_geometry::point::NodeId;
 use geogossip_graph::GeometricGraph;
-use geogossip_routing::greedy::{
-    route_terminus, route_terminus_masked, route_terminus_to_node, route_terminus_to_node_masked,
-};
 use geogossip_routing::target::TargetSelector;
-use geogossip_sim::batch::{BatchActivation, ResolvedPlan, TickPlan};
+use geogossip_sim::batch::{resolve_plan, BatchActivation, ResolvedPlan, TickPlan};
 use geogossip_sim::clock::Tick;
 use geogossip_sim::engine::{Activation, SquaredError};
 use geogossip_sim::fault::{FaultContext, FaultSupport};
@@ -121,62 +119,20 @@ impl<'a> GeographicGossip<'a> {
     /// One tick of the protocol — the zero-cost generic hot path. The
     /// object-safe [`Activation::on_tick`] forwards here with a `dyn` RNG;
     /// monomorphised callers (benchmarks, custom drivers) keep full inlining.
+    /// This is [`GeographicGossip::step_faulty`] with no fault.
     #[inline]
     pub fn step<R: Rng + ?Sized>(&mut self, tick: Tick, tx: &mut TransmissionCounter, rng: &mut R) {
-        if self.graph.len() < 2 {
-            return;
-        }
-        let s = tick.node;
-        // 1. Pick the partner: either directly via the selector (uniform by
-        //    index / rejection sampled) or as "whoever greedy routing towards
-        //    a uniform position stops at". Both legs use the allocation-free
-        //    walk — only terminus and hop count are needed on this hot path.
-        let (partner, outbound_hops) = match &self.selector {
-            TargetSelector::NearestToUniformPosition => {
-                let target = geogossip_geometry::sampling::uniform_point_in(
-                    geogossip_geometry::unit_square(),
-                    rng,
-                );
-                let outcome = route_terminus(self.graph, s, target);
-                (outcome.terminus, outcome.hops)
-            }
-            selector => {
-                let Some(partner) = selector.draw(self.graph, s, rng) else {
-                    return;
-                };
-                let (outcome, delivered) = route_terminus_to_node(self.graph, s, partner);
-                if !delivered {
-                    self.failed_routes += 1;
-                }
-                (outcome.terminus, outcome.hops)
-            }
-        };
-        if partner == s {
-            // The random position landed in s's own Voronoi cell; the round is
-            // a no-op and costs nothing (no packet leaves s).
-            return;
-        }
-        // 2. The partner routes its value back to s.
-        let (back, back_delivered) = route_terminus_to_node(self.graph, partner, s);
-        if !back_delivered {
-            self.failed_routes += 1;
-        }
-        // 3. Both replace their values by the average.
-        let (new_s, new_p) = convex_average(
-            self.state.value(s.index()),
-            self.state.value(partner.index()),
-        );
-        self.state.set(s.index(), new_s);
-        self.state.set(partner.index(), new_p);
-        tx.charge_routing((outbound_hops + back.hops) as u64);
-        self.exchanges += 1;
+        self.step_faulty(tick, tx, rng, &FaultContext::new(false, &[], &[]));
     }
 
-    /// One tick under fault injection. Routing skips dead sensors (the walk
-    /// degrades gracefully: it stops at the nearest *live* local minimum, so
-    /// a round whose target region has died exchanges with the closest
-    /// surviving sensor instead); a dropped round still pays every routed hop
-    /// but applies no averaging; stale endpoints keep their old value.
+    /// One tick under fault injection — the protocol's single tick body:
+    /// [`draw_target`], [`resolve_plan`], then the commit. Routing skips dead
+    /// sensors (the walk degrades gracefully: it stops at the nearest *live*
+    /// local minimum, so a round whose target region has died exchanges with
+    /// the closest surviving sensor instead); a dropped round still pays
+    /// every routed hop but applies no averaging; stale endpoints keep their
+    /// old value.
+    #[inline]
     pub fn step_faulty<R: Rng + ?Sized>(
         &mut self,
         tick: Tick,
@@ -184,67 +140,93 @@ impl<'a> GeographicGossip<'a> {
         rng: &mut R,
         faults: &FaultContext<'_>,
     ) {
-        if self.graph.len() < 2 {
-            return;
-        }
-        let s = tick.node;
-        let alive = faults.alive_mask();
-        let (partner, outbound_hops) = match &self.selector {
-            TargetSelector::NearestToUniformPosition => {
-                let target = geogossip_geometry::sampling::uniform_point_in(
-                    geogossip_geometry::unit_square(),
-                    rng,
-                );
-                let outcome = if alive.is_empty() {
-                    route_terminus(self.graph, s, target)
-                } else {
-                    route_terminus_masked(self.graph, s, target, alive)
-                };
-                (outcome.terminus, outcome.hops)
-            }
-            selector => {
-                let Some(partner) = selector.draw(self.graph, s, rng) else {
-                    return;
-                };
-                let (outcome, delivered) = if alive.is_empty() {
-                    route_terminus_to_node(self.graph, s, partner)
-                } else {
-                    route_terminus_to_node_masked(self.graph, s, partner, alive)
-                };
-                if !delivered {
-                    self.failed_routes += 1;
-                }
-                (outcome.terminus, outcome.hops)
+        let plan = draw_target(self.graph, &self.selector, tick.node, rng);
+        let resolved = resolve_plan(self.graph, tick.node, &plan, faults.alive_mask());
+        self.commit(tick, &resolved, tx, faults);
+    }
+
+    /// The commit stage: counts failed routes (before the partner-is-self
+    /// no-op, which costs nothing since no packet leaves the caller), charges
+    /// the round trip, then honours a drop, then writes both averages,
+    /// skipping stale endpoints (activated node first, partner second).
+    #[inline]
+    fn commit(
+        &mut self,
+        tick: Tick,
+        resolved: &ResolvedPlan,
+        tx: &mut TransmissionCounter,
+        faults: &FaultContext<'_>,
+    ) {
+        let (partner, outbound_hops, outbound_failed, back) = match *resolved {
+            ResolvedPlan::Route {
+                partner,
+                outbound_hops,
+                outbound_failed,
+                back,
+            } => (partner, outbound_hops, outbound_failed, back),
+            ResolvedPlan::Skip { .. } => return,
+            ResolvedPlan::Pair { .. } => {
+                unreachable!("geographic gossip never plans a pairwise exchange")
             }
         };
-        if partner == s {
-            return;
+        if outbound_failed {
+            self.failed_routes += 1;
         }
-        let (back, back_delivered) = if alive.is_empty() {
-            route_terminus_to_node(self.graph, partner, s)
-        } else {
-            route_terminus_to_node_masked(self.graph, partner, s, alive)
+        let Some((back_hops, back_delivered)) = back else {
+            return;
         };
         if !back_delivered {
             self.failed_routes += 1;
         }
         // The packets travelled the full route either way: a dropped round is
         // cost without progress.
-        tx.charge_routing((outbound_hops + back.hops) as u64);
+        tx.charge_routing((outbound_hops + back_hops) as u64);
         if faults.dropped {
             return;
         }
-        let (new_s, new_p) = convex_average(
-            self.state.value(s.index()),
-            self.state.value(partner.index()),
-        );
-        if !faults.is_stale(s.index()) {
-            self.state.set(s.index(), new_s);
+        let s = tick.node.index();
+        let p = partner.index();
+        let (new_s, new_p) = convex_average(self.state.value(s), self.state.value(p));
+        if !faults.is_stale(s) {
+            self.state.set(s, new_s);
         }
-        if !faults.is_stale(partner.index()) {
-            self.state.set(partner.index(), new_p);
+        if !faults.is_stale(p) {
+            self.state.set(p, new_p);
         }
         self.exchanges += 1;
+    }
+}
+
+/// The draw stage of a geographic tick: a uniform target position for the
+/// nearest-position selector (the partner is whoever greedy routing stops
+/// at), a node drawn by any other selector, or [`TickPlan::Skip`] on a
+/// sub-2-node network or when the selector draws nobody. The draw never
+/// looks at liveness: a dead sensor can be the addressed partner, and the
+/// masked walk then stops short and the route counts as failed.
+///
+/// Public because the message-passing actors draw their target with it, so
+/// the engine and the net runtime consume the run RNG identically.
+#[inline]
+pub fn draw_target<R: Rng + ?Sized>(
+    graph: &GeometricGraph,
+    selector: &TargetSelector,
+    node: NodeId,
+    rng: &mut R,
+) -> TickPlan {
+    if graph.len() < 2 {
+        return TickPlan::Skip { isolated: false };
+    }
+    match selector {
+        TargetSelector::NearestToUniformPosition => TickPlan::RoutePosition {
+            target: geogossip_geometry::sampling::uniform_point_in(
+                geogossip_geometry::unit_square(),
+                rng,
+            ),
+        },
+        selector => match selector.draw(graph, node, rng) {
+            Some(target) => TickPlan::RouteNode { target },
+            None => TickPlan::Skip { isolated: false },
+        },
     }
 }
 
@@ -304,58 +286,11 @@ impl BatchActivation for GeographicGossip<'_> {
     }
 
     fn draw_plan(&self, tick: Tick, rng: &mut dyn RngCore) -> TickPlan {
-        if self.graph.len() < 2 {
-            return TickPlan::Skip { isolated: false };
-        }
-        match &self.selector {
-            TargetSelector::NearestToUniformPosition => {
-                let target = geogossip_geometry::sampling::uniform_point_in(
-                    geogossip_geometry::unit_square(),
-                    rng,
-                );
-                TickPlan::RoutePosition { target }
-            }
-            selector => match selector.draw(self.graph, tick.node, rng) {
-                Some(target) => TickPlan::RouteNode { target },
-                None => TickPlan::Skip { isolated: false },
-            },
-        }
+        draw_target(self.graph, &self.selector, tick.node, rng)
     }
 
     fn commit_plan(&mut self, tick: Tick, resolved: &ResolvedPlan, tx: &mut TransmissionCounter) {
-        match *resolved {
-            ResolvedPlan::Skip { .. } => {}
-            ResolvedPlan::Route {
-                partner,
-                outbound_hops,
-                outbound_failed,
-                back,
-            } => {
-                // Failed-route accounting happens before the partner-is-self
-                // early return, exactly as in the sequential step.
-                if outbound_failed {
-                    self.failed_routes += 1;
-                }
-                let Some((back_hops, back_delivered)) = back else {
-                    return;
-                };
-                if !back_delivered {
-                    self.failed_routes += 1;
-                }
-                let s = tick.node;
-                let (new_s, new_p) = convex_average(
-                    self.state.value(s.index()),
-                    self.state.value(partner.index()),
-                );
-                self.state.set(s.index(), new_s);
-                self.state.set(partner.index(), new_p);
-                tx.charge_routing((outbound_hops + back_hops) as u64);
-                self.exchanges += 1;
-            }
-            ResolvedPlan::Pair { .. } => {
-                unreachable!("geographic gossip never plans a pairwise exchange")
-            }
-        }
+        self.commit(tick, resolved, tx, &FaultContext::new(false, &[], &[]));
     }
 }
 
@@ -565,7 +500,7 @@ mod tests {
                 seq.step(ta, &mut tx_seq, &mut rng_seq);
                 let tb = clock_batch.next_tick(&mut rng_batch);
                 let plan = batch.draw_plan(tb, &mut rng_batch);
-                let resolved = geogossip_sim::batch::resolve_plan(&g, tb.node, &plan);
+                let resolved = geogossip_sim::batch::resolve_plan(&g, tb.node, &plan, &[]);
                 batch.commit_plan(tb, &resolved, &mut tx_batch);
                 // The RNG streams must stay in lockstep after every tick.
                 assert_eq!(rng_seq.next_u64(), rng_batch.next_u64());

@@ -12,7 +12,7 @@ use crate::state::GossipState;
 use crate::update::convex_average;
 use geogossip_geometry::point::NodeId;
 use geogossip_graph::GeometricGraph;
-use geogossip_sim::batch::{BatchActivation, ResolvedPlan, TickPlan};
+use geogossip_sim::batch::{resolve_plan, BatchActivation, ResolvedPlan, TickPlan};
 use geogossip_sim::clock::Tick;
 use geogossip_sim::engine::{Activation, SquaredError};
 use geogossip_sim::fault::{FaultContext, FaultSupport};
@@ -96,31 +96,20 @@ impl<'a> PairwiseGossip<'a> {
     /// One tick of the protocol — the zero-cost generic hot path. The
     /// object-safe [`Activation::on_tick`] forwards here with a `dyn` RNG;
     /// monomorphised callers (benchmarks, custom drivers) keep full inlining.
+    /// This is [`PairwiseGossip::step_faulty`] with no fault.
     #[inline]
     pub fn step<R: Rng + ?Sized>(&mut self, tick: Tick, tx: &mut TransmissionCounter, rng: &mut R) {
-        let s = tick.node.index();
-        let neighbors = self.graph.neighbors(tick.node);
-        if neighbors.is_empty() {
-            // An isolated sensor can only wait; the paper's connectivity
-            // assumption makes this a measure-zero event at the standard
-            // radius, but we count it rather than panic.
-            self.isolated_activations += 1;
-            return;
-        }
-        let v = neighbors[rng.gen_range(0..neighbors.len())] as usize;
-        let (new_s, new_v) = convex_average(self.state.value(s), self.state.value(v));
-        self.state.set(s, new_s);
-        self.state.set(v, new_v);
-        // One packet each way.
-        tx.charge_local(2);
-        self.exchanges += 1;
+        self.step_faulty(tick, tx, rng, &FaultContext::new(false, &[], &[]));
     }
 
-    /// One tick under fault injection. A dead partner is never selected (the
-    /// uniform choice is over *live* neighbors only); a dropped exchange still
-    /// costs its two packets but applies no averaging; a stale endpoint keeps
-    /// its old value while its partner updates normally — which is exactly
-    /// what makes stale sensors drag the achievable error floor.
+    /// One tick under fault injection — the protocol's single tick body:
+    /// [`draw_partner`], [`resolve_plan`], then the commit. A dead partner is
+    /// never selected (the uniform choice is over *live* neighbors only); a
+    /// dropped exchange still costs its two packets but applies no
+    /// averaging; a stale endpoint keeps its old value while its partner
+    /// updates normally — which is exactly what makes stale sensors drag the
+    /// achievable error floor.
+    #[inline]
     pub fn step_faulty<R: Rng + ?Sized>(
         &mut self,
         tick: Tick,
@@ -128,37 +117,44 @@ impl<'a> PairwiseGossip<'a> {
         rng: &mut R,
         faults: &FaultContext<'_>,
     ) {
-        let s = tick.node.index();
-        let neighbors = self.graph.neighbors(tick.node);
-        let v = if faults.any_dead() {
-            let live = neighbors
-                .iter()
-                .filter(|&&v| faults.is_alive(v as usize))
-                .count();
-            if live == 0 {
-                self.isolated_activations += 1;
+        let plan = draw_partner(self.graph, tick.node, faults.alive_mask(), rng);
+        let resolved = resolve_plan(self.graph, tick.node, &plan, faults.alive_mask());
+        self.commit(tick, &resolved, tx, faults);
+    }
+
+    /// The commit stage: charges the two packets, then honours a drop, then
+    /// writes both averages, skipping stale endpoints (activated node first,
+    /// partner second — the error cache makes write order bit-significant).
+    #[inline]
+    fn commit(
+        &mut self,
+        tick: Tick,
+        resolved: &ResolvedPlan,
+        tx: &mut TransmissionCounter,
+        faults: &FaultContext<'_>,
+    ) {
+        let v = match *resolved {
+            ResolvedPlan::Pair { partner } => partner.index(),
+            ResolvedPlan::Skip { isolated } => {
+                // An isolated sensor can only wait; the paper's connectivity
+                // assumption makes this a measure-zero event at the standard
+                // radius, but we count it rather than panic.
+                if isolated {
+                    self.isolated_activations += 1;
+                }
                 return;
             }
-            let pick = rng.gen_range(0..live);
-            neighbors
-                .iter()
-                .copied()
-                .filter(|&v| faults.is_alive(v as usize))
-                .nth(pick)
-                .expect("pick < live neighbor count") as usize
-        } else {
-            if neighbors.is_empty() {
-                self.isolated_activations += 1;
-                return;
+            ResolvedPlan::Route { .. } => {
+                unreachable!("pairwise gossip never plans a routed round")
             }
-            neighbors[rng.gen_range(0..neighbors.len())] as usize
         };
-        // The packets travel either way: a dropped exchange is cost without
-        // progress.
+        // One packet each way, whether or not the exchange is dropped: a
+        // dropped exchange is cost without progress.
         tx.charge_local(2);
         if faults.dropped {
             return;
         }
+        let s = tick.node.index();
         let (new_s, new_v) = convex_average(self.state.value(s), self.state.value(v));
         if !faults.is_stale(s) {
             self.state.set(s, new_s);
@@ -167,6 +163,45 @@ impl<'a> PairwiseGossip<'a> {
             self.state.set(v, new_v);
         }
         self.exchanges += 1;
+    }
+}
+
+/// The draw stage of a pairwise tick: a uniform neighbor of `node`, drawn
+/// over its *live* neighbors while `alive` is non-empty (count, one
+/// `gen_range`, pick) and over all of them otherwise (one `gen_range`), or
+/// [`TickPlan::Skip`] with `isolated` set when there is none.
+///
+/// Public because the message-passing actors draw their partner with it, so
+/// the engine and the net runtime consume the run RNG identically.
+#[inline]
+pub fn draw_partner<R: Rng + ?Sized>(
+    graph: &GeometricGraph,
+    node: NodeId,
+    alive: &[bool],
+    rng: &mut R,
+) -> TickPlan {
+    let neighbors = graph.neighbors(node);
+    let partner = if alive.is_empty() {
+        if neighbors.is_empty() {
+            return TickPlan::Skip { isolated: true };
+        }
+        neighbors[rng.gen_range(0..neighbors.len())]
+    } else {
+        let is_live = |v: u32| alive.get(v as usize).copied().unwrap_or(true);
+        let live = neighbors.iter().filter(|&&v| is_live(v)).count();
+        if live == 0 {
+            return TickPlan::Skip { isolated: true };
+        }
+        let pick = rng.gen_range(0..live);
+        neighbors
+            .iter()
+            .copied()
+            .filter(|&v| is_live(v))
+            .nth(pick)
+            .expect("pick < live neighbor count")
+    };
+    TickPlan::Pair {
+        partner: NodeId(partner as usize),
     }
 }
 
@@ -225,31 +260,11 @@ impl BatchActivation for PairwiseGossip<'_> {
     }
 
     fn draw_plan(&self, tick: Tick, rng: &mut dyn RngCore) -> TickPlan {
-        let neighbors = self.graph.neighbors(tick.node);
-        if neighbors.is_empty() {
-            return TickPlan::Skip { isolated: true };
-        }
-        let v = neighbors[rng.gen_range(0..neighbors.len())] as usize;
-        TickPlan::Pair { partner: NodeId(v) }
+        draw_partner(self.graph, tick.node, &[], rng)
     }
 
     fn commit_plan(&mut self, tick: Tick, resolved: &ResolvedPlan, tx: &mut TransmissionCounter) {
-        match *resolved {
-            ResolvedPlan::Skip { isolated: true } => self.isolated_activations += 1,
-            ResolvedPlan::Skip { isolated: false } => {}
-            ResolvedPlan::Pair { partner } => {
-                let s = tick.node.index();
-                let v = partner.index();
-                let (new_s, new_v) = convex_average(self.state.value(s), self.state.value(v));
-                self.state.set(s, new_s);
-                self.state.set(v, new_v);
-                tx.charge_local(2);
-                self.exchanges += 1;
-            }
-            ResolvedPlan::Route { .. } => {
-                unreachable!("pairwise gossip never plans a routed round")
-            }
-        }
+        self.commit(tick, resolved, tx, &FaultContext::new(false, &[], &[]));
     }
 }
 
@@ -464,7 +479,7 @@ mod tests {
             seq.step(ta, &mut tx_seq, &mut rng_seq);
             let tb = clock_batch.next_tick(&mut rng_batch);
             let plan = batch.draw_plan(tb, &mut rng_batch);
-            let resolved = geogossip_sim::batch::resolve_plan(&g, tb.node, &plan);
+            let resolved = geogossip_sim::batch::resolve_plan(&g, tb.node, &plan, &[]);
             batch.commit_plan(tb, &resolved, &mut tx_batch);
             // The RNG streams must stay in lockstep after every tick.
             assert_eq!(rng_seq.next_u64(), rng_batch.next_u64());

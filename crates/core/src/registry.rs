@@ -223,9 +223,17 @@ fn build_geographic<'a>(
         "nearest-position" => TargetSelector::NearestToUniformPosition,
         "uniform-index" => TargetSelector::UniformByIndex,
         "rejection-sampled" => {
-            let probes = spec.number("probes", 10_000.0)? as usize;
+            let probes = spec.number("probes", 10_000.0)?;
+            // The selector needs at least one probe; `as usize` would turn a
+            // fraction or a negative into 0 and panic there.
+            if !(probes >= 1.0 && probes.fract() == 0.0) {
+                return Err(ProtocolError::invalid(
+                    "probes",
+                    format!("must be a whole number of at least 1, got {probes}"),
+                ));
+            }
             let cap = spec.number("cap", 20.0)? as usize;
-            TargetSelector::rejection_sampled(graph, probes, cap, rng)
+            TargetSelector::rejection_sampled(graph, probes as usize, cap, rng)
         }
         other => {
             return Err(ProtocolError::invalid(
@@ -443,6 +451,23 @@ mod tests {
             registry.build(&bad, &g, vec![0.0; 64], 0.1, &mut rng),
             Err(ProtocolError::InvalidParameter { .. })
         ));
+    }
+
+    #[test]
+    fn rejection_sampled_probes_must_be_a_whole_number_of_at_least_one() {
+        let registry = ProtocolRegistry::builtin();
+        let g = graph(64);
+        for probes in [0.0, 0.5] {
+            let spec = ProtocolSpec::named("geographic")
+                .with_text("selector", "rejection-sampled")
+                .with_number("probes", probes);
+            let mut rng = ChaCha8Rng::seed_from_u64(5);
+            match registry.build(&spec, &g, vec![0.0; 64], 0.1, &mut rng) {
+                Err(ProtocolError::InvalidParameter { name, .. }) => assert_eq!(name, "probes"),
+                Err(other) => panic!("probes {probes}: wrong error `{other}`"),
+                Ok(_) => panic!("probes {probes} was accepted"),
+            }
+        }
     }
 
     #[test]

@@ -32,21 +32,24 @@
 //! The wire itself can be unreliable: a `transport.reliability` block adds
 //! per-message drop and duplication probabilities with a timeout / backoff /
 //! retry-cap ARQ (see the frozen draw order on [`scheduler`]), and the
-//! `faults` block's node churn and stale-value sensors run on this layer via
-//! [`NetFaultPlan`] — rebuilt draw-for-draw from the same `"faults"` stream
-//! the shared-memory orchestrator uses, so a `transport` key never changes
-//! *which* sensors fail.
+//! `faults` block's node churn and stale-value sensors run on this layer
+//! through the shared-memory engine's own node-fault state,
+//! [`NodeFaults`](geogossip_sim::fault::NodeFaults), built from the same
+//! `"faults"` stream and advanced by the same per-tick call, so a
+//! `transport` key never changes *which* sensors fail. The actors draw their
+//! partners and targets with the shared-memory protocols' own draw stage
+//! (`geogossip_core::pairwise::draw_partner`,
+//! `geogossip_core::geographic::draw_target`); only the round's message
+//! flow is theirs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fault;
 pub mod message;
 pub mod protocols;
 pub mod runtime;
 pub mod scheduler;
 
-pub use fault::NetFaultPlan;
 pub use message::Message;
 pub use protocols::{GeographicNet, PairwiseNet};
 pub use runtime::NetRuntime;

@@ -2,7 +2,9 @@
 //!
 //! Each actor mirrors its shared-memory oracle (`geogossip_core::PairwiseGossip`,
 //! `geogossip_core::GeographicGossip`) *exactly* on the instant-lossless
-//! schedule: the same activation-stream RNG draws in the same order, the same
+//! schedule. An activation is the oracle's own draw stage
+//! ([`draw_partner`], [`draw_target`]), so the activation-stream RNG draws
+//! are the oracle's by construction; the handlers keep the same
 //! [`convex_average`] argument order, the same [`GossipState::set`] **write
 //! order** (activated node first, partner second — the incremental error
 //! accumulator makes write order bit-significant), the same transmission
@@ -18,16 +20,19 @@
 
 use crate::message::Message;
 use crate::scheduler::{NetContext, NetProtocol};
+use geogossip_core::geographic::draw_target;
+use geogossip_core::pairwise::draw_partner;
 use geogossip_core::prelude::convex_average;
 use geogossip_core::GossipState;
-use geogossip_geometry::point::{NodeId, Point};
+use geogossip_geometry::point::NodeId;
 use geogossip_graph::GeometricGraph;
-use geogossip_routing::greedy::{greedy_step, greedy_step_masked};
+use geogossip_routing::greedy::greedy_step_masked;
 use geogossip_routing::TargetSelector;
+use geogossip_sim::batch::TickPlan;
 use geogossip_sim::engine::SquaredError;
 use geogossip_sim::ProtocolError;
 use geogossip_telemetry::Event;
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 /// Validation shared by both actors, mirroring the oracle constructors.
 fn check_network(graph: &GeometricGraph, values: &[f64]) -> Result<(), ProtocolError> {
@@ -80,35 +85,13 @@ impl<'a> PairwiseNet<'a> {
 
 impl NetProtocol for PairwiseNet<'_> {
     fn on_activation(&mut self, node: NodeId, ctx: &mut NetContext<'_, '_>, rng: &mut dyn RngCore) {
-        let neighbors = self.graph.neighbors(node);
-        // Partner draw order mirrors the oracle's faulty step exactly: the
-        // masked (count-live, gen_range, nth) draw runs only while some
-        // sensor is dead, so fault-free runs keep the unmasked single draw.
-        let v = if ctx.any_dead() {
-            let live = neighbors
-                .iter()
-                .filter(|&&v| ctx.is_alive(v as usize))
-                .count();
-            if live == 0 {
-                self.isolated_activations += 1;
-                return;
-            }
-            let pick = rng.gen_range(0..live);
-            neighbors
-                .iter()
-                .copied()
-                .filter(|&v| ctx.is_alive(v as usize))
-                .nth(pick)
-                .expect("pick is below the live-neighbor count") as usize
-        } else {
-            if neighbors.is_empty() {
-                self.isolated_activations += 1;
-                return;
-            }
-            neighbors[rng.gen_range(0..neighbors.len())] as usize
+        let TickPlan::Pair { partner } = draw_partner(self.graph, node, ctx.alive_mask(), rng)
+        else {
+            self.isolated_activations += 1;
+            return;
         };
         ctx.send_local(
-            NodeId(v),
+            partner,
             Message::Exchange {
                 origin: node,
                 value: self.state.value(node.index()),
@@ -229,18 +212,6 @@ impl<'a> GeographicNet<'a> {
         &self.state
     }
 
-    /// One greedy hop toward `target`, detouring around dead sensors while
-    /// any exist (an empty mask keeps the unmasked step, so fault-free runs
-    /// are untouched). Iterating this reproduces the oracle's masked walk
-    /// hop for hop.
-    fn step(&self, from: NodeId, target: Point, alive: &[bool]) -> Option<NodeId> {
-        if alive.is_empty() {
-            greedy_step(self.graph, from, target)
-        } else {
-            greedy_step_masked(self.graph, from, target, alive)
-        }
-    }
-
     /// Starts the return leg from terminus `p` back to the activated sensor
     /// `s`, carrying `p`'s current value.
     fn begin_reply(&mut self, p: NodeId, s: NodeId, ctx: &mut NetContext<'_, '_>) {
@@ -249,7 +220,7 @@ impl<'a> GeographicNet<'a> {
             dest: s,
             value: self.state.value(p.index()),
         };
-        match self.step(p, self.graph.position(s), ctx.alive_mask()) {
+        match greedy_step_masked(self.graph, p, self.graph.position(s), ctx.alive_mask()) {
             Some(next) => ctx.send_routed(next, reply),
             None => {
                 // Zero-hop dead end on the return walk: the oracle counts the
@@ -264,64 +235,41 @@ impl<'a> GeographicNet<'a> {
 
 impl NetProtocol for GeographicNet<'_> {
     fn on_activation(&mut self, node: NodeId, ctx: &mut NetContext<'_, '_>, rng: &mut dyn RngCore) {
-        if self.graph.len() < 2 {
-            return;
-        }
-        match &self.selector {
-            TargetSelector::NearestToUniformPosition => {
-                // Same two uniform draws as the oracle's target sample.
-                let target = geogossip_geometry::sampling::uniform_point_in(
-                    geogossip_geometry::unit_square(),
-                    rng,
-                );
-                match self.step(node, target, ctx.alive_mask()) {
-                    // The activated sensor is already the greedy terminus:
-                    // the oracle's partner == s early return, uncharged.
-                    None => {}
-                    Some(next) => ctx.send_routed(
-                        next,
-                        Message::RouteRequest {
-                            origin: node,
-                            target,
-                            dest: None,
-                            hops: 1,
-                        },
-                    ),
-                }
-            }
-            selector => {
-                let Some(partner) = selector.draw(self.graph, node, rng) else {
-                    return;
-                };
-                // The selector draw stays unmasked, like the oracle: a dead
-                // sensor can be the addressed partner — the masked walk then
-                // stops short and the route counts as failed.
-                let target = self.graph.position(partner);
-                match self.step(node, target, ctx.alive_mask()) {
-                    None => {
-                        // Dead end at hop zero: the terminus is the activated
-                        // sensor itself, so the route is undelivered (partner
-                        // is a distinct node) and the oracle then drops the
-                        // round at its partner == s check, uncharged.
-                        self.failed_routes += 1;
-                        ctx.emit(Event::RouteResolved {
-                            origin: node.index() as u32,
-                            terminus: node.index() as u32,
-                            hops: 0,
-                            delivered: false,
-                            sim_time: ctx.now(),
-                        });
-                    }
-                    Some(next) => ctx.send_routed(
-                        next,
-                        Message::RouteRequest {
-                            origin: node,
-                            target,
-                            dest: Some(partner),
-                            hops: 1,
-                        },
-                    ),
-                }
+        // Every greedy hop detours around dead sensors while any exist, so
+        // iterating the steps reproduces the oracle's masked walk hop for hop.
+        let (target, dest) = match draw_target(self.graph, &self.selector, node, rng) {
+            TickPlan::RoutePosition { target } => (target, None),
+            TickPlan::RouteNode { target } => (self.graph.position(target), Some(target)),
+            // A sub-2-node network, or a selector that drew nobody.
+            _ => return,
+        };
+        match greedy_step_masked(self.graph, node, target, ctx.alive_mask()) {
+            Some(next) => ctx.send_routed(
+                next,
+                Message::RouteRequest {
+                    origin: node,
+                    target,
+                    dest,
+                    hops: 1,
+                },
+            ),
+            // The activated sensor is already the greedy terminus of a
+            // position-addressed round: the oracle's partner == s early
+            // return, uncharged.
+            None if dest.is_none() => {}
+            None => {
+                // Dead end at hop zero: the terminus is the activated sensor
+                // itself, so the route is undelivered (the partner is a
+                // distinct node) and the oracle then drops the round at its
+                // partner == s check, uncharged.
+                self.failed_routes += 1;
+                ctx.emit(Event::RouteResolved {
+                    origin: node.index() as u32,
+                    terminus: node.index() as u32,
+                    hops: 0,
+                    delivered: false,
+                    sim_time: ctx.now(),
+                });
             }
         }
     }
@@ -333,7 +281,7 @@ impl NetProtocol for GeographicNet<'_> {
                 target,
                 dest,
                 hops,
-            } => match self.step(at, target, ctx.alive_mask()) {
+            } => match greedy_step_masked(self.graph, at, target, ctx.alive_mask()) {
                 Some(next) => ctx.send_routed(
                     next,
                     Message::RouteRequest {
@@ -377,7 +325,12 @@ impl NetProtocol for GeographicNet<'_> {
                     }
                     ctx.send_free(origin, Message::Commit { value: new_p });
                 } else {
-                    match self.step(at, self.graph.position(dest), ctx.alive_mask()) {
+                    match greedy_step_masked(
+                        self.graph,
+                        at,
+                        self.graph.position(dest),
+                        ctx.alive_mask(),
+                    ) {
                         Some(next) => ctx.send_routed(
                             next,
                             Message::RouteReply {

@@ -2,20 +2,20 @@
 //!
 //! [`NetRuntime`] maps a protocol spec onto the message-passing actors,
 //! mirroring the shared-memory registry's parameter validation (same known
-//! keys, same unknown-selector wording), builds the node-fault plan from the
-//! dedicated `"faults"` trial stream when the spec asks for churn or stale
-//! nodes, runs the [`NetScheduler`], and returns the oracle-keyed metrics
-//! with the fault counters (when faulted) and the message ledger appended —
-//! the unreliable-wire counters only when the reliability block is lossy, so
+//! keys, same unknown-selector wording), builds the shared-memory engine's
+//! node-fault state ([`NodeFaults`]) from the dedicated `"faults"` trial
+//! stream when the spec asks for churn or stale nodes, runs the
+//! [`NetScheduler`], and returns the oracle-keyed metrics with the fault
+//! counters (when faulted) and the message ledger appended — the
+//! unreliable-wire counters only when the reliability block is lossy, so
 //! lossless runs keep the exact metric schema of a bare transport run.
 
-use crate::fault::NetFaultPlan;
 use crate::protocols::{GeographicNet, PairwiseNet};
 use crate::scheduler::{MessageLedger, NetProtocol, NetScheduler};
 use geogossip_graph::GeometricGraph;
 use geogossip_routing::TargetSelector;
 use geogossip_sim::engine::{EngineReport, StopCondition};
-use geogossip_sim::fault::FaultSpec;
+use geogossip_sim::fault::{FaultSpec, NodeFaults};
 use geogossip_sim::scenario::ProtocolSpec;
 use geogossip_sim::transport::{ReliabilitySpec, TransportRuntime, TransportSpec, TransportTrial};
 use geogossip_sim::ProtocolError;
@@ -45,20 +45,20 @@ fn finish(
     protocol: &dyn NetProtocol,
     report: EngineReport,
     ledger: MessageLedger,
-    plan: Option<&NetFaultPlan>,
+    faults: Option<&NodeFaults>,
     reliability: ReliabilitySpec,
 ) -> TransportTrial {
     let mut metrics = protocol.metrics();
-    if let Some(plan) = plan {
+    if let Some(faults) = faults {
         // Same keys, same order as the shared-memory orchestrator's metric
         // tail. Activation loss has no wire form (the schema rejects the
         // combination), so dropped_activations is always zero here.
         metrics.push(("dropped_activations".to_string(), 0.0));
         metrics.push((
             "dead_activations".to_string(),
-            plan.dead_activations() as f64,
+            faults.dead_activations() as f64,
         ));
-        metrics.push(("stale_nodes".to_string(), plan.stale_count() as f64));
+        metrics.push(("stale_nodes".to_string(), faults.stale_count() as f64));
     }
     metrics.extend(ledger.metrics());
     if !reliability.is_lossless() {
@@ -83,7 +83,7 @@ impl TransportRuntime for NetRuntime {
         stop: StopCondition,
         rng: &mut dyn RngCore,
         net_rng: &mut dyn RngCore,
-        fault_rng: ChaCha8Rng,
+        mut fault_rng: ChaCha8Rng,
         probe: Option<&mut (dyn Probe + '_)>,
     ) -> Result<TransportTrial, ProtocolError> {
         transport.validate()?;
@@ -97,8 +97,10 @@ impl TransportRuntime for NetRuntime {
                  `transport.reliability.drop` for wire-level loss",
             ));
         }
-        let mut plan =
-            (!faults.is_none()).then(|| NetFaultPlan::new(faults, graph.len(), fault_rng));
+        // Activation loss is refused above, so the fault stream is consumed
+        // only here, exactly as the engine consumes it at a zero drop rate.
+        let mut nodes =
+            (!faults.is_none()).then(|| NodeFaults::new(faults, graph.len(), &mut fault_rng));
         match protocol.name.as_str() {
             "pairwise" => {
                 protocol.reject_unknown(&[])?;
@@ -108,7 +110,7 @@ impl TransportRuntime for NetRuntime {
                     stop,
                     transport.latency,
                     transport.reliability,
-                    plan.as_mut(),
+                    nodes.as_mut(),
                     rng,
                     net_rng,
                     probe,
@@ -117,7 +119,7 @@ impl TransportRuntime for NetRuntime {
                     &net,
                     report,
                     ledger,
-                    plan.as_ref(),
+                    nodes.as_ref(),
                     transport.reliability,
                 ))
             }
@@ -153,7 +155,7 @@ impl TransportRuntime for NetRuntime {
                     stop,
                     transport.latency,
                     transport.reliability,
-                    plan.as_mut(),
+                    nodes.as_mut(),
                     rng,
                     net_rng,
                     probe,
@@ -162,7 +164,7 @@ impl TransportRuntime for NetRuntime {
                     &net,
                     report,
                     ledger,
-                    plan.as_ref(),
+                    nodes.as_ref(),
                     transport.reliability,
                 ))
             }

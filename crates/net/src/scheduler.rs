@@ -57,12 +57,12 @@
 //! against the last handled id suppresses exactly what a set of every seen
 //! id would, in O(1) time and memory.
 
-use crate::fault::NetFaultPlan;
 use crate::message::Message;
 use geogossip_geometry::point::NodeId;
 use geogossip_sim::engine::{
     EngineReport, RunKernel, SquaredError, StopCondition, DEFAULT_MAX_TRACE_POINTS,
 };
+use geogossip_sim::fault::NodeFaults;
 use geogossip_sim::metrics::TransmissionCounter;
 use geogossip_sim::transport::{LatencyModel, ReliabilitySpec};
 use geogossip_sim::{EventQueue, GlobalPoissonClock};
@@ -195,24 +195,14 @@ impl<'a, 'p> NetContext<'a, 'p> {
         self.now
     }
 
-    /// Whether any sensor is currently dead (empty mask means all alive).
-    pub fn any_dead(&self) -> bool {
-        !self.alive.is_empty()
-    }
-
-    /// Whether sensor `i` is currently alive.
-    pub fn is_alive(&self, i: usize) -> bool {
-        self.alive.get(i).copied().unwrap_or(true)
-    }
-
     /// Whether sensor `i` is frozen as a stale-value node.
     pub fn is_stale(&self, i: usize) -> bool {
         self.stale.get(i).copied().unwrap_or(false)
     }
 
-    /// The liveness mask for masked routing — empty while every sensor
-    /// lives, so masked code paths stay dormant (same convention as the
-    /// shared-memory `FaultContext`).
+    /// The liveness mask for live-partner draws and masked routing — empty
+    /// while every sensor lives, so masked code paths stay dormant (same
+    /// convention as the shared-memory `FaultContext`).
     pub fn alive_mask(&self) -> &'a [bool] {
         self.alive
     }
@@ -224,12 +214,6 @@ impl<'a, 'p> NetContext<'a, 'p> {
         if let Some(probe) = self.probe.as_deref_mut() {
             probe.on_event(event);
         }
-    }
-
-    /// Whether a telemetry probe is attached and enabled (lets handlers skip
-    /// building events that would go nowhere).
-    pub fn probed(&self) -> bool {
-        self.probe.as_ref().is_some_and(|p| p.enabled())
     }
 
     /// Sends a one-hop local message, charged as one local transmission.
@@ -436,16 +420,18 @@ impl NetScheduler {
     }
 
     /// Runs `protocol` under the given latency schedule, wire reliability,
-    /// and optional node-fault plan until `stop` is met.
+    /// and optional node faults until `stop` is met.
     ///
     /// `rng` is the activation stream (the runner's `"run"` trial stream);
     /// `net_rng` is the dedicated `"net"` trial stream consumed only by
     /// latency models that actually draw and by the drop/duplicate decisions
     /// of a lossy reliability block (see the module docs for the frozen draw
-    /// order). `faults`, when present, must be pre-built from the dedicated
-    /// `"faults"` trial stream; churn advances before each tick's activation
-    /// and dead sensors consume their tick without acting, exactly like the
-    /// shared-memory orchestrator.
+    /// order). `faults`, when present, is the shared-memory engine's own
+    /// node-fault state, built with [`NodeFaults::new`] from the dedicated
+    /// `"faults"` trial stream; each tick starts with
+    /// [`NodeFaults::begin_tick`], as on the engine, so churn applies before
+    /// the tick's activation and a dead sensor consumes its tick without
+    /// acting.
     ///
     /// The stop check, the trace, and the report come from the engine's
     /// [`RunKernel`]; the scheduler adds only the two `deliver_due` drains
@@ -462,7 +448,7 @@ impl NetScheduler {
         stop: StopCondition,
         latency: LatencyModel,
         reliability: ReliabilitySpec,
-        faults: Option<&mut NetFaultPlan>,
+        faults: Option<&mut NodeFaults>,
         rng: &mut dyn RngCore,
         net_rng: &mut dyn RngCore,
     ) -> (EngineReport, MessageLedger) {
@@ -489,7 +475,7 @@ impl NetScheduler {
         stop: StopCondition,
         latency: LatencyModel,
         reliability: ReliabilitySpec,
-        mut faults: Option<&mut NetFaultPlan>,
+        mut faults: Option<&mut NodeFaults>,
         rng: &mut dyn RngCore,
         net_rng: &mut dyn RngCore,
         mut probe: Option<&mut (dyn Probe + '_)>,
@@ -523,30 +509,12 @@ impl NetScheduler {
             }
 
             let tick = clock.next_tick(&mut *rng);
-
-            // Churn applies before the tick's activation is processed, then a
-            // dead sensor's tick is consumed with nothing else — the same
-            // ordering as the shared-memory orchestrator.
-            if let Some(plan) = faults.as_deref_mut() {
-                plan.advance_schedule(tick.index);
-            }
-            let node_dead = faults
-                .as_deref()
-                .is_some_and(|plan| !plan.is_alive(tick.node.index()));
-            if node_dead {
-                if let Some(plan) = faults.as_deref_mut() {
-                    plan.record_dead_activation();
-                }
-                if let Some(probe) = probe.as_deref_mut() {
-                    probe.on_event(Event::ActivationDead {
-                        tick: tick.index,
-                        node: tick.node.index() as u32,
-                    });
-                }
-            }
+            let node_alive = faults
+                .as_deref_mut()
+                .is_none_or(|faults| faults.begin_tick(tick, &mut probe));
             let (alive, stale): (&[bool], &[bool]) = faults
                 .as_deref()
-                .map_or((&[][..], &[][..]), |plan| plan.slices());
+                .map_or((&[][..], &[][..]), NodeFaults::masks);
 
             deliver_due(
                 protocol,
@@ -563,7 +531,7 @@ impl NetScheduler {
                 stale,
                 probe.as_deref_mut(),
             );
-            if !node_dead {
+            if node_alive {
                 if stale.get(tick.node.index()).copied().unwrap_or(false) {
                     if let Some(probe) = probe.as_deref_mut() {
                         probe.on_event(Event::ActivationStale {

@@ -411,18 +411,17 @@ fn greedy_walk_reference<M: RouteMetric>(
 /// Liveness-masked greedy walk for fault-injection scenarios: the per-hop
 /// argmin considers only neighbors marked alive, so packets route *around*
 /// crashed nodes. An all-`f64` scalar scan modeled on
-/// [`greedy_walk_reference`] — masked routing is only invoked while churn has
-/// actually killed nodes, so it trades the vectorized fast path for the
-/// simplest correct scan. Same progress rule and tie-breaking (strictly
-/// closer or stop; lowest neighbor index on equal distance, CSR rows being
-/// sorted), so with an all-alive mask the walk is bit-identical to the
-/// unmasked reference.
+/// [`greedy_walk_reference`] — the public entry points only reach it with a
+/// non-empty mask, i.e. while churn has actually killed nodes, so it trades
+/// the vectorized fast path for the simplest correct scan. Same progress
+/// rule and tie-breaking (strictly closer or stop; lowest neighbor index on
+/// equal distance, CSR rows being sorted), so with an all-alive mask the
+/// walk is bit-identical to the unmasked reference.
 ///
 /// Graceful degradation: when every closer neighbor is dead the walk stops at
 /// the nearest **live** local minimum; if the source cannot move at all, the
 /// terminus is the source itself with zero hops (callers treat a self-partner
-/// as a free no-op). Indices beyond `alive`'s length count as alive, so an
-/// empty mask degenerates to the unmasked walk.
+/// as a free no-op). Indices beyond `alive`'s length count as alive.
 #[inline(always)]
 fn greedy_walk_masked<M: RouteMetric>(
     graph: &GeometricGraph,
@@ -462,6 +461,10 @@ fn greedy_walk_masked<M: RouteMetric>(
 /// the *position* `target`, skipping neighbors whose entry in `alive` is
 /// `false` (see `greedy_walk_masked` for the degradation semantics).
 ///
+/// An empty `alive` means every node is alive and takes the vectorized
+/// [`route_terminus`] walk, so callers pass their mask as is and never choose
+/// between the two walks themselves.
+///
 /// # Panics
 ///
 /// Panics if `source` is out of range for the graph.
@@ -471,6 +474,9 @@ pub fn route_terminus_masked(
     target: Point,
     alive: &[bool],
 ) -> FastRoute {
+    if alive.is_empty() {
+        return route_terminus(graph, source, target);
+    }
     let (terminus, hops) = match graph.topology() {
         Topology::UnitSquare => greedy_walk_masked(graph, source, target, EuclideanMetric, alive),
         Topology::Torus => greedy_walk_masked(graph, source, target, TorusMetric, alive),
@@ -704,22 +710,25 @@ fn greedy_step_metric<M: RouteMetric>(
 
 /// [`greedy_step`] restricted to live neighbors: the per-hop forwarding
 /// decision of the message-passing runtime under node churn. Same mask
-/// semantics as `greedy_walk_masked` (indices beyond `alive`'s length count
-/// as alive, so the empty mask degenerates to the unmasked step), same
-/// progress rule and tie-breaking — iterating it from a live source
-/// reproduces [`route_terminus_masked`] **bit-identically** (same terminus,
-/// same hop count), pinned by
-/// `iterated_greedy_step_masked_matches_route_terminus_masked`.
+/// semantics as `greedy_walk_masked`, same progress rule and tie-breaking —
+/// iterating it from a live source reproduces [`route_terminus_masked`]
+/// **bit-identically** (same terminus, same hop count), pinned by
+/// `iterated_greedy_step_masked_matches_route_terminus_masked`. An empty
+/// `alive` means every node is alive and takes [`greedy_step`] itself.
 ///
 /// # Panics
 ///
 /// Panics if `current` is out of range for the graph.
+#[inline]
 pub fn greedy_step_masked(
     graph: &GeometricGraph,
     current: NodeId,
     target: Point,
     alive: &[bool],
 ) -> Option<NodeId> {
+    if alive.is_empty() {
+        return greedy_step(graph, current, target);
+    }
     match graph.topology() {
         Topology::UnitSquare => {
             greedy_step_masked_metric(graph, current, target, EuclideanMetric, alive)

@@ -1,25 +1,33 @@
-//! Tick batching: the engine's intra-trial parallel path.
+//! The three stages of a pairwise or geographic tick, and the engine's
+//! intra-trial parallel path built on them.
 //!
 //! The Poisson tick stream of the paper's gossip protocols has a structural
 //! property this module exploits: **every random decision of a tick is
 //! value-independent**. Which sensor wakes, which neighbor or target position
 //! it draws, and where greedy routing delivers the packet depend only on the
-//! static graph and the RNG stream — never on the gossip values. Only the
-//! *averaging* (and the stop condition watching it) reads mutable state. A
-//! batch of ticks can therefore be
+//! static graph, the liveness mask, and the RNG stream — never on the gossip
+//! values. Only the *averaging* (and the stop condition watching it) reads
+//! mutable state. A tick therefore splits into
 //!
-//! 1. **drawn** sequentially (cheap: a handful of RNG draws per tick, in
-//!    exactly the order the sequential engine draws them),
-//! 2. **resolved** concurrently (the expensive greedy route walks — pure
-//!    functions of the static graph, parallelised over the whole batch with
-//!    an order-preserving map), and
-//! 3. **committed** sequentially in draw order (required bit-for-bit: the
-//!    gossip state's incremental `Σ(x−x̄)²` cache folds non-associative
-//!    floating-point deltas, so commits must replay in the exact order the
-//!    sequential engine applies them — the *batch draw-order contract*).
+//! 1. a **draw** ([`TickPlan`]: a handful of RNG draws, a live partner while
+//!    any sensor is dead),
+//! 2. a **resolve** ([`resolve_plan`]: the greedy round trip, a pure function
+//!    of the static graph and the liveness mask), and
+//! 3. a **commit** (charge, then honour a drop, then the stale-guarded
+//!    writes).
 //!
-//! Reports, traces, metrics, and RNG end state therefore stay bit-identical
-//! to [`crate::engine::AsyncEngine::run`].
+//! These stages are the only statement of a pairwise or geographic tick: the
+//! protocols' sequential and fault-aware steps, their [`BatchActivation`]
+//! impls, and the message-passing actors' activations all call them. The
+//! parallel engine runs them over a batch of ticks: draws sequentially in
+//! exactly the order the sequential engine draws them, resolves concurrently
+//! (an order-preserving parallel map over the whole batch), and commits
+//! sequentially in draw order (required bit-for-bit: the gossip state's
+//! incremental `Σ(x−x̄)²` cache folds non-associative floating-point deltas,
+//! so commits must replay in the exact order the sequential engine applies
+//! them — the *batch draw-order contract*). Reports, traces, metrics, and RNG
+//! end state therefore stay bit-identical to
+//! [`crate::engine::AsyncEngine::run`].
 //!
 //! # Footprints, for the day commits run concurrently
 //!
@@ -43,7 +51,7 @@ use crate::metrics::TransmissionCounter;
 use geogossip_geometry::point::NodeId;
 use geogossip_geometry::Point;
 use geogossip_graph::GeometricGraph;
-use geogossip_routing::greedy::{route_terminus, route_terminus_to_node};
+use geogossip_routing::greedy::{route_terminus_masked, route_terminus_to_node_masked};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
@@ -107,14 +115,15 @@ impl ParallelSpec {
     }
 }
 
-/// The value-independent decisions of one tick, drawn sequentially from the
-/// run RNG with **exactly** the draws the protocol's `on_tick` would consume.
+/// The value-independent decisions of one tick: the draw stage's output,
+/// drawn from the run RNG.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TickPlan {
     /// The tick has no effect on values or transmissions.
     Skip {
-        /// Whether the activated sensor was isolated (pairwise gossip counts
-        /// these activations; geographic sub-2-node no-ops do not).
+        /// Whether the activated sensor had no live neighbor (pairwise
+        /// gossip counts these activations; geographic sub-2-node no-ops do
+        /// not).
         isolated: bool,
     },
     /// Pairwise exchange with a neighbor already known at draw time.
@@ -137,7 +146,7 @@ pub enum TickPlan {
 
 /// A [`TickPlan`] with its heavy, value-independent work done: greedy routes
 /// walked, partner and hop counts known. Producing one reads only the static
-/// graph, so a whole batch resolves concurrently.
+/// graph and the liveness mask, so a whole batch resolves concurrently.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ResolvedPlan {
     /// No state effect (see [`TickPlan::Skip`]).
@@ -167,15 +176,15 @@ pub enum ResolvedPlan {
 }
 
 /// A protocol whose ticks can be split into a sequential RNG-draw stage and a
-/// concurrent resolution stage (see the module docs for the contract).
+/// concurrent resolution stage (see the module docs).
 ///
-/// Implementations must guarantee, for every tick:
-///
-/// * [`BatchActivation::draw_plan`] consumes **exactly** the RNG draws
-///   [`Activation::on_tick`] would, in the same order, and
-/// * [`BatchActivation::commit_plan`] applied to the resolved plan reproduces
-///   `on_tick`'s state mutations, transmission charges, and metric counters
-///   **exactly**, including the order of error-cache updates.
+/// For every tick, [`BatchActivation::draw_plan`] must consume exactly the
+/// RNG draws [`Activation::on_tick`] would, and
+/// [`BatchActivation::commit_plan`] applied to the resolved plan must
+/// reproduce `on_tick`'s state mutations, transmission charges, and metric
+/// counters, including the order of error-cache updates. The built-in impls
+/// hold this by construction: their `on_tick` is the same draw, resolve and
+/// commit.
 pub trait BatchActivation: Activation {
     /// The static network the protocol runs on (the route resolution
     /// source).
@@ -189,38 +198,35 @@ pub trait BatchActivation: Activation {
     fn commit_plan(&mut self, tick: Tick, resolved: &ResolvedPlan, tx: &mut TransmissionCounter);
 }
 
-/// Resolves a plan's heavy work: pure in the static graph, no RNG, no state.
-pub fn resolve_plan(graph: &GeometricGraph, source: NodeId, plan: &TickPlan) -> ResolvedPlan {
-    match *plan {
-        TickPlan::Skip { isolated } => ResolvedPlan::Skip { isolated },
-        TickPlan::Pair { partner } => ResolvedPlan::Pair { partner },
-        TickPlan::RoutePosition { target } => {
-            let outcome = route_terminus(graph, source, target);
-            finish_route(graph, source, outcome.terminus, outcome.hops, false)
-        }
-        TickPlan::RouteNode { target } => {
-            let (outcome, delivered) = route_terminus_to_node(graph, source, target);
-            finish_route(graph, source, outcome.terminus, outcome.hops, !delivered)
-        }
-    }
-}
-
-fn finish_route(
+/// Resolves a plan's heavy work: the greedy round trip, pure in the static
+/// graph and the liveness mask `alive` (no RNG, no state). The walks detour
+/// around dead sensors while `alive` is non-empty; an empty mask means every
+/// sensor is alive.
+pub fn resolve_plan(
     graph: &GeometricGraph,
     source: NodeId,
-    partner: NodeId,
-    outbound_hops: usize,
-    outbound_failed: bool,
+    plan: &TickPlan,
+    alive: &[bool],
 ) -> ResolvedPlan {
-    let back = if partner == source {
-        None
-    } else {
-        let (route, delivered) = route_terminus_to_node(graph, partner, source);
-        Some((route.hops, delivered))
+    let (outbound, outbound_failed) = match *plan {
+        TickPlan::Skip { isolated } => return ResolvedPlan::Skip { isolated },
+        TickPlan::Pair { partner } => return ResolvedPlan::Pair { partner },
+        TickPlan::RoutePosition { target } => {
+            (route_terminus_masked(graph, source, target, alive), false)
+        }
+        TickPlan::RouteNode { target } => {
+            let (route, delivered) = route_terminus_to_node_masked(graph, source, target, alive);
+            (route, !delivered)
+        }
     };
+    let partner = outbound.terminus;
+    let back = (partner != source).then(|| {
+        let (route, delivered) = route_terminus_to_node_masked(graph, partner, source, alive);
+        (route.hops, delivered)
+    });
     ResolvedPlan::Route {
         partner,
-        outbound_hops,
+        outbound_hops: outbound.hops,
         outbound_failed,
         back,
     }
@@ -230,6 +236,7 @@ fn finish_route(
 mod tests {
     use super::*;
     use geogossip_geometry::sampling::sample_unit_square;
+    use geogossip_routing::greedy::route_terminus_to_node;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -253,11 +260,11 @@ mod tests {
     fn resolve_skip_and_pair_pass_through() {
         let g = graph(32, 1);
         assert_eq!(
-            resolve_plan(&g, NodeId(3), &TickPlan::Skip { isolated: true }),
+            resolve_plan(&g, NodeId(3), &TickPlan::Skip { isolated: true }, &[]),
             ResolvedPlan::Skip { isolated: true }
         );
         assert_eq!(
-            resolve_plan(&g, NodeId(3), &TickPlan::Pair { partner: NodeId(5) }),
+            resolve_plan(&g, NodeId(3), &TickPlan::Pair { partner: NodeId(5) }, &[]),
             ResolvedPlan::Pair { partner: NodeId(5) }
         );
     }
@@ -273,7 +280,7 @@ mod tests {
             outbound_hops,
             outbound_failed,
             back,
-        } = resolve_plan(&g, source, &plan)
+        } = resolve_plan(&g, source, &plan, &[])
         else {
             panic!("routed plan must resolve to a route");
         };

@@ -34,11 +34,16 @@
 //! `&mut dyn RngCore`, so protocols can be boxed, stored in registries, and
 //! driven uniformly (`Box<dyn Activation>` — see [`crate::scenario`]).
 //! Protocol implementations keep a zero-cost path by writing their tick logic
-//! as an inherent generic method (`fn step<R: Rng + ?Sized>(...)`) and
-//! forwarding the trait method to it; the only dynamic dispatch on the hot
-//! path is then the RNG vtable (a handful of virtual `next_u64` calls per
-//! tick, measured by `bench_baseline --append-dyn` to be within noise of the
-//! fully monomorphised path).
+//! once, as an inherent generic method that takes the fault context
+//! (`fn step_faulty<R: Rng + ?Sized>(...)`), and forwarding `on_tick` (with
+//! the empty [`FaultContext`](crate::fault::FaultContext)) and
+//! [`Activation::on_tick_faulty`] to it. Pairwise and geographic gossip
+//! write that body as the draw → resolve → commit stages of
+//! [`crate::batch`], which their [`crate::batch::BatchActivation`] impls
+//! reuse. The only dynamic dispatch on the hot path is then the RNG vtable
+//! (a handful of virtual `next_u64` calls per tick, measured by
+//! `bench_baseline --append-dyn` to be within noise of the fully
+//! monomorphised path).
 
 use crate::clock::{BatchedPoissonClock, GlobalPoissonClock, Tick};
 use crate::metrics::{ConvergenceTrace, TracePoint, TransmissionCounter};
@@ -90,8 +95,9 @@ pub enum Clocking {
 /// relative error.
 ///
 /// The trait is object-safe; `Box<dyn Activation>` is the currency of the
-/// protocol registry. Implementations should put their tick logic in an
-/// inherent generic method and forward `on_tick` to it (see the module docs).
+/// protocol registry. Implementations should put their tick logic in one
+/// inherent generic method that takes the fault context, and forward both
+/// `on_tick` and `on_tick_faulty` to it (see the module docs).
 pub trait Activation {
     /// Handles the tick of `tick.node`, charging any transmissions to `tx` and
     /// using `rng` for the protocol's own randomness.
@@ -177,10 +183,10 @@ pub trait Activation {
     /// [`FaultyActivation`](crate::fault::FaultyActivation) wrapper calls
     /// this, and only for live sensors of a faulty scenario — the engine
     /// itself still drives [`Activation::on_tick`]. The default forwards to
-    /// `on_tick`, ignoring the context; fault-aware protocols override it
-    /// and must keep their *protocol* randomness draws identical to the
-    /// fault-free path so loss/stale injection never perturbs partner
-    /// selection.
+    /// `on_tick`, ignoring the context. Fault-aware protocols forward both
+    /// hooks to one body, `on_tick` with the empty context, and must keep
+    /// their *protocol* randomness draws identical to the fault-free path so
+    /// loss/stale injection never perturbs partner selection.
     fn on_tick_faulty(
         &mut self,
         tick: Tick,
@@ -805,13 +811,13 @@ impl AsyncEngine {
                 rayon::with_max_threads(par.threads, || {
                     (0..plans.len())
                         .into_par_iter()
-                        .map(|i| resolve_plan(graph, plans[i].0.node, &plans[i].1))
+                        .map(|i| resolve_plan(graph, plans[i].0.node, &plans[i].1, &[]))
                         .collect()
                 })
             } else {
                 planned
                     .iter()
-                    .map(|(tick, plan)| resolve_plan(graph, tick.node, plan))
+                    .map(|(tick, plan)| resolve_plan(graph, tick.node, plan, &[]))
                     .collect()
             };
 

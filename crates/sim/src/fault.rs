@@ -14,9 +14,14 @@
 //! * [`FaultSupport`] — the capability a protocol declares via
 //!   [`Activation::fault_support`]; the runner rejects specs asking for fault
 //!   kinds a protocol cannot model, rather than silently ignoring them.
-//! * [`FaultyActivation`] — the engine-facing wrapper that owns all fault
-//!   state (drop decisions, the churn schedule and its
-//!   [`LivenessMask`], the stale set) and orchestrates the inner protocol.
+//! * [`NodeFaults`] — the node-fault state both runtimes hold: the stale
+//!   set, the churn schedule and its [`LivenessMask`], and the dead-tick
+//!   count. The engine's [`FaultyActivation`] and the message-passing
+//!   runtime's scheduler build it from the same stream and advance it with
+//!   the same per-tick call, so a `transport` key never changes which
+//!   sensors fail or when.
+//! * [`FaultyActivation`] — the engine-facing wrapper that adds the drop
+//!   decisions to a [`NodeFaults`] and orchestrates the inner protocol.
 //!
 //! # Semantics
 //!
@@ -62,7 +67,7 @@ use serde::{Deserialize, Serialize};
 
 /// The `SeedStream` label of the dedicated fault stream:
 /// `seeds.trial(FAULT_STREAM_LABEL, trial)`. Changing this constant (or the
-/// draw order documented on [`FaultyActivation::new`]) silently re-randomizes
+/// draw order documented on [`NodeFaults::new`]) silently re-randomizes
 /// every committed fault scenario — treat it as frozen, like the `"placement"`
 /// / `"values"` / `"run"` labels.
 pub const FAULT_STREAM_LABEL: &str = "faults";
@@ -359,11 +364,6 @@ impl<'a> FaultContext<'a> {
         }
     }
 
-    /// Whether node `i` is alive (an empty mask means everyone is).
-    pub fn is_alive(&self, i: usize) -> bool {
-        self.alive.get(i).copied().unwrap_or(true)
-    }
-
     /// Whether node `i` is stale (an empty mask means nobody is).
     pub fn is_stale(&self, i: usize) -> bool {
         self.stale.get(i).copied().unwrap_or(false)
@@ -375,7 +375,8 @@ impl<'a> FaultContext<'a> {
         !self.alive.is_empty()
     }
 
-    /// The liveness bitmap for masked routing (empty ⇔ all alive).
+    /// The liveness bitmap for live-partner draws and masked routing
+    /// (empty ⇔ all alive).
     pub fn alive_mask(&self) -> &'a [bool] {
         self.alive
     }
@@ -388,44 +389,37 @@ enum ChurnAction {
     Revive(Vec<u32>),
 }
 
-/// The engine-facing fault orchestrator: wraps a protocol, owns all fault
-/// state, and forwards ticks through [`Activation::on_tick_faulty`].
+/// Node-fault state for one trial: the frozen stale set, the churn schedule
+/// and the [`LivenessMask`] it drives, and the count of dead sensors' ticks.
 ///
-/// Constructed by the scenario runner **only** when the spec's [`FaultSpec`]
-/// is non-default, so fault-free runs never pass through this type.
-pub struct FaultyActivation<'a> {
-    inner: Box<dyn Activation + 'a>,
-    drop_rate: f64,
-    fault_rng: ChaCha8Rng,
+/// Both runtimes hold one: [`FaultyActivation`] on the engine and the
+/// message-passing scheduler on the wire. Either builds it with
+/// [`NodeFaults::new`] from the dedicated fault stream and calls
+/// [`NodeFaults::begin_tick`] once per tick before the activation, so the
+/// two make the same fault decisions at the same ticks.
+#[derive(Debug)]
+pub struct NodeFaults {
     mask: LivenessMask,
     stale: Vec<bool>,
-    stale_count: usize,
     schedule: Vec<(u64, ChurnAction)>,
     next_event: usize,
-    dropped_activations: u64,
     dead_activations: u64,
 }
 
-impl<'a> FaultyActivation<'a> {
-    /// Wraps `inner` with the fault model of `spec` over an `n`-node network.
+impl NodeFaults {
+    /// Draws the node faults of `spec` over an `n`-node network from
+    /// `fault_rng`, the dedicated fault stream
+    /// (`seeds.trial(`[`FAULT_STREAM_LABEL`]`, trial)`).
     ///
-    /// `fault_rng` must be the dedicated fault stream
-    /// (`seeds.trial(`[`FAULT_STREAM_LABEL`]`, trial)`). The construction-time
-    /// draw order is frozen: the stale set first (`⌊stale_fraction·n⌋`
+    /// The draw order is frozen: the stale set first (`⌊stale_fraction·n⌋`
     /// distinct nodes by partial Fisher–Yates), then each churn event's node
-    /// set in spec order; the remaining stream serves the per-activation drop
-    /// decisions during the run.
-    pub fn new(
-        inner: Box<dyn Activation + 'a>,
-        spec: &FaultSpec,
-        n: usize,
-        fault_rng: ChaCha8Rng,
-    ) -> Self {
-        let mut fault_rng = fault_rng;
+    /// set in spec order. The rest of the stream is left to the caller (the
+    /// engine's per-activation drop decisions).
+    pub fn new(spec: &FaultSpec, n: usize, fault_rng: &mut ChaCha8Rng) -> Self {
         let stale_nodes = draw_distinct(
             n,
             (spec.stale_fraction * n as f64).floor() as usize,
-            &mut fault_rng,
+            fault_rng,
         );
         let mut stale = vec![false; if stale_nodes.is_empty() { 0 } else { n }];
         for &i in &stale_nodes {
@@ -433,11 +427,7 @@ impl<'a> FaultyActivation<'a> {
         }
         let mut schedule: Vec<(u64, ChurnAction)> = Vec::new();
         for event in &spec.churn {
-            let nodes = draw_distinct(
-                n,
-                (event.fraction * n as f64).floor() as usize,
-                &mut fault_rng,
-            );
+            let nodes = draw_distinct(n, (event.fraction * n as f64).floor() as usize, fault_rng);
             if let Some(rejoin) = event.rejoin_tick {
                 schedule.push((rejoin, ChurnAction::Revive(nodes.clone())));
             }
@@ -446,38 +436,23 @@ impl<'a> FaultyActivation<'a> {
         // Stable sort: simultaneous actions apply in (rejoin-before-kill,
         // spec) order, deterministically.
         schedule.sort_by_key(|(tick, _)| *tick);
-        FaultyActivation {
-            inner,
-            drop_rate: spec.drop_rate,
-            fault_rng,
+        NodeFaults {
             mask: LivenessMask::all_alive(n),
-            stale_count: stale_nodes.len(),
             stale,
             schedule,
             next_event: 0,
-            dropped_activations: 0,
             dead_activations: 0,
         }
     }
 
-    /// Activations that were marked dropped (cost charged, no averaging).
-    pub fn dropped_activations(&self) -> u64 {
-        self.dropped_activations
-    }
-
-    /// Activations of dead sensors (tick consumed, nothing else).
-    pub fn dead_activations(&self) -> u64 {
-        self.dead_activations
-    }
-
-    /// The current liveness mask (for tests and diagnostics).
-    pub fn mask(&self) -> &LivenessMask {
-        &self.mask
-    }
-
-    fn advance_schedule(&mut self, tick_index: u64) {
+    /// Starts `tick`: applies every churn action due at or before it, then
+    /// reports whether the activated sensor is alive. A dead sensor's tick is
+    /// counted and emitted as `activation-dead`; the caller must then consume
+    /// the tick doing nothing — in particular without drawing protocol
+    /// randomness.
+    pub fn begin_tick<P: Probe + ?Sized>(&mut self, tick: Tick, probe: &mut P) -> bool {
         while let Some((at, action)) = self.schedule.get(self.next_event) {
-            if *at > tick_index {
+            if *at > tick.index {
                 break;
             }
             match action {
@@ -494,6 +469,97 @@ impl<'a> FaultyActivation<'a> {
             }
             self.next_event += 1;
         }
+        if self.mask.is_alive(tick.node.index()) {
+            return true;
+        }
+        self.dead_activations += 1;
+        if probe.enabled() {
+            probe.on_event(Event::ActivationDead {
+                tick: tick.index,
+                node: tick.node.index() as u32,
+            });
+        }
+        false
+    }
+
+    /// The `(alive, stale)` masks for a [`FaultContext`]: `alive` is empty
+    /// while every sensor lives, so live-partner draws and masked walks take
+    /// their unmasked paths; `stale` is empty when no sensor is stale.
+    pub fn masks(&self) -> (&[bool], &[bool]) {
+        let alive: &[bool] = if self.mask.any_dead() {
+            self.mask.as_slice()
+        } else {
+            &[]
+        };
+        (alive, &self.stale)
+    }
+
+    /// Ticks of dead sensors so far (tick consumed, nothing else).
+    pub fn dead_activations(&self) -> u64 {
+        self.dead_activations
+    }
+
+    /// Number of sensors frozen as stale-value nodes.
+    pub fn stale_count(&self) -> usize {
+        self.stale.iter().filter(|&&stale| stale).count()
+    }
+
+    /// The current liveness mask (for tests and diagnostics).
+    pub fn mask(&self) -> &LivenessMask {
+        &self.mask
+    }
+}
+
+/// The engine-facing fault orchestrator: wraps a protocol, owns all fault
+/// state, and forwards ticks through [`Activation::on_tick_faulty`].
+///
+/// Constructed by the scenario runner **only** when the spec's [`FaultSpec`]
+/// is non-default, so fault-free runs never pass through this type.
+pub struct FaultyActivation<'a> {
+    inner: Box<dyn Activation + 'a>,
+    drop_rate: f64,
+    fault_rng: ChaCha8Rng,
+    nodes: NodeFaults,
+    dropped_activations: u64,
+}
+
+impl<'a> FaultyActivation<'a> {
+    /// Wraps `inner` with the fault model of `spec` over an `n`-node network.
+    ///
+    /// `fault_rng` must be the dedicated fault stream
+    /// (`seeds.trial(`[`FAULT_STREAM_LABEL`]`, trial)`). [`NodeFaults::new`]
+    /// draws the node faults from it first, in its frozen order; the
+    /// remaining stream serves the per-activation drop decisions during the
+    /// run.
+    pub fn new(
+        inner: Box<dyn Activation + 'a>,
+        spec: &FaultSpec,
+        n: usize,
+        mut fault_rng: ChaCha8Rng,
+    ) -> Self {
+        let nodes = NodeFaults::new(spec, n, &mut fault_rng);
+        FaultyActivation {
+            inner,
+            drop_rate: spec.drop_rate,
+            fault_rng,
+            nodes,
+            dropped_activations: 0,
+        }
+    }
+
+    /// Activations that were marked dropped (cost charged, no averaging).
+    pub fn dropped_activations(&self) -> u64 {
+        self.dropped_activations
+    }
+
+    /// Activations of dead sensors (tick consumed, nothing else).
+    pub fn dead_activations(&self) -> u64 {
+        self.nodes.dead_activations()
+    }
+
+    /// The current liveness mask (for tests and diagnostics).
+    pub fn mask(&self) -> &LivenessMask {
+        self.nodes.mask()
     }
 
     /// The single tick body behind both `on_tick` and `on_tick_probed`:
@@ -507,20 +573,11 @@ impl<'a> FaultyActivation<'a> {
         rng: &mut dyn RngCore,
         mut probe: Pr,
     ) {
-        self.advance_schedule(tick.index);
-        if !self.mask.is_alive(tick.node.index()) {
-            // A dead sensor's clock still ticks, but nothing happens — and
-            // crucially no protocol randomness is consumed.
-            self.dead_activations += 1;
-            if probe.enabled() {
-                probe.on_event(Event::ActivationDead {
-                    tick: tick.index,
-                    node: tick.node.index() as u32,
-                });
-            }
+        if !self.nodes.begin_tick(tick, &mut probe) {
             return;
         }
-        if probe.enabled() && self.stale.get(tick.node.index()).copied().unwrap_or(false) {
+        let (alive, stale) = self.nodes.masks();
+        if probe.enabled() && stale.get(tick.node.index()).copied().unwrap_or(false) {
             probe.on_event(Event::ActivationStale {
                 tick: tick.index,
                 node: tick.node.index() as u32,
@@ -536,23 +593,14 @@ impl<'a> FaultyActivation<'a> {
                 });
             }
         }
-        let alive = if self.mask.any_dead() {
-            self.mask.as_slice()
-        } else {
-            &[]
-        };
-        let context = FaultContext::new(dropped, alive, &self.stale);
+        let context = FaultContext::new(dropped, alive, stale);
         self.inner.on_tick_faulty(tick, tx, rng, &context);
     }
 }
 
 /// `k` distinct node indices by partial Fisher–Yates over `0..n`, from the
 /// fault stream. `O(n)` per call — construction-time only.
-///
-/// Public because the net runtime rebuilds the same stale/churn node sets
-/// from the same fault stream: both layers must draw identically or a
-/// `transport` key would silently change which sensors fail.
-pub fn draw_distinct(n: usize, k: usize, rng: &mut ChaCha8Rng) -> Vec<u32> {
+fn draw_distinct(n: usize, k: usize, rng: &mut ChaCha8Rng) -> Vec<u32> {
     let k = k.min(n);
     let mut pool: Vec<u32> = (0..n as u32).collect();
     for i in 0..k {
@@ -596,8 +644,11 @@ impl Activation for FaultyActivation<'_> {
             "dropped_activations".into(),
             self.dropped_activations as f64,
         ));
-        metrics.push(("dead_activations".into(), self.dead_activations as f64));
-        metrics.push(("stale_nodes".into(), self.stale_count as f64));
+        metrics.push((
+            "dead_activations".into(),
+            self.nodes.dead_activations() as f64,
+        ));
+        metrics.push(("stale_nodes".into(), self.nodes.stale_count() as f64));
         metrics
     }
 

@@ -11,10 +11,11 @@
 //! This crate provides:
 //!
 //! * [`clock`] — Poisson clock processes (global-clock and per-node views).
-//! * [`batch`] — tick batching: the engine's intra-trial parallel path
-//!   (pre-drawn tick plans, concurrent route resolution, draw-order
-//!   commits), bit-identical to the sequential engine and opted into per
-//!   scenario via the `parallelism` key.
+//! * [`batch`] — the draw → resolve → commit stages that state every
+//!   pairwise and geographic tick, and the engine's intra-trial parallel
+//!   path built on them (pre-drawn tick plans, concurrent route resolution,
+//!   draw-order commits), bit-identical to the sequential engine and opted
+//!   into per scenario via the `parallelism` key.
 //! * [`event`] — a time-ordered event queue for protocols that need to
 //!   schedule future work (timeouts, deferred deactivations).
 //! * [`metrics`] — transmission accounting and error-vs-cost trace recording;
@@ -25,9 +26,10 @@
 //!   [`engine::RunKernel`] holds the stopping rule and trace every tick
 //!   loop shares.
 //! * [`fault`] — deterministic fault injection (lossy transmissions, node
-//!   churn, stale-value nodes) layered over any fault-aware protocol; a
-//!   no-fault spec runs the bare protocol, bit-identically to before faults
-//!   existed.
+//!   churn, stale-value nodes) layered over any fault-aware protocol, with
+//!   one node-fault state ([`fault::NodeFaults`]) shared by the engine and
+//!   the message-passing runtime; a no-fault spec runs the bare protocol,
+//!   bit-identically to before faults existed.
 //! * [`transport`] — the optional execution-transport schema (latency models,
 //!   the dedicated `"net"` seed stream) plus the [`transport::TransportRuntime`]
 //!   trait the message-passing `geogossip-net` crate implements.
@@ -82,7 +84,7 @@ pub use engine::{
 };
 pub use error::ProtocolError;
 pub use event::{EventQueue, ScheduledEvent};
-pub use fault::{ChurnEvent, FaultContext, FaultSpec, FaultSupport, FaultyActivation};
+pub use fault::{ChurnEvent, FaultContext, FaultSpec, FaultSupport, FaultyActivation, NodeFaults};
 pub use field::{Field, InitialCondition};
 pub use metrics::{ConvergenceTrace, TracePoint, TransmissionCounter};
 pub use rng::SeedStream;

@@ -19,9 +19,10 @@ use geogossip::core::prelude::*;
 use geogossip::graph::GeometricGraph;
 use geogossip::net::{GeographicNet, NetProtocol, NetScheduler, PairwiseNet};
 use geogossip::routing::TargetSelector;
-use geogossip::sim::scenario::{ScenarioSpec, TrialCost};
+use geogossip::sim::scenario::{Runner, ScenarioSpec, TrialCost};
 use geogossip::sim::transport::{LatencyModel, TransportSpec};
-use geogossip::sim::{AsyncEngine, EngineReport, StopCondition};
+use geogossip::sim::{AsyncEngine, ChurnEvent, EngineReport, FaultSpec, StopCondition};
+use geogossip::telemetry::{Event, Probe};
 use geogossip_geometry::sampling::sample_unit_square;
 use geogossip_geometry::Topology;
 use rand::{RngCore, SeedableRng};
@@ -236,6 +237,97 @@ fn instant_transport_specs_match_bare_specs_at_the_runner_level() {
                     net_trial.metric("messages_delivered")
                 );
             }
+        }
+    }
+}
+
+/// The `activation-dead` and `activation-stale` lines of a probed run, in
+/// stream order.
+#[derive(Default)]
+struct NodeFaultLines(Vec<String>);
+
+impl Probe for NodeFaultLines {
+    fn on_event(&mut self, event: Event) {
+        if matches!(
+            event,
+            Event::ActivationDead { .. } | Event::ActivationStale { .. }
+        ) {
+            self.0.push(event.to_jsonl());
+        }
+    }
+}
+
+/// Runs `spec` probed, returning its trials and its node-fault event lines.
+fn run_with_fault_events(runner: &Runner, spec: &ScenarioSpec) -> (Vec<TrialCost>, Vec<String>) {
+    let mut lines = NodeFaultLines::default();
+    let report = runner
+        .run_probed(spec, &mut lines)
+        .expect("faulted spec runs");
+    (report.trials, lines.0)
+}
+
+/// Churn and stale sensors on the instant schedule: the net runtime must make
+/// the faulted engine's fault decisions at the same ticks, so each trial is
+/// the bare faulted trial plus the message ledger.
+#[test]
+fn instant_transport_with_churn_and_stale_sensors_matches_the_faulted_engine() {
+    let runner = builtin_runner();
+    let faults = FaultSpec {
+        drop_rate: 0.0,
+        stale_fraction: 0.1,
+        churn: vec![
+            ChurnEvent {
+                fraction: 0.3,
+                at_tick: 100,
+                rejoin_tick: Some(2_000),
+            },
+            ChurnEvent {
+                fraction: 0.1,
+                at_tick: 500,
+                rejoin_tick: None,
+            },
+        ],
+    };
+    for (name, selector) in [
+        ("pairwise", None),
+        ("geographic", Some("nearest-position")),
+        ("geographic", Some("uniform-index")),
+    ] {
+        for surface in [Topology::UnitSquare, Topology::Torus] {
+            let mut bare = ScenarioSpec::standard(name, 96, 0.1)
+                .with_trials(2)
+                .with_seed(83)
+                .with_faults(faults.clone());
+            if let Some(selector) = selector {
+                bare.protocol = bare.protocol.with_text("selector", selector);
+            }
+            bare.topology.surface = surface;
+            bare.stop = bare.stop.with_max_ticks(20_000);
+            let transported = bare.clone().with_transport(TransportSpec::default());
+
+            let (bare_trials, bare_events) = run_with_fault_events(&runner, &bare);
+            let (net_trials, net_events) = run_with_fault_events(&runner, &transported);
+            let case = format!("{name}/{selector:?}/{surface:?}");
+            assert_eq!(net_trials.len(), bare_trials.len());
+            for (net_trial, bare_trial) in net_trials.iter().zip(&bare_trials) {
+                assert!(
+                    bare_trial.metric("dead_activations").unwrap_or(0.0) > 0.0,
+                    "{case}: no sensor's tick fell while it was dead"
+                );
+                assert_eq!(
+                    &without_ledger_metrics(net_trial),
+                    bare_trial,
+                    "{case}: instant transport changed the faulted trial"
+                );
+            }
+            assert!(
+                bare_events.iter().any(|l| l.contains("activation-stale")),
+                "{case}: no stale activation was emitted"
+            );
+            assert_eq!(
+                net_events, bare_events,
+                "{case}: dead/stale activation events differ"
+            );
         }
     }
 }
