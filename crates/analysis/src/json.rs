@@ -3,7 +3,7 @@
 //! The build environment has no crates.io access, so the workspace's vendored
 //! `serde` is a marker-trait stand-in and real (de)serialization is written by
 //! hand. This module centralises the JSON plumbing behind that convention:
-//! scenario specs, scenario reports and the benchmark baseline all go through
+//! scenario specs, scenario reports and sweep records all go through
 //! [`JsonValue`].
 //!
 //! The subset implemented is RFC 8259 minus two deliberate simplifications:

@@ -1,6 +1,6 @@
 //! Statistics, regression and table rendering for the gossip experiments.
 //!
-//! Every experiment (E1–E10 in `crates/bench/src/experiments/`) reduces
+//! Every experiment (E1–E10 in the root package's `src/experiments/`) reduces
 //! simulation output to one of a few statistical summaries:
 //!
 //! * [`stats`] — streaming mean/variance/min/max, quantiles, and confidence
@@ -11,14 +11,13 @@
 //! * [`concentration`] — Chernoff-style occupancy checks for the partition
 //!   (Section 3's `|#(□_i)/√n − 1| < 1/10` claim);
 //! * [`table`] — plain-text/Markdown table rendering and CSV/JSON emission so
-//!   the experiment binaries print exactly the rows their modules compute;
+//!   `geogossip experiment` prints exactly the rows the modules compute;
 //! * [`histogram`] — log-bucketed (power-of-two) histograms with exactly
 //!   associative merges, backing the telemetry layer's wall-clock phase
 //!   profiles;
 //! * [`json`] — a minimal JSON document model (parser + writer) backing the
-//!   scenario spec/report serialization and the benchmark baseline file
-//!   (the vendored `serde` is a no-op stand-in, so JSON is hand-rendered
-//!   throughout the workspace).
+//!   scenario spec/report and sweep serialization (the vendored `serde` is a
+//!   no-op stand-in, so JSON is hand-rendered throughout the workspace).
 //!
 //! # Example
 //!

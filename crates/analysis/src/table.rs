@@ -1,8 +1,8 @@
-//! Plain-text / Markdown / CSV table rendering for the experiment binaries.
+//! Plain-text / Markdown / CSV table rendering for the experiments and the CLI.
 //!
-//! Every experiment binary prints a Markdown table (the rows its module in
-//! `crates/bench/src/experiments/` computes) and can additionally emit the
-//! same rows as CSV or JSON so the numbers can be re-plotted without
+//! Every experiment prints a Markdown table (the rows its module in the root
+//! package's `src/experiments/` computes), and a table can additionally emit
+//! the same rows as CSV or JSON so the numbers can be re-plotted without
 //! re-running the simulation.
 
 use serde::{Deserialize, Serialize};

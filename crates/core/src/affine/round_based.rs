@@ -890,7 +890,7 @@ mod tests {
         // recursion (leaf gossip inside child-leader rounds inside top-level
         // rounds). The target is modest: nested gossip's accuracy floor at
         // this size is governed by the ε_r cascade, and experiment E4
-        // (`crates/bench/src/experiments`) tracks the achievable accuracy;
+        // (`geogossip experiment E4`) tracks the achievable accuracy;
         // the unit test only requires solid convergence well below the
         // pre-averaging plateau (~0.4).
         let g = graph(384, 4);

@@ -1,5 +1,4 @@
-//! Initial measurement fields (absorbed from the bench crate's workload
-//! module).
+//! Initial measurement fields.
 //!
 //! [`Field`] extends the position-independent
 //! [`InitialCondition`](crate::state::InitialCondition)s with spatially

@@ -1,7 +1,7 @@
 //! Reproducible random placement of sensors and related sampling helpers.
 //!
 //! Every experiment in the workspace is seeded, so that the tables of the
-//! E1–E10 modules in `crates/bench/src/experiments/` can be regenerated
+//! E1–E10 modules in the root package's `src/experiments/` can be regenerated
 //! bit-for-bit. The helpers here are thin wrappers over [`rand`] that keep
 //! the sampling conventions (uniform over the unit square, uniform over a
 //! rectangle, exponential inter-arrival times) in one place.

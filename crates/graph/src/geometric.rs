@@ -304,13 +304,10 @@ impl GeometricGraph {
     /// implementation kept verbatim (nested-`Vec` spatial grid with its
     /// conservative candidate windows, one streaming [`CsrBuilder`] scan,
     /// image-queried torus adjacency with a sort+dedup per row, and a
-    /// separate post-hoc coordinate mirror pass) — so that:
-    ///
-    /// * the two-pass parallel pipeline can be checked **bit-for-bit**
-    ///   against an independent implementation (offsets, neighbors, mirrored
-    ///   coordinates, edge count; `tests/build_pipeline_properties.rs`), and
-    /// * `bench_baseline --append-build` measures the speedup on the same
-    ///   tree and the same instances, like `legacy.rs` does for the tick.
+    /// separate post-hoc coordinate mirror pass) — so that the two-pass
+    /// parallel pipeline can be checked **bit-for-bit** against an
+    /// independent implementation (offsets, neighbors, mirrored coordinates,
+    /// edge count; `tests/build_pipeline_properties.rs`).
     ///
     /// Not a hot path — use [`GeometricGraph::build_with_topology`].
     ///

@@ -371,9 +371,8 @@ fn greedy_walk_metric<M: RouteMetric>(
 /// left-to-right min-reduction over the squared distances, pass 2 recovering
 /// the winning index by recomputing until the bit-identical minimum
 /// reappears (first occurrence = lowest neighbor index, CSR rows being
-/// sorted). Backs [`route_terminus_reference`] so property tests and the
-/// bench can pin the `f32`-filtered production walk against it on the same
-/// instances.
+/// sorted). Backs [`route_terminus_reference`] so property tests can pin
+/// the `f32`-filtered production walk against it on the same instances.
 #[inline(always)]
 fn greedy_walk_reference<M: RouteMetric>(
     graph: &GeometricGraph,
@@ -524,7 +523,7 @@ pub fn route_terminus(graph: &GeometricGraph, source: NodeId, target: Point) -> 
 }
 
 /// [`route_terminus`] through the preserved scalar reference walk, for
-/// property tests and benches that pin the chunked vectorizable scan
+/// property tests that pin the chunked vectorizable scan
 /// bit-identical to the pre-overhaul implementation (same terminus, same hop
 /// count, same tie-breaking). Production callers should use
 /// [`route_terminus`].

@@ -41,9 +41,8 @@
 //! write that body as the draw → resolve → commit stages of
 //! [`crate::batch`], which their [`crate::batch::BatchActivation`] impls
 //! reuse. The only dynamic dispatch on the hot path is then the RNG vtable
-//! (a handful of virtual `next_u64` calls per tick, measured by
-//! `bench_baseline --append-dyn` to be within noise of the fully
-//! monomorphised path).
+//! (a handful of virtual `next_u64` calls per tick, measured within noise of
+//! the fully monomorphised path; `BENCH_baseline.json`, `dyn_dispatch`).
 
 use crate::clock::{BatchedPoissonClock, GlobalPoissonClock, Tick};
 use crate::metrics::{ConvergenceTrace, TracePoint, TransmissionCounter};
@@ -854,10 +853,8 @@ impl AsyncEngine {
 
     /// The pre-overhaul tick loop, preserved **verbatim** (sequential
     /// [`GlobalPoissonClock`], exact `relative_error` comparison every tick,
-    /// unbounded trace) for the engine parity property tests and the
-    /// `bench_baseline --append-tick-large` comparison — the same
-    /// keep-the-reference discipline as `GeometricGraph::build_reference` and
-    /// `geogossip_bench::legacy`.
+    /// unbounded trace) for the engine parity property tests — the same
+    /// keep-the-reference discipline as `GeometricGraph::build_reference`.
     ///
     /// Production callers should use [`AsyncEngine::run`]; the two are
     /// bit-identical (reports and RNG consumption) whenever the trace stays

@@ -1,6 +1,6 @@
 //! Deterministic seed management.
 //!
-//! Every experiment (E1–E10 in `crates/bench/src/experiments/`) is
+//! Every experiment (E1–E10 in the root package's `src/experiments/`) is
 //! identified by a single master seed; the placement, the clock schedule,
 //! the target draws and the protocol's internal randomness each get an
 //! independent, reproducible stream derived from it. Deriving streams

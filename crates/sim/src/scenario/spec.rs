@@ -516,8 +516,8 @@ impl ScenarioSpec {
     }
 
     /// Loads one spec or a `{"scenarios": [...]}` bundle from a JSON file —
-    /// the shared loader behind the `geogossip` CLI and the bench binary, so
-    /// the accepted file shapes cannot drift between them.
+    /// the shared loader behind the `geogossip` CLI's `run` and `validate`,
+    /// so the accepted file shapes cannot drift between them.
     ///
     /// # Errors
     ///

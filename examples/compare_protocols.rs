@@ -48,7 +48,7 @@ fn main() -> Result<(), ProtocolError> {
     println!("(state machine runs to its own ε = 0.2; see the doc comment)\n");
     println!("{}", reports_table(&reports).to_markdown());
     println!("note: the affine protocol's advantage is asymptotic (in the scaling exponent);");
-    println!("      run `cargo run --release -p geogossip-bench --bin e4_scaling_exponents`");
+    println!("      run `geogossip experiment E4`");
     println!("      to see the fitted exponents across network sizes.");
     Ok(())
 }

@@ -2,8 +2,8 @@
 //! expressed as a **sweep** through the lab instead of a hand-written
 //! scenario loop.
 //!
-//! A lighter-weight version of experiment E4 (the full version lives in
-//! `crates/bench/src/bin/e4_scaling_exponents.rs`) and of the committed
+//! A lighter-weight version of experiment E4 (the full version runs as
+//! `geogossip experiment E4`) and of the committed
 //! `scenarios/sweeps/scaling_headline.json` campaign: declare the
 //! protocol × size grid as a [`SweepSpec`], run it in memory through
 //! [`run_sweep`] (no checkpoint log — pass a path to get resumable

@@ -1,5 +1,5 @@
-//! The `geogossip` CLI: run gossip scenarios from JSON specs or flags, and
-//! sweep parameter-grid campaigns through the lab.
+//! The `geogossip` CLI: run gossip scenarios from JSON specs or flags, sweep
+//! parameter-grid campaigns through the lab, and run the paper's experiments.
 //!
 //! ```text
 //! geogossip run scenarios/smoke.json            # run a spec file
@@ -9,6 +9,8 @@
 //! geogossip sweep scenarios/sweeps/smoke_sweep.json --report out/
 //! geogossip sweep scenarios/sweeps/scaling_headline.json --resume
 //! geogossip validate scenarios/smoke.json       # schema check, no run
+//! geogossip experiment E4 --scale smoke         # one of the experiments E1–E10
+//! geogossip experiment all --scale full         # all ten, in order
 //! geogossip protocols                           # list the registry
 //! geogossip template                            # print an example spec
 //! ```
@@ -19,6 +21,7 @@
 
 use geogossip::analysis::json::JsonValue;
 use geogossip::builtin_runner;
+use geogossip::experiments::{Scale, DEFAULT_SEED, EXPERIMENTS};
 use geogossip::lab::{run_sweep, SweepAggregator, SweepOptions, SweepProgress, SweepReport};
 use geogossip::sim::batch::available_threads;
 use geogossip::sim::field::Field;
@@ -37,6 +40,7 @@ fn main() -> ExitCode {
         Some("run") => run(&args[1..]),
         Some("sweep") => sweep(&args[1..]),
         Some("validate") => validate(&args[1..]),
+        Some("experiment") => experiment(&args[1..]),
         Some("protocols") => {
             list_protocols();
             Ok(())
@@ -90,6 +94,9 @@ fn print_usage() {
          \x20               [--log <path.jsonl>] [--max-cells K]\n\
          \x20 geogossip validate <spec.json>   parse + validate a scenario or\n\
          \x20                                  sweep spec without running it\n\
+         \x20 geogossip experiment <E1..E10|all> [--scale smoke|quick|full]\n\
+         \x20               [--seed S]      run the paper's experiments\n\
+         \x20                                  (default: quick, seed 20070612)\n\
          \x20 geogossip protocols        list registered protocols\n\
          \x20 geogossip template         print an example scenario spec\n\
          \n\
@@ -213,7 +220,7 @@ fn run(args: &[String]) -> Result<(), ProtocolError> {
     }
 
     let mut specs = match (spec_path, flags.protocol.is_some()) {
-        (Some(path), false) => load_specs(&path)?,
+        (Some(path), false) => ScenarioSpec::load_file(&path)?,
         (None, true) => vec![flags.into_spec()?],
         (Some(_), true) => {
             return Err(ProtocolError::malformed(
@@ -646,10 +653,66 @@ fn validate(args: &[String]) -> Result<(), ProtocolError> {
     Ok(())
 }
 
-/// Loads one spec or a `{"scenarios": [...]}` bundle from a JSON file
-/// (shared with the bench binary via [`ScenarioSpec::load_file`]).
-fn load_specs(path: &str) -> Result<Vec<ScenarioSpec>, ProtocolError> {
-    ScenarioSpec::load_file(path)
+/// `geogossip experiment <E1..E10|all> [--scale smoke|quick|full] [--seed S]`:
+/// runs one experiment, or all ten in order, and prints each one's table and
+/// summary. Every argument is checked before anything runs.
+fn experiment(args: &[String]) -> Result<(), ProtocolError> {
+    let mut id: Option<&str> = None;
+    let mut scale = Scale::Quick;
+    let mut seed = DEFAULT_SEED;
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        let mut take = |name: &str| {
+            iter.next()
+                .cloned()
+                .ok_or_else(|| ProtocolError::malformed(format!("`{name}` needs a value")))
+        };
+        match arg.as_str() {
+            "--scale" => {
+                let text = take("--scale")?;
+                scale = Scale::parse(&text).ok_or_else(|| {
+                    ProtocolError::malformed(format!(
+                        "unknown scale `{text}` (known: smoke, quick, full)"
+                    ))
+                })?;
+            }
+            "--seed" => seed = parse_u64(&take("--seed")?, "--seed")?,
+            other if other.starts_with('-') => {
+                return Err(ProtocolError::malformed(format!("unknown flag `{other}`")))
+            }
+            other => {
+                if id.replace(other).is_some() {
+                    return Err(ProtocolError::malformed(format!(
+                        "unexpected argument `{other}`: pass one experiment id, \
+                         and the scale and seed as `--scale` and `--seed`"
+                    )));
+                }
+            }
+        }
+    }
+    let id = id.ok_or_else(|| {
+        ProtocolError::malformed(
+            "usage: geogossip experiment <E1..E10|all> [--scale smoke|quick|full] [--seed S]",
+        )
+    })?;
+    let selected = match id {
+        "all" => &EXPERIMENTS[..],
+        id => {
+            let at = EXPERIMENTS.iter().position(|(known, _)| *known == id);
+            let at = at.ok_or_else(|| {
+                let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+                ProtocolError::malformed(format!(
+                    "unknown experiment `{id}` (known: {}, all)",
+                    ids.join(", ")
+                ))
+            })?;
+            &EXPERIMENTS[at..=at]
+        }
+    };
+    for (_, run) in selected {
+        println!("{}", run(scale, seed).render());
+    }
+    Ok(())
 }
 
 /// Scenario assembled from command-line flags instead of a file.
@@ -848,6 +911,48 @@ mod tests {
              = 0.85s over 1 parallel trial, 500 ticks, 2000 ticks/s per trial, \
              1 engine thread"
         );
+    }
+
+    /// The error `geogossip experiment <args>` stops with. Every case below
+    /// fails while the arguments are read, before any experiment runs.
+    fn experiment_error(args: &[&str]) -> String {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        experiment(&args)
+            .expect_err("arguments must be rejected")
+            .to_string()
+    }
+
+    /// An experiment id outside E1..E10 and `all` is a usage error.
+    #[test]
+    fn experiment_rejects_an_unknown_id() {
+        let err = experiment_error(&["E11", "--scale", "smoke"]);
+        assert!(err.contains("unknown experiment `E11`"), "{err}");
+    }
+
+    /// A misspelt scale is an error, not a silent run at another scale.
+    #[test]
+    fn experiment_rejects_an_unknown_scale() {
+        let err = experiment_error(&["all", "--scale", "smok"]);
+        assert!(err.contains("unknown scale `smok`"), "{err}");
+    }
+
+    /// A seed that is not a whole number is an error, not the default seed.
+    #[test]
+    fn experiment_rejects_a_malformed_seed() {
+        let err = experiment_error(&["all", "--scale", "smoke", "--seed", "12x"]);
+        assert!(err.contains("`--seed` expects a whole number"), "{err}");
+    }
+
+    /// Arguments beyond one id and the two flags are errors, including the
+    /// positional scale of the old per-experiment binaries.
+    #[test]
+    fn experiment_rejects_stray_arguments() {
+        let err = experiment_error(&["E4", "smoke"]);
+        assert!(err.contains("unexpected argument `smoke`"), "{err}");
+        let err = experiment_error(&["E4", "--threads", "2"]);
+        assert!(err.contains("unknown flag `--threads`"), "{err}");
+        let err = experiment_error(&[]);
+        assert!(err.contains("usage"), "{err}");
     }
 
     /// Both help surfaces advertise the telemetry capture flag.

@@ -15,9 +15,9 @@
 //! ignores adjacency.
 
 use super::{ExperimentOutput, Scale};
-use crate::workload::runner;
 use geogossip_analysis::{Summary, Table};
 use geogossip_core::convergence::contraction_rate;
+use geogossip_core::registry::builtin_runner;
 use geogossip_sim::field::{Field, InitialCondition};
 use geogossip_sim::scenario::{RadiusSpec, ScenarioSpec};
 use geogossip_sim::ConvergenceTrace;
@@ -58,7 +58,7 @@ pub fn run(scale: Scale, seed: u64) -> ExperimentOutput {
         Scale::Quick => (&[16, 32, 64, 128, 256], 40, 4_000),
         Scale::Full => (&[16, 32, 64, 128, 256, 512, 1024], 100, 20_000),
     };
-    let runner = runner();
+    let runner = builtin_runner();
     let mut table = Table::new(vec![
         "n",
         "measured contraction (per tick)",

@@ -12,8 +12,8 @@
 //! [`metrics`](geogossip_sim::Activation::metrics).
 
 use super::{ExperimentOutput, Scale};
-use crate::workload::runner;
 use geogossip_analysis::Table;
+use geogossip_core::registry::builtin_runner;
 use geogossip_sim::field::{Field, InitialCondition};
 use geogossip_sim::scenario::{RadiusSpec, ScenarioSpec};
 
@@ -24,7 +24,7 @@ pub fn run(scale: Scale, seed: u64) -> ExperimentOutput {
         Scale::Quick => (&[32, 64, 128], &[1e-6, 1e-4, 1e-3], 20, 200),
         Scale::Full => (&[32, 64, 128, 256, 512], &[1e-6, 1e-5, 1e-4, 1e-3], 50, 400),
     };
-    let runner = runner();
+    let runner = builtin_runner();
     let mut table = Table::new(vec![
         "n",
         "perturbation ε",

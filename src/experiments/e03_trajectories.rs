@@ -11,9 +11,9 @@
 //! (placement/values streams do not depend on the protocol), while the run
 //! streams stay independent through the per-protocol seed tags.
 
-use super::{ExperimentOutput, Scale};
-use crate::workload::{runner, standard_spec, COMPARISON_PROTOCOLS};
+use super::{ExperimentOutput, Scale, COMPARISON_PROTOCOLS};
 use geogossip_analysis::Table;
+use geogossip_core::registry::builtin_runner;
 use geogossip_sim::scenario::ScenarioSpec;
 use geogossip_sim::ConvergenceTrace;
 
@@ -37,9 +37,11 @@ pub fn run(scale: Scale, seed: u64) -> ExperimentOutput {
     let epsilon = *ERROR_LEVELS.last().expect("levels are non-empty");
     let specs: Vec<ScenarioSpec> = COMPARISON_PROTOCOLS
         .iter()
-        .map(|&protocol| standard_spec(protocol, n, epsilon, seed))
+        .map(|&protocol| ScenarioSpec::standard(protocol, n, epsilon).with_seed(seed))
         .collect();
-    let reports = runner().run_all(&specs).expect("standard specs are valid");
+    let reports = builtin_runner()
+        .run_all(&specs)
+        .expect("standard specs are valid");
     let traces: Vec<&ConvergenceTrace> = reports.iter().map(|r| &r.trials[0].trace).collect();
 
     let mut table = Table::new(vec![

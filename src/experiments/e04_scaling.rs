@@ -19,9 +19,9 @@
 //! protocols × trials run in parallel across cores, bit-identically to a
 //! sequential loop.
 
-use super::{ExperimentOutput, Scale};
-use crate::workload::{runner, standard_spec, COMPARISON_PROTOCOLS};
+use super::{ExperimentOutput, Scale, COMPARISON_PROTOCOLS};
 use geogossip_analysis::{fit_power_law, fit_power_law_detailed, Table};
+use geogossip_core::registry::builtin_runner;
 use geogossip_sim::scenario::ScenarioSpec;
 
 /// Runs experiment E4.
@@ -38,12 +38,16 @@ pub fn run(scale: Scale, seed: u64) -> ExperimentOutput {
     let specs: Vec<ScenarioSpec> = protocols
         .iter()
         .flat_map(|&protocol| {
-            sizes
-                .iter()
-                .map(move |&n| standard_spec(protocol, n, epsilon, seed).with_trials(trials))
+            sizes.iter().map(move |&n| {
+                ScenarioSpec::standard(protocol, n, epsilon)
+                    .with_seed(seed)
+                    .with_trials(trials)
+            })
         })
         .collect();
-    let reports = runner().run_all(&specs).expect("standard specs are valid");
+    let reports = builtin_runner()
+        .run_all(&specs)
+        .expect("standard specs are valid");
     let report_for = |p_idx: usize, n_idx: usize| &reports[p_idx * sizes.len() + n_idx];
 
     let mut table = Table::new(vec![

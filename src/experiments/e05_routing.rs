@@ -8,10 +8,10 @@
 //! reports the delivery failure rate.
 
 use super::{ExperimentOutput, Scale};
-use crate::workload::standard_network;
 use geogossip_analysis::{fit_power_law, Summary, Table};
 use geogossip_geometry::point::NodeId;
 use geogossip_routing::greedy::route_to_node;
+use geogossip_sim::scenario::TopologySpec;
 use geogossip_sim::SeedStream;
 use rand::Rng;
 
@@ -34,7 +34,7 @@ pub fn run(scale: Scale, seed: u64) -> ExperimentOutput {
     let mut mean_hops = Vec::new();
 
     for &n in sizes {
-        let network = standard_network(n, &seeds, 5);
+        let network = TopologySpec::standard(n).build(&seeds, 5);
         let mut rng = seeds.trial("e5-pairs", n as u64);
         let mut hops = Vec::with_capacity(pairs);
         let mut delivered = 0usize;

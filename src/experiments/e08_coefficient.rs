@@ -13,8 +13,8 @@
 //! parameter in its [`ScenarioSpec`].
 
 use super::{ExperimentOutput, Scale};
-use crate::workload::{runner, standard_spec};
 use geogossip_analysis::Table;
+use geogossip_core::registry::builtin_runner;
 use geogossip_sim::field::{Field, InitialCondition};
 use geogossip_sim::scenario::ScenarioSpec;
 
@@ -30,7 +30,8 @@ pub fn run(scale: Scale, seed: u64) -> ExperimentOutput {
     let specs: Vec<ScenarioSpec> = fractions
         .iter()
         .map(|&fraction| {
-            let mut spec = standard_spec("affine-idealized", n, epsilon, seed)
+            let mut spec = ScenarioSpec::standard("affine-idealized", n, epsilon)
+                .with_seed(seed)
                 .with_field(Field::Condition(InitialCondition::Spike));
             spec.name = format!("e8-fraction-{fraction}");
             spec.protocol = spec.protocol.with_number("max-top-rounds", 200_000.0);
@@ -42,7 +43,9 @@ pub fn run(scale: Scale, seed: u64) -> ExperimentOutput {
             spec
         })
         .collect();
-    let reports = runner().run_all(&specs).expect("ablation specs are valid");
+    let reports = builtin_runner()
+        .run_all(&specs)
+        .expect("ablation specs are valid");
 
     let mut table = Table::new(vec![
         "coefficient rule",

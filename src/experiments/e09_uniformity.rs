@@ -8,10 +8,10 @@
 //! rejection-sampled — and reports two skew statistics.
 
 use super::{ExperimentOutput, Scale};
-use crate::workload::standard_network;
 use geogossip_analysis::Table;
 use geogossip_geometry::point::NodeId;
 use geogossip_routing::target::{TargetSelector, TargetStats};
+use geogossip_sim::scenario::TopologySpec;
 use geogossip_sim::SeedStream;
 
 /// Runs experiment E9.
@@ -22,7 +22,7 @@ pub fn run(scale: Scale, seed: u64) -> ExperimentOutput {
         Scale::Full => (2048, 100_000, 500_000),
     };
     let seeds = SeedStream::new(seed);
-    let network = standard_network(n, &seeds, 9);
+    let network = TopologySpec::standard(n).build(&seeds, 9);
     let caller = NodeId(0);
     let mut rng = seeds.stream("e9");
 

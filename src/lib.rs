@@ -54,9 +54,9 @@
 //! The runnable examples in `examples/` walk through the same flow
 //! (`quickstart`), a three-way protocol comparison (`compare_protocols`), a
 //! scaling study (`scaling_study`) and a routing/hierarchy demonstration
-//! (`network_anatomy`). The experiment harness reproducing every quantitative
-//! claim of the paper lives in `crates/bench`: one module per experiment,
-//! E1–E10, in `crates/bench/src/experiments/`, whose header states the claim.
+//! (`network_anatomy`). Every quantitative claim of the paper has one
+//! experiment module, E1–E10, in [`experiments`], whose header states the
+//! claim; `geogossip experiment all --scale smoke` runs them all.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,6 +70,8 @@ pub use geogossip_net as net;
 pub use geogossip_routing as routing;
 pub use geogossip_sim as sim;
 pub use geogossip_telemetry as telemetry;
+
+pub mod experiments;
 
 /// The builtin protocol registry with the message-passing runtime attached.
 ///
