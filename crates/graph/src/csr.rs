@@ -11,10 +11,11 @@
 //!   twice the cache density; networks beyond `u32::MAX` nodes are far outside
 //!   the simulable regime and rejected at construction).
 //!
-//! [`GeometricGraph`](crate::GeometricGraph) additionally keeps the neighbor
-//! *coordinates* in CSR-aligned arrays so the greedy-routing inner loop
-//! streams contiguous memory instead of gathering positions by index; that
-//! layout lives in `geometric.rs` because only the graph knows its positions.
+//! [`GeometricGraph`](crate::GeometricGraph) additionally keeps a CSR-aligned
+//! scan row per node (the neighbors' `f32` coordinates and indices) so the
+//! greedy-routing inner loop streams contiguous memory instead of gathering
+//! positions by index; that layout lives in `geometric.rs` because only the
+//! graph knows its positions.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;

@@ -9,6 +9,7 @@ use geogossip_geometry::{unit_square, Point, Rect, Topology, UniformGrid};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// A geometric graph over a fixed set of sensor positions.
 ///
@@ -18,14 +19,15 @@ use std::ops::Range;
 /// construction — the paper's network never changes during a run.
 ///
 /// Adjacency is stored in a flat CSR layout ([`CsrAdjacency`]): one `u32`
-/// offset array plus one concatenated `u32` neighbor array, with the neighbor
-/// *coordinates* mirrored into two CSR-aligned `f64` arrays. The greedy
-/// routing inner loop ("which neighbor is closest to the target?") therefore
-/// streams contiguous memory instead of pointer-chasing per-node `Vec`s and
-/// gathering positions by index — see [`GeometricGraph::neighbor_block`].
-/// A half-width row-blocked `f32` mirror of the same coordinates
-/// ([`GeometricGraph::scan_block`]) additionally halves the memory traffic of
-/// the routing hot loop's approximate argmin pass.
+/// offset array plus one concatenated `u32` neighbor array. Beside it sits a
+/// row-blocked scan mirror ([`GeometricGraph::scan_block`]): each row's
+/// neighbor coordinates rounded to `f32`, plus the row's indices, in one
+/// contiguous 12-byte-per-neighbor array. The greedy routing inner loop
+/// ("which neighbor is closest to the target?") streams that array instead
+/// of pointer-chasing per-node `Vec`s and gathering positions by index. The
+/// graph keeps one `f64` copy of every coordinate, [`GeometricGraph::positions`];
+/// the CSR-aligned `f64` view [`GeometricGraph::neighbor_block`] is gathered
+/// from it on first call and is on no hot path.
 ///
 /// Besides adjacency the graph keeps the spatial grid it was built with, so
 /// downstream code (greedy geographic routing, leader lookup) can answer
@@ -53,38 +55,25 @@ pub struct GeometricGraph {
     radius: f64,
     topology: Topology,
     adjacency: CsrAdjacency,
-    /// `x` coordinate of each neighbor, aligned with the CSR neighbor array.
-    nbr_x: Vec<f64>,
-    /// `y` coordinate of each neighbor, aligned with the CSR neighbor array.
-    nbr_y: Vec<f64>,
     /// Half-width scan mirror of the neighbor rows, row-blocked: row `i`
     /// occupies `3·offsets[i] .. 3·offsets[i+1]` as `[x_bits… y_bits… idx…]`
-    /// — each coordinate rounded to `f32` and stored as its bit pattern, the
-    /// neighbor indices copied alongside. The greedy-routing hot loop
-    /// streams this **single** contiguous 12-byte-per-neighbor array per
-    /// hop: the coordinate halves feed the vectorized approximate argmin
-    /// (half the traffic of the two `f64` arrays), and the index third lets
-    /// the walk resolve near-minimal candidates exactly against
-    /// [`GeometricGraph::position`] (a table small enough to sit in L2/L3)
-    /// without touching the cold `f64` mirrors at all. Derived data — always
-    /// exactly `(nbr_x/nbr_y as f32).to_bits()` plus the CSR neighbor row
-    /// (see [`GeometricGraph::scan_block`]).
+    /// — each neighbor's coordinates rounded to `f32` and stored as bit
+    /// patterns, the neighbor indices copied alongside. The greedy-routing
+    /// hot loop streams this **single** contiguous 12-byte-per-neighbor
+    /// array per hop: the coordinate halves feed the vectorized approximate
+    /// argmin, and the index third lets the walk resolve near-minimal
+    /// candidates exactly against [`GeometricGraph::position`] (a table
+    /// small enough to sit in L2/L3). Derived data — always exactly
+    /// `(positions[j].x as f32).to_bits()` (and `.y`) for the CSR row's
+    /// neighbors `j`, in CSR order (see [`GeometricGraph::scan_block`]).
+    /// The build writes every row straight into this array.
     scan_rows: Vec<u32>,
+    /// CSR-aligned `f64` neighbor coordinates `(xs, ys)` behind
+    /// [`GeometricGraph::neighbor_block`], gathered from `positions` on
+    /// first call. No routing path reads it, so a run never builds it.
+    neighbor_coords: OnceLock<(Vec<f64>, Vec<f64>)>,
     grid: UniformGrid,
     edge_count: usize,
-}
-
-/// Builds the row-blocked scan mirror from the CSR row and coordinate
-/// arrays (see the `scan_rows` field docs for the layout).
-fn build_scan_mirror(adjacency: &CsrAdjacency, nbr_x: &[f64], nbr_y: &[f64]) -> Vec<u32> {
-    let mut mirror = Vec::with_capacity(nbr_x.len() * 3);
-    for i in 0..adjacency.len() {
-        let range = adjacency.neighbor_range(i);
-        mirror.extend(nbr_x[range.clone()].iter().map(|&x| (x as f32).to_bits()));
-        mirror.extend(nbr_y[range.clone()].iter().map(|&y| (y as f32).to_bits()));
-        mirror.extend_from_slice(&adjacency.raw_neighbors()[range]);
-    }
-    mirror
 }
 
 impl GeometricGraph {
@@ -128,11 +117,13 @@ impl GeometricGraph {
     ///    the nodes in *cell order*, so consecutive queries share hot
     ///    candidate windows,
     /// 3. an exclusive prefix sum turns the counts into exact CSR `offsets`,
-    /// 4. a parallel **fill pass** re-queries each node in *index order* —
-    ///    so the output arrays are written strictly sequentially — sorting
-    ///    each row by packed `(neighbor, slot)` keys against row-local
-    ///    coordinate buffers (the coordinates are in hand from the distance
-    ///    check; no post-sort position gather ever touches main memory).
+    /// 4. a parallel **fill pass** re-queries each node in *index order*,
+    ///    sorts the row by packed `(neighbor, slot)` keys, and writes its CSR
+    ///    entries and its `f32` scan row straight into the final arrays —
+    ///    each chunk owns the disjoint slices its exact `offsets` give it, so
+    ///    the writes stay sequential and nothing is copied afterwards (the
+    ///    coordinates come from the cell-ordered mirror the query just
+    ///    streamed; no post-sort position gather touches main memory).
     ///
     /// Both passes split their iteration space into one contiguous chunk per
     /// core, and every chunk's output is an independent pure function of
@@ -244,69 +235,67 @@ impl GeometricGraph {
             *slot = acc as u32;
         }
 
-        // Pass 2: fill neighbor indices + coordinates. Rows are produced in
-        // index order so every chunk appends to its own output vectors
-        // strictly sequentially (no scattered writes — the other half of the
-        // memory-traffic story). Each row sorts packed (neighbor, slot) keys;
-        // the coordinates are then recovered from the cell-ordered mirror at
-        // the packed slot, whose ~5 KB of candidate windows the query just
+        // Pass 2: fill each row's CSR entries and scan row in place. Rows are
+        // produced in index order, and each chunk owns the disjoint slices of
+        // the final arrays that its exact offsets give it, so every chunk
+        // writes strictly sequentially and nothing is concatenated
+        // afterwards. Each row sorts packed (neighbor, slot) keys; the
+        // coordinates are then recovered from the cell-ordered mirror at the
+        // packed slot, whose ~5 KB of candidate windows the query just
         // streamed — a cache-hot gather at any n. Keys are `u32` when both
         // halves fit in 16 bits (n ≤ 65 536), halving the sort's memory
         // traffic exactly where whole-row sorting dominates the build.
+        let total = offsets[n] as usize;
+        let mut neighbors = vec![0u32; total];
+        let mut scan_rows = vec![0u32; 3 * total];
+        let mut parts = Vec::with_capacity(chunk_ranges.len());
+        let mut nbr_rest = neighbors.as_mut_slice();
+        let mut scan_rest = scan_rows.as_mut_slice();
+        for rows in chunk_ranges {
+            let span = (offsets[rows.end] - offsets[rows.start]) as usize;
+            let (nbrs, nbr_tail) = std::mem::take(&mut nbr_rest).split_at_mut(span);
+            let (scan_part, scan_tail) = std::mem::take(&mut scan_rest).split_at_mut(3 * span);
+            nbr_rest = nbr_tail;
+            scan_rest = scan_tail;
+            parts.push((rows, nbrs, scan_part));
+        }
         let offsets_ref = &offsets;
         let positions_ref = &positions;
         let scan_ref = &scan;
-        let fill = |rows: Range<usize>| {
+        let fill = |(rows, nbrs, scan_part): (Range<usize>, &mut [u32], &mut [u32])| {
             if n <= (1usize << 16) && !wide_keys {
-                fill_chunk::<u32>(scan_ref, positions_ref, offsets_ref, rows)
+                fill_chunk::<u32>(scan_ref, positions_ref, offsets_ref, rows, nbrs, scan_part)
             } else {
-                fill_chunk::<u64>(scan_ref, positions_ref, offsets_ref, rows)
+                fill_chunk::<u64>(scan_ref, positions_ref, offsets_ref, rows, nbrs, scan_part)
             }
         };
-        let mut parts: Vec<FillPart> = chunk_ranges.into_par_iter().map(fill).collect();
-
-        let total = *offsets.last().expect("offsets non-empty") as usize;
-        let (neighbors, nbr_x, nbr_y) = if parts.len() == 1 {
-            let part = parts.pop().expect("one part");
-            (part.nbrs, part.xs, part.ys)
-        } else {
-            let mut neighbors = Vec::with_capacity(total);
-            let mut nbr_x = Vec::with_capacity(total);
-            let mut nbr_y = Vec::with_capacity(total);
-            for part in parts {
-                neighbors.extend_from_slice(&part.nbrs);
-                nbr_x.extend_from_slice(&part.xs);
-                nbr_y.extend_from_slice(&part.ys);
-            }
-            (neighbors, nbr_x, nbr_y)
-        };
+        parts.into_par_iter().map(fill).collect::<Vec<()>>();
 
         // Adjacency is symmetric under both metrics, so every undirected edge
         // contributed exactly two directed entries.
         debug_assert_eq!(total % 2, 0, "asymmetric adjacency");
         let edge_count = total / 2;
         let adjacency = CsrAdjacency::from_raw_parts(offsets, neighbors);
-        let scan_rows = build_scan_mirror(&adjacency, &nbr_x, &nbr_y);
         GeometricGraph {
             positions,
             radius,
             topology,
             adjacency,
-            nbr_x,
-            nbr_y,
             scan_rows,
+            neighbor_coords: OnceLock::new(),
             grid,
             edge_count,
         }
     }
 
     /// The preserved sequential reference build — the pre-parallel
-    /// implementation kept verbatim (nested-`Vec` spatial grid with its
-    /// conservative candidate windows, one streaming [`CsrBuilder`] scan,
-    /// image-queried torus adjacency with a sort+dedup per row, and a
-    /// separate post-hoc coordinate mirror pass) — so that the two-pass
-    /// parallel pipeline can be checked **bit-for-bit** against an
-    /// independent implementation (offsets, neighbors, mirrored coordinates,
+    /// adjacency construction kept verbatim (nested-`Vec` spatial grid with
+    /// its conservative candidate windows, one streaming [`CsrBuilder`]
+    /// scan, image-queried torus adjacency with a sort+dedup per row), plus a
+    /// separate pass that derives the scan rows from the finished CSR rows
+    /// and `positions` — so that the two-pass parallel pipeline, which
+    /// writes its scan rows during the fill, can be checked **bit-for-bit**
+    /// against an independent implementation (offsets, neighbors, scan rows,
     /// edge count; `tests/build_pipeline_properties.rs`).
     ///
     /// Not a hot path — use [`GeometricGraph::build_with_topology`].
@@ -378,28 +367,27 @@ impl GeometricGraph {
             }
         }
         let adjacency = builder.finish();
-        // Mirror neighbor coordinates into CSR-aligned arrays (after the
-        // builder sorted each row) so hot loops read them contiguously.
-        let mut nbr_x = Vec::with_capacity(adjacency.entry_count());
-        let mut nbr_y = Vec::with_capacity(adjacency.entry_count());
-        for &j in adjacency.raw_neighbors() {
-            let p = positions[j as usize];
-            nbr_x.push(p.x);
-            nbr_y.push(p.y);
+        // Derive the scan rows from the sorted CSR rows (see the `scan_rows`
+        // field docs for the layout).
+        let mut scan_rows = Vec::with_capacity(3 * adjacency.entry_count());
+        for i in 0..n {
+            let row = adjacency.neighbors(i);
+            let pts = row.iter().map(|&j| positions[j as usize]);
+            scan_rows.extend(pts.clone().map(|p| (p.x as f32).to_bits()));
+            scan_rows.extend(pts.map(|p| (p.y as f32).to_bits()));
+            scan_rows.extend_from_slice(row);
         }
         // The graph still carries the *current* grid type for nearest-node
-        // queries (and derives the same f32 scan mirror); only the adjacency
-        // construction above is the preserved code path.
+        // queries; only the adjacency construction above is the preserved
+        // code path.
         let grid = UniformGrid::build(unit_square(), &positions, radius.max(1e-9));
-        let scan_rows = build_scan_mirror(&adjacency, &nbr_x, &nbr_y);
         GeometricGraph {
             positions,
             radius,
             topology,
             adjacency,
-            nbr_x,
-            nbr_y,
             scan_rows,
+            neighbor_coords: OnceLock::new(),
             grid,
             edge_count,
         }
@@ -507,21 +495,33 @@ impl GeometricGraph {
         self.adjacency.neighbors(node.index())
     }
 
-    /// `node`'s neighbors together with their coordinates, as three parallel
-    /// slices `(indices, xs, ys)` — the input to the allocation-free greedy
-    /// routing scan, which streams these contiguous arrays instead of
-    /// gathering `positions[j]` per neighbor.
+    /// `node`'s neighbors together with their `f64` coordinates, as three
+    /// parallel slices `(indices, xs, ys)`: `xs[k]` and `ys[k]` are exactly
+    /// `positions[indices[k]]`.
+    ///
+    /// A derived view, not stored state: the first call gathers the
+    /// coordinates of every CSR entry from [`GeometricGraph::positions`]
+    /// into two CSR-aligned arrays (16 B per directed edge, which
+    /// [`GeometricGraph::heap_bytes`] then counts), and later calls slice
+    /// them. No routing path reads it — the walks scan
+    /// [`GeometricGraph::scan_block`] and read exact coordinates from
+    /// [`GeometricGraph::position`] — so a simulation run never pays for it.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
-    #[inline]
     pub fn neighbor_block(&self, node: NodeId) -> (&[u32], &[f64], &[f64]) {
+        let (xs, ys) = self.neighbor_coords.get_or_init(|| {
+            let entries = self.adjacency.raw_neighbors().iter();
+            entries
+                .map(|&j| (self.positions[j as usize].x, self.positions[j as usize].y))
+                .unzip()
+        });
         let range = self.adjacency.neighbor_range(node.index());
         (
             &self.adjacency.raw_neighbors()[range.clone()],
-            &self.nbr_x[range.clone()],
-            &self.nbr_y[range],
+            &xs[range.clone()],
+            &ys[range],
         )
     }
 
@@ -529,15 +529,14 @@ impl GeometricGraph {
     /// `(x_bits, y_bits, indices)` slices of one contiguous row-blocked
     /// `u32` array.
     ///
-    /// The first two slices are exactly the corresponding
-    /// [`GeometricGraph::neighbor_block`] coordinates rounded to `f32` and
-    /// stored as bit patterns (`f32::from_bits` recovers them for free;
-    /// pinned by tests), so `|x32 − x| ≤ 2⁻²⁴` on the unit square; the third
-    /// is the CSR neighbor row itself. The greedy-routing hot loop streams
-    /// this single 12-byte-per-neighbor array per hop — the random-access
-    /// memory traffic the per-hop argmin is bound by at large `n` — and
-    /// resolves near-minimal candidates exactly from
-    /// [`GeometricGraph::position`], never touching the cold `f64` mirrors.
+    /// The first two slices are exactly the neighbors' positions rounded to
+    /// `f32` and stored as bit patterns, `(positions[j].x as f32).to_bits()`
+    /// in CSR order (`f32::from_bits` recovers them for free; pinned by
+    /// tests), so `|x32 − x| ≤ 2⁻²⁴` on the unit square; the third is the CSR
+    /// neighbor row itself. The greedy-routing hot loop streams this single
+    /// 12-byte-per-neighbor array per hop — the random-access memory traffic
+    /// the per-hop argmin is bound by at large `n` — and resolves
+    /// near-minimal candidates exactly from [`GeometricGraph::position`].
     ///
     /// # Panics
     ///
@@ -549,6 +548,26 @@ impl GeometricGraph {
         let (xs, rest) = row.split_at(range.len());
         let (ys, idx) = rest.split_at(range.len());
         (xs, ys, idx)
+    }
+
+    /// Bytes of heap data the graph holds: positions, CSR offsets and index,
+    /// scan rows, the grid's bucket offsets and entries, and the
+    /// [`GeometricGraph::neighbor_block`] coordinates once something has
+    /// built them. Counts array lengths, not allocator capacity, so the
+    /// figure is a function of the instance alone: `16·n + 16·m + 4·(n + 1)`
+    /// plus the grid's `4·(cells + 1 + n)` for `m` directed edges, and
+    /// `16·m` more once the `f64` view exists.
+    pub fn heap_bytes(&self) -> usize {
+        let u32s = (self.len() + 1)
+            + self.adjacency.entry_count()
+            + self.scan_rows.len()
+            + (self.grid.cell_count() + 1)
+            + self.grid.entries().len();
+        let f64s = self
+            .neighbor_coords
+            .get()
+            .map_or(0, |(xs, ys)| xs.len() + ys.len());
+        size_of_val(self.positions.as_slice()) + 4 * u32s + 8 * f64s
     }
 
     /// Degree of `node`.
@@ -630,14 +649,6 @@ impl GeometricGraph {
                 .map(move |&v| (u, v as usize))
         })
     }
-}
-
-/// One fill-pass chunk's output: the CSR entries of a contiguous row range,
-/// appended sequentially and concatenated in chunk order afterwards.
-struct FillPart {
-    nbrs: Vec<u32>,
-    xs: Vec<f64>,
-    ys: Vec<f64>,
 }
 
 /// The query primitive shared by the degree pass and the fill pass: candidate
@@ -790,8 +801,10 @@ impl PackedKey for u32 {
     }
 }
 
-/// Fills the CSR entries of one contiguous row range (pass 2 of the build):
-/// query each row, sort its packed keys, recover coordinates from the
+/// Fills one contiguous row range (pass 2 of the build): query each row,
+/// sort its packed keys, and write the row's CSR entries into `nbrs` and its
+/// `[x_bits… y_bits… idx…]` scan row into `scan_rows` — the chunk's slices of
+/// the final arrays, starting at row `rows.start`. Coordinates come from the
 /// cell-ordered mirror. Generic over the key width so the `n ≤ 65 536` case
 /// sorts `u32`s.
 fn fill_chunk<K: PackedKey>(
@@ -799,30 +812,28 @@ fn fill_chunk<K: PackedKey>(
     positions: &[Point],
     offsets: &[u32],
     rows: Range<usize>,
-) -> FillPart {
-    let span = (offsets[rows.end] - offsets[rows.start]) as usize;
-    let mut part = FillPart {
-        nbrs: vec![0u32; span],
-        xs: vec![0f64; span],
-        ys: vec![0f64; span],
-    };
+    nbrs: &mut [u32],
+    scan_rows: &mut [u32],
+) {
+    let base = offsets[rows.start] as usize;
     let mut keys: Vec<K> = Vec::new();
-    let mut cursor = 0usize;
     for i in rows {
-        let expected = (offsets[i + 1] - offsets[i]) as usize;
-        let len = scan.collect_row(i, positions[i], expected, &mut keys);
-        debug_assert_eq!(len, expected, "degree pass and fill pass disagree");
+        let lo = offsets[i] as usize - base;
+        let hi = offsets[i + 1] as usize - base;
+        let len = scan.collect_row(i, positions[i], hi - lo, &mut keys);
+        debug_assert_eq!(len, hi - lo, "degree pass and fill pass disagree");
         let row = &mut keys[..len];
         row.sort_unstable();
-        for &key in row.iter() {
+        let (xs, rest) = scan_rows[3 * lo..3 * hi].split_at_mut(len);
+        let (ys, idx) = rest.split_at_mut(len);
+        for (k, &key) in row.iter().enumerate() {
             let q = scan.cell_pts[key.slot()];
-            part.nbrs[cursor] = key.neighbor();
-            part.xs[cursor] = q.x;
-            part.ys[cursor] = q.y;
-            cursor += 1;
+            nbrs[lo + k] = key.neighbor();
+            xs[k] = (q.x as f32).to_bits();
+            ys[k] = (q.y as f32).to_bits();
+            idx[k] = key.neighbor();
         }
     }
-    part
 }
 
 /// The spatial grid of the seed implementation, preserved verbatim for

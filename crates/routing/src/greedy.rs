@@ -17,8 +17,8 @@
 //! The gossip protocols route twice per clock tick and only need the terminus
 //! and the hop count, so the hot entry points ([`route_terminus`],
 //! [`route_terminus_to_node`], [`round_trip`]) are **allocation-free**: the
-//! greedy walk scans each hop's CSR neighbor block (indices plus coordinates
-//! in parallel slices) and carries only scalars. The path-recording API
+//! greedy walk scans each hop's packed neighbor row (coordinates and indices
+//! in one contiguous block) and carries only scalars. The path-recording API
 //! ([`route_to_position`], [`route_to_node`], and the scratch-buffer variant
 //! [`route_to_position_into`]) wraps the same walk for experiments that
 //! inspect the actual path.
@@ -204,8 +204,8 @@ const SCAN_BUF: usize = 512;
 /// independent accumulators (no cross-lane dependency, no bounds checks —
 /// the lanes come from `chunks_exact`, the min is a branch-free select),
 /// which is the shape the compiler auto-vectorizes; the remainder folds
-/// scalar. Reading 8 bytes per neighbor instead of the 16 the `f64` mirror
-/// costs also halves the random-access memory traffic the walk is bound by
+/// scalar. Reading 8 bytes of coordinates per neighbor instead of 16 `f64`
+/// bytes also halves the random-access memory traffic the walk is bound by
 /// at large `n`. The stored distances let pass 2 test the candidate window
 /// without recomputing; the minimum is only used to open a
 /// [`SCAN_ABS_ERROR`]-wide window that provably contains the exact argmin —
@@ -271,8 +271,8 @@ fn min_d2_scan<M: RouteMetric>(
 ///
 /// One hop touches exactly one random-access stream — the packed scan row
 /// `[x_bits… y_bits… idx…]` — plus the position table for the few exact
-/// confirmations (small enough to stay cache-resident). The cold `f64`
-/// coordinate mirrors are never read, and nothing is allocated.
+/// confirmations (small enough to stay cache-resident). Nothing is
+/// allocated.
 ///
 /// Returns the winner's exact squared distance and index; an empty row
 /// returns `(f64::INFINITY, u32::MAX)`. The caller applies the progress rule.
@@ -365,14 +365,15 @@ fn greedy_walk_metric<M: RouteMetric>(
     }
 }
 
-/// The preserved pre-overhaul walk, kept **verbatim** (the same
-/// keep-the-reference discipline as `GeometricGraph::build_reference`): an
-/// all-`f64` two-pass scan of the CSR neighbor block — pass 1 a plain
-/// left-to-right min-reduction over the squared distances, pass 2 recovering
-/// the winning index by recomputing until the bit-identical minimum
-/// reappears (first occurrence = lowest neighbor index, CSR rows being
-/// sorted). Backs [`route_terminus_reference`] so property tests can pin
-/// the `f32`-filtered production walk against it on the same instances.
+/// The preserved pre-overhaul walk (the same keep-the-reference discipline
+/// as `GeometricGraph::build_reference`): an all-`f64` two-pass scan of the
+/// CSR neighbor row with coordinates read from [`GeometricGraph::position`]
+/// — pass 1 a plain left-to-right min-reduction over the squared distances,
+/// pass 2 recovering the winning index by recomputing until the
+/// bit-identical minimum reappears (first occurrence = lowest neighbor
+/// index, CSR rows being sorted). Backs [`route_terminus_reference`] so
+/// property tests can pin the `f32`-filtered production walk against it on
+/// the same instances.
 #[inline(always)]
 fn greedy_walk_reference<M: RouteMetric>(
     graph: &GeometricGraph,
@@ -384,19 +385,22 @@ fn greedy_walk_reference<M: RouteMetric>(
     let src = graph.position(source);
     let mut current_dist = metric.d2(src.x - target.x, src.y - target.y);
     let mut hops = 0usize;
+    let dist = |j: u32| {
+        let p = graph.position(NodeId(j as usize));
+        metric.d2(p.x - target.x, p.y - target.y)
+    };
     loop {
-        let (nbrs, xs, ys) = graph.neighbor_block(NodeId(current));
+        let nbrs = graph.neighbors(NodeId(current));
         let mut min_dist = f64::INFINITY;
-        for k in 0..nbrs.len() {
-            let d = metric.d2(xs[k] - target.x, ys[k] - target.y);
-            min_dist = min_dist.min(d);
+        for &j in nbrs {
+            min_dist = min_dist.min(dist(j));
         }
         if min_dist >= current_dist {
             return (NodeId(current), hops);
         }
         let mut best = 0usize;
-        for k in 0..nbrs.len() {
-            if metric.d2(xs[k] - target.x, ys[k] - target.y) == min_dist {
+        for (k, &j) in nbrs.iter().enumerate() {
+            if dist(j) == min_dist {
                 best = k;
                 break;
             }
@@ -410,9 +414,10 @@ fn greedy_walk_reference<M: RouteMetric>(
 /// Liveness-masked greedy walk for fault-injection scenarios: the per-hop
 /// argmin considers only neighbors marked alive, so packets route *around*
 /// crashed nodes. An all-`f64` scalar scan modeled on
-/// [`greedy_walk_reference`] — the public entry points only reach it with a
-/// non-empty mask, i.e. while churn has actually killed nodes, so it trades
-/// the vectorized fast path for the simplest correct scan. Same progress
+/// [`greedy_walk_reference`], reading each live neighbor's coordinates from
+/// [`GeometricGraph::position`] — the public entry points only reach it with
+/// a non-empty mask, i.e. while churn has actually killed nodes, so it
+/// trades the vectorized fast path for the simplest correct scan. Same progress
 /// rule and tie-breaking (strictly closer or stop; lowest neighbor index on
 /// equal distance, CSR rows being sorted), so with an all-alive mask the
 /// walk is bit-identical to the unmasked reference.
@@ -434,17 +439,17 @@ fn greedy_walk_masked<M: RouteMetric>(
     let mut current_dist = metric.d2(src.x - target.x, src.y - target.y);
     let mut hops = 0usize;
     loop {
-        let (nbrs, xs, ys) = graph.neighbor_block(NodeId(current));
         let mut min_dist = f64::INFINITY;
         let mut best = usize::MAX;
-        for k in 0..nbrs.len() {
-            if !alive.get(nbrs[k] as usize).copied().unwrap_or(true) {
+        for &j in graph.neighbors(NodeId(current)) {
+            if !alive.get(j as usize).copied().unwrap_or(true) {
                 continue;
             }
-            let d = metric.d2(xs[k] - target.x, ys[k] - target.y);
+            let p = graph.position(NodeId(j as usize));
+            let d = metric.d2(p.x - target.x, p.y - target.y);
             if d < min_dist {
                 min_dist = d;
-                best = nbrs[k] as usize;
+                best = j as usize;
             }
         }
         if min_dist >= current_dist {
@@ -739,7 +744,7 @@ pub fn greedy_step_masked(
 /// Monomorphised body of [`greedy_step_masked`]: one iteration of
 /// [`greedy_walk_masked`]'s scan, recomputing the current distance from
 /// [`GeometricGraph::position`] (the same `f64` the walk carries, bit for
-/// bit — the CSR coordinate mirror stores identical coordinates).
+/// bit — both read every coordinate from the one position table).
 #[inline]
 fn greedy_step_masked_metric<M: RouteMetric>(
     graph: &GeometricGraph,
@@ -750,17 +755,17 @@ fn greedy_step_masked_metric<M: RouteMetric>(
 ) -> Option<NodeId> {
     let pos = graph.position(current);
     let current_dist = metric.d2(pos.x - target.x, pos.y - target.y);
-    let (nbrs, xs, ys) = graph.neighbor_block(current);
     let mut min_dist = f64::INFINITY;
     let mut best = 0u32;
-    for k in 0..nbrs.len() {
-        if !alive.get(nbrs[k] as usize).copied().unwrap_or(true) {
+    for &j in graph.neighbors(current) {
+        if !alive.get(j as usize).copied().unwrap_or(true) {
             continue;
         }
-        let d = metric.d2(xs[k] - target.x, ys[k] - target.y);
+        let p = graph.position(NodeId(j as usize));
+        let d = metric.d2(p.x - target.x, p.y - target.y);
         if d < min_dist {
             min_dist = d;
-            best = nbrs[k];
+            best = j;
         }
     }
     if min_dist >= current_dist {

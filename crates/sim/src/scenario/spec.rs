@@ -515,20 +515,33 @@ impl ScenarioSpec {
         Ok(spec)
     }
 
-    /// Loads one spec or a `{"scenarios": [...]}` bundle from a JSON file —
-    /// the shared loader behind the `geogossip` CLI's `run` and `validate`,
-    /// so the accepted file shapes cannot drift between them.
+    /// Loads one spec or a `{"scenarios": [...]}` bundle from a JSON file
+    /// (see [`ScenarioSpec::from_file_text`]).
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::MalformedSpec`] when the file cannot be read, does
-    /// not parse, holds an empty or non-array `scenarios` key, or any member
-    /// fails spec validation; messages carry the file path.
+    /// [`ProtocolError::MalformedSpec`] when the file cannot be read, plus
+    /// everything [`ScenarioSpec::from_file_text`] reports.
     pub fn load_file(path: &str) -> Result<Vec<Self>, ProtocolError> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| ProtocolError::malformed(format!("cannot read `{path}`: {e}")))?;
-        let doc = JsonValue::parse(&text)
-            .map_err(|e| ProtocolError::malformed(format!("{path}: {e}")))?;
+        Self::from_file_text(path, &text)
+    }
+
+    /// Parses one spec or a `{"scenarios": [...]}` bundle from the text of
+    /// the file at `path` — the shared parser behind the `geogossip` CLI's
+    /// `run` and `validate`, so the accepted file shapes cannot drift between
+    /// them. The caller reads the file, so it can report a read failure as
+    /// its own kind of error.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::MalformedSpec`] when the text does not parse, holds
+    /// an empty or non-array `scenarios` key, or any member fails spec
+    /// validation; messages carry `path`.
+    pub fn from_file_text(path: &str, text: &str) -> Result<Vec<Self>, ProtocolError> {
+        let doc =
+            JsonValue::parse(text).map_err(|e| ProtocolError::malformed(format!("{path}: {e}")))?;
         if let Some(list) = doc.get("scenarios") {
             let items = list.as_array().ok_or_else(|| {
                 ProtocolError::malformed(format!("{path}: `scenarios` must be an array"))

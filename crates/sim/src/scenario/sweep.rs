@@ -413,12 +413,12 @@ impl SweepSpec {
         Ok(spec)
     }
 
-    /// Loads a sweep from a JSON file; messages carry the file path.
-    pub fn load_file(path: &str) -> Result<Self, ProtocolError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| ProtocolError::malformed(format!("cannot read `{path}`: {e}")))?;
-        let doc = JsonValue::parse(&text)
-            .map_err(|e| ProtocolError::malformed(format!("{path}: {e}")))?;
+    /// Parses a sweep from the text of the file at `path`; messages carry
+    /// the path. The caller reads the file, so it can report a read failure
+    /// as its own kind of error.
+    pub fn from_file_text(path: &str, text: &str) -> Result<Self, ProtocolError> {
+        let doc =
+            JsonValue::parse(text).map_err(|e| ProtocolError::malformed(format!("{path}: {e}")))?;
         Self::from_json_value(&doc).map_err(|e| ProtocolError::malformed(format!("{path}: {e}")))
     }
 

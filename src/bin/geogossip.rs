@@ -31,12 +31,64 @@ use geogossip::sim::scenario::{
 use geogossip::sim::{ParallelSpec, ProtocolError};
 use geogossip::telemetry::{JsonlSink, MetricsRegistry, PhaseProfile, PHASE_CSV_HEADER};
 use geogossip_geometry::Topology;
+use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
+    match dispatch(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(err) => {
+            eprintln!("error: {err}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Why a command stopped. A bad command line and an unreadable or
+/// unwritable file print their message alone; a spec the scenario layer
+/// rejected prints as that layer words it ("malformed scenario spec: …").
+/// Every kind exits 1.
+#[derive(Debug)]
+enum CliError {
+    /// The command line is wrong: an unknown command or flag, a missing or
+    /// malformed value, or arguments that do not fit together.
+    Usage(String),
+    /// A file or directory could not be read, created or written.
+    Io(String),
+    /// The scenario layer rejected a spec or could not run it.
+    Spec(ProtocolError),
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CliError::Usage(message) | CliError::Io(message) => f.write_str(message),
+            CliError::Spec(err) => err.fmt(f),
+        }
+    }
+}
+
+impl From<ProtocolError> for CliError {
+    fn from(err: ProtocolError) -> Self {
+        CliError::Spec(err)
+    }
+}
+
+/// `CliError::Usage` from anything string-like.
+fn usage(message: impl Into<String>) -> CliError {
+    CliError::Usage(message.into())
+}
+
+/// Reads a spec or sweep file; a failure is an I/O error, not a spec error.
+fn read_text(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("cannot read `{path}`: {e}")))
+}
+
+/// Runs one command line (without the program name).
+fn dispatch(args: &[String]) -> Result<(), CliError> {
+    match args.first().map(String::as_str) {
         Some("run") => run(&args[1..]),
         Some("sweep") => sweep(&args[1..]),
         Some("validate") => validate(&args[1..]),
@@ -56,16 +108,9 @@ fn main() -> ExitCode {
             print_usage();
             Ok(())
         }
-        Some(other) => Err(ProtocolError::malformed(format!(
+        Some(other) => Err(usage(format!(
             "unknown command `{other}` (try `geogossip help`)"
         ))),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(err) => {
-            eprintln!("error: {err}");
-            ExitCode::FAILURE
-        }
     }
 }
 
@@ -173,7 +218,7 @@ fn template_json() -> String {
     doc.pretty()
 }
 
-fn run(args: &[String]) -> Result<(), ProtocolError> {
+fn run(args: &[String]) -> Result<(), CliError> {
     let mut spec_path: Option<String> = None;
     let mut json_out: Option<String> = None;
     let mut trace_csv: Option<String> = None;
@@ -186,7 +231,7 @@ fn run(args: &[String]) -> Result<(), ProtocolError> {
         let mut take = |name: &str| {
             iter.next()
                 .cloned()
-                .ok_or_else(|| ProtocolError::malformed(format!("`{name}` needs a value")))
+                .ok_or_else(|| usage(format!("`{name}` needs a value")))
         };
         match arg.as_str() {
             "--json" => json_out = Some(take("--json")?),
@@ -207,28 +252,26 @@ fn run(args: &[String]) -> Result<(), ProtocolError> {
             "--threads" => threads = Some(parse_u64(&take("--threads")?, "--threads")? as usize),
             "--telemetry" => telemetry = Some(take("--telemetry")?),
             other if other.starts_with('-') => {
-                return Err(ProtocolError::malformed(format!("unknown flag `{other}`")))
+                return Err(usage(format!("unknown flag `{other}`")))
             }
             other => {
                 if spec_path.replace(other.to_string()).is_some() {
-                    return Err(ProtocolError::malformed(
-                        "only one spec file can be given per run",
-                    ));
+                    return Err(usage("only one spec file can be given per run"));
                 }
             }
         }
     }
 
     let mut specs = match (spec_path, flags.protocol.is_some()) {
-        (Some(path), false) => ScenarioSpec::load_file(&path)?,
+        (Some(path), false) => ScenarioSpec::from_file_text(&path, &read_text(&path)?)?,
         (None, true) => vec![flags.into_spec()?],
         (Some(_), true) => {
-            return Err(ProtocolError::malformed(
+            return Err(usage(
                 "pass either a spec file or --protocol flags, not both",
             ))
         }
         (None, false) => {
-            return Err(ProtocolError::malformed(
+            return Err(usage(
                 "nothing to run: pass a spec file or --protocol (see `geogossip help`)",
             ))
         }
@@ -237,7 +280,7 @@ fn run(args: &[String]) -> Result<(), ProtocolError> {
         let known: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
         specs.retain(|s| &s.name == name);
         if specs.is_empty() {
-            return Err(ProtocolError::malformed(format!(
+            return Err(usage(format!(
                 "`--only {name}` matches no scenario (known: {})",
                 known.join(", ")
             )));
@@ -285,7 +328,7 @@ fn run(args: &[String]) -> Result<(), ProtocolError> {
     if let Some(path) = json_out {
         let doc = JsonValue::Array(reports.iter().map(ScenarioReport::to_json_value).collect());
         std::fs::write(&path, doc.pretty() + "\n")
-            .map_err(|e| ProtocolError::malformed(format!("cannot write `{path}`: {e}")))?;
+            .map_err(|e| CliError::Io(format!("cannot write `{path}`: {e}")))?;
         println!("wrote {path}");
     }
     if let Some(dir) = trace_csv {
@@ -357,11 +400,11 @@ fn run_with_telemetry(
     runner: &Runner,
     specs: &[ScenarioSpec],
     dir: &Path,
-) -> Result<Vec<ScenarioReport>, ProtocolError> {
+) -> Result<Vec<ScenarioReport>, CliError> {
     match std::fs::read_dir(dir) {
         Ok(mut entries) => {
             if entries.next().is_some() {
-                return Err(ProtocolError::malformed(format!(
+                return Err(usage(format!(
                     "--telemetry directory `{}` already exists and is not empty \
                      (pass a new or empty directory; telemetry never overwrites)",
                     dir.display()
@@ -369,30 +412,27 @@ fn run_with_telemetry(
             }
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            std::fs::create_dir_all(dir).map_err(|e| {
-                ProtocolError::malformed(format!("cannot create `{}`: {e}", dir.display()))
-            })?;
+            std::fs::create_dir_all(dir)
+                .map_err(|e| CliError::Io(format!("cannot create `{}`: {e}", dir.display())))?;
         }
         Err(e) => {
-            return Err(ProtocolError::malformed(format!(
+            return Err(CliError::Io(format!(
                 "cannot use `{}` as a telemetry directory: {e}",
                 dir.display()
             )))
         }
     }
     let events_path = dir.join("events.jsonl");
-    let file = std::fs::File::create(&events_path).map_err(|e| {
-        ProtocolError::malformed(format!("cannot write `{}`: {e}", events_path.display()))
-    })?;
+    let file = std::fs::File::create(&events_path)
+        .map_err(|e| CliError::Io(format!("cannot write `{}`: {e}", events_path.display())))?;
     let mut sink = JsonlSink::new(std::io::BufWriter::new(file));
     let mut reports = Vec::with_capacity(specs.len());
     for spec in specs {
         reports.push(runner.run_probed(spec, &mut sink)?);
     }
     let events = sink.written();
-    sink.finish().map_err(|e| {
-        ProtocolError::malformed(format!("cannot write `{}`: {e}", events_path.display()))
-    })?;
+    sink.finish()
+        .map_err(|e| CliError::Io(format!("cannot write `{}`: {e}", events_path.display())))?;
 
     let mut scenarios: Vec<(&str, JsonValue)> = Vec::new();
     let mut keys: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
@@ -407,11 +447,10 @@ fn run_with_telemetry(
         }
         phases_csv.push_str(&profile.csv_rows(&report.spec.name));
     }
-    let write = |name: &str, contents: String| -> Result<(), ProtocolError> {
+    let write = |name: &str, contents: String| -> Result<(), CliError> {
         let path = dir.join(name);
-        std::fs::write(&path, contents).map_err(|e| {
-            ProtocolError::malformed(format!("cannot write `{}`: {e}", path.display()))
-        })
+        std::fs::write(&path, contents)
+            .map_err(|e| CliError::Io(format!("cannot write `{}`: {e}", path.display())))
     };
     write("metrics.json", JsonValue::object(scenarios).pretty() + "\n")?;
     write(
@@ -491,9 +530,9 @@ fn report_registry(report: &ScenarioReport) -> MetricsRegistry {
 /// Writes one CSV per trial (`<scenario>-t<trial>.csv`, `/` sanitised to
 /// `_`) holding the stride-thinned convergence trace — the plottable form of
 /// what the engine records.
-fn write_trace_csvs(dir: &Path, reports: &[ScenarioReport]) -> Result<(), ProtocolError> {
+fn write_trace_csvs(dir: &Path, reports: &[ScenarioReport]) -> Result<(), CliError> {
     std::fs::create_dir_all(dir)
-        .map_err(|e| ProtocolError::malformed(format!("cannot create `{}`: {e}", dir.display())))?;
+        .map_err(|e| CliError::Io(format!("cannot create `{}`: {e}", dir.display())))?;
     let mut written = 0usize;
     for report in reports {
         let stem: String = report
@@ -504,9 +543,8 @@ fn write_trace_csvs(dir: &Path, reports: &[ScenarioReport]) -> Result<(), Protoc
             .collect();
         for (trial, cost) in report.trials.iter().enumerate() {
             let path = dir.join(format!("{stem}-t{trial}.csv"));
-            std::fs::write(&path, cost.trace.to_table().to_csv()).map_err(|e| {
-                ProtocolError::malformed(format!("cannot write `{}`: {e}", path.display()))
-            })?;
+            std::fs::write(&path, cost.trace.to_table().to_csv())
+                .map_err(|e| CliError::Io(format!("cannot write `{}`: {e}", path.display())))?;
             written += 1;
         }
     }
@@ -516,7 +554,7 @@ fn write_trace_csvs(dir: &Path, reports: &[ScenarioReport]) -> Result<(), Protoc
 
 /// `geogossip sweep <sweep.json> [--resume] [--report <dir>] [--log <path>]
 /// [--max-cells K]`: checkpointed campaign execution through the lab.
-fn sweep(args: &[String]) -> Result<(), ProtocolError> {
+fn sweep(args: &[String]) -> Result<(), CliError> {
     let mut sweep_path: Option<String> = None;
     let mut resume = false;
     let mut report_dir: Option<String> = None;
@@ -527,7 +565,7 @@ fn sweep(args: &[String]) -> Result<(), ProtocolError> {
         let mut take = |name: &str| {
             iter.next()
                 .cloned()
-                .ok_or_else(|| ProtocolError::malformed(format!("`{name}` needs a value")))
+                .ok_or_else(|| usage(format!("`{name}` needs a value")))
         };
         match arg.as_str() {
             "--resume" => resume = true,
@@ -537,21 +575,18 @@ fn sweep(args: &[String]) -> Result<(), ProtocolError> {
                 max_cells = Some(parse_u64(&take("--max-cells")?, "--max-cells")? as usize)
             }
             other if other.starts_with('-') => {
-                return Err(ProtocolError::malformed(format!("unknown flag `{other}`")))
+                return Err(usage(format!("unknown flag `{other}`")))
             }
             other => {
                 if sweep_path.replace(other.to_string()).is_some() {
-                    return Err(ProtocolError::malformed(
-                        "only one sweep file can be given per run",
-                    ));
+                    return Err(usage("only one sweep file can be given per run"));
                 }
             }
         }
     }
-    let sweep_path = sweep_path.ok_or_else(|| {
-        ProtocolError::malformed("nothing to sweep: pass a sweep file (see `geogossip help`)")
-    })?;
-    let spec = SweepSpec::load_file(&sweep_path)?;
+    let sweep_path = sweep_path
+        .ok_or_else(|| usage("nothing to sweep: pass a sweep file (see `geogossip help`)"))?;
+    let spec = SweepSpec::from_file_text(&sweep_path, &read_text(&sweep_path)?)?;
     // Default checkpoint log: next to the sweep file, `<stem>.results.jsonl`.
     let log_path: PathBuf = match log_path {
         Some(path) => PathBuf::from(path),
@@ -626,14 +661,11 @@ fn sweep(args: &[String]) -> Result<(), ProtocolError> {
 /// `geogossip validate <spec.json>`: parses and validates a scenario spec,
 /// scenario bundle, or sweep spec without running anything. The process
 /// exits non-zero (via `main`) with the precise schema error on failure.
-fn validate(args: &[String]) -> Result<(), ProtocolError> {
+fn validate(args: &[String]) -> Result<(), CliError> {
     let [path] = args else {
-        return Err(ProtocolError::malformed(
-            "usage: geogossip validate <spec.json>",
-        ));
+        return Err(usage("usage: geogossip validate <spec.json>"));
     };
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| ProtocolError::malformed(format!("cannot read `{path}`: {e}")))?;
+    let text = read_text(path)?;
     let doc =
         JsonValue::parse(&text).map_err(|e| ProtocolError::malformed(format!("{path}: {e}")))?;
     if SweepSpec::is_sweep_document(&doc) {
@@ -646,7 +678,7 @@ fn validate(args: &[String]) -> Result<(), ProtocolError> {
             spec.trials
         );
     } else {
-        let specs = ScenarioSpec::load_file(path)?;
+        let specs = ScenarioSpec::from_file_text(path, &text)?;
         let names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
         println!("ok: {} scenario(s): {}", specs.len(), names.join(", "));
     }
@@ -656,7 +688,7 @@ fn validate(args: &[String]) -> Result<(), ProtocolError> {
 /// `geogossip experiment <E1..E10|all> [--scale smoke|quick|full] [--seed S]`:
 /// runs one experiment, or all ten in order, and prints each one's table and
 /// summary. Every argument is checked before anything runs.
-fn experiment(args: &[String]) -> Result<(), ProtocolError> {
+fn experiment(args: &[String]) -> Result<(), CliError> {
     let mut id: Option<&str> = None;
     let mut scale = Scale::Quick;
     let mut seed = DEFAULT_SEED;
@@ -665,24 +697,24 @@ fn experiment(args: &[String]) -> Result<(), ProtocolError> {
         let mut take = |name: &str| {
             iter.next()
                 .cloned()
-                .ok_or_else(|| ProtocolError::malformed(format!("`{name}` needs a value")))
+                .ok_or_else(|| usage(format!("`{name}` needs a value")))
         };
         match arg.as_str() {
             "--scale" => {
                 let text = take("--scale")?;
                 scale = Scale::parse(&text).ok_or_else(|| {
-                    ProtocolError::malformed(format!(
+                    usage(format!(
                         "unknown scale `{text}` (known: smoke, quick, full)"
                     ))
                 })?;
             }
             "--seed" => seed = parse_u64(&take("--seed")?, "--seed")?,
             other if other.starts_with('-') => {
-                return Err(ProtocolError::malformed(format!("unknown flag `{other}`")))
+                return Err(usage(format!("unknown flag `{other}`")))
             }
             other => {
                 if id.replace(other).is_some() {
-                    return Err(ProtocolError::malformed(format!(
+                    return Err(usage(format!(
                         "unexpected argument `{other}`: pass one experiment id, \
                          and the scale and seed as `--scale` and `--seed`"
                     )));
@@ -691,9 +723,7 @@ fn experiment(args: &[String]) -> Result<(), ProtocolError> {
         }
     }
     let id = id.ok_or_else(|| {
-        ProtocolError::malformed(
-            "usage: geogossip experiment <E1..E10|all> [--scale smoke|quick|full] [--seed S]",
-        )
+        usage("usage: geogossip experiment <E1..E10|all> [--scale smoke|quick|full] [--seed S]")
     })?;
     let selected = match id {
         "all" => &EXPERIMENTS[..],
@@ -701,7 +731,7 @@ fn experiment(args: &[String]) -> Result<(), ProtocolError> {
             let at = EXPERIMENTS.iter().position(|(known, _)| *known == id);
             let at = at.ok_or_else(|| {
                 let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
-                ProtocolError::malformed(format!(
+                usage(format!(
                     "unknown experiment `{id}` (known: {}, all)",
                     ids.join(", ")
                 ))
@@ -730,9 +760,9 @@ struct FlagSpec {
 }
 
 impl FlagSpec {
-    fn into_spec(self) -> Result<ScenarioSpec, ProtocolError> {
+    fn into_spec(self) -> Result<ScenarioSpec, CliError> {
         let protocol = self.protocol.ok_or_else(|| {
-            ProtocolError::malformed(
+            usage(
                 "flag mode needs `--protocol <name>` (run `geogossip protocols` for the \
                  registry, or see `geogossip help`)",
             )
@@ -747,7 +777,7 @@ impl FlagSpec {
         }
         if let Some(field) = &self.field {
             spec = spec.with_field(Field::parse(field).ok_or_else(|| {
-                ProtocolError::malformed(format!(
+                usage(format!(
                     "unknown field `{field}` (known: spike, uniform, ramp, bimodal, spatial-gradient)"
                 ))
             })?);
@@ -762,9 +792,9 @@ impl FlagSpec {
             spec.topology.surface = Topology::Torus;
         }
         for param in &self.params {
-            let (key, value) = param.split_once('=').ok_or_else(|| {
-                ProtocolError::malformed(format!("`--param` expects key=value, got `{param}`"))
-            })?;
+            let (key, value) = param
+                .split_once('=')
+                .ok_or_else(|| usage(format!("`--param` expects key=value, got `{param}`")))?;
             spec.protocol = match value.parse::<f64>() {
                 Ok(number) => spec.protocol.with_number(key, number),
                 Err(_) => spec.protocol.with_text(key, value),
@@ -775,14 +805,14 @@ impl FlagSpec {
     }
 }
 
-fn parse_u64(text: &str, flag: &str) -> Result<u64, ProtocolError> {
+fn parse_u64(text: &str, flag: &str) -> Result<u64, CliError> {
     text.parse()
-        .map_err(|_| ProtocolError::malformed(format!("`{flag}` expects a whole number")))
+        .map_err(|_| usage(format!("`{flag}` expects a whole number")))
 }
 
-fn parse_f64(text: &str, flag: &str) -> Result<f64, ProtocolError> {
+fn parse_f64(text: &str, flag: &str) -> Result<f64, CliError> {
     text.parse()
-        .map_err(|_| ProtocolError::malformed(format!("`{flag}` expects a number")))
+        .map_err(|_| usage(format!("`{flag}` expects a number")))
 }
 
 #[cfg(test)]

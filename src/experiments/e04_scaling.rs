@@ -20,7 +20,7 @@
 //! sequential loop.
 
 use super::{ExperimentOutput, Scale, COMPARISON_PROTOCOLS};
-use geogossip_analysis::{fit_power_law, fit_power_law_detailed, Table};
+use geogossip_analysis::{fit_power_law, fit_power_law_detailed, PowerLawFitDetail, Table};
 use geogossip_core::registry::builtin_runner;
 use geogossip_sim::scenario::ScenarioSpec;
 
@@ -91,15 +91,17 @@ pub fn run(scale: Scale, seed: u64) -> ExperimentOutput {
 
     let mut summary = Vec::new();
     let predictions = ["≈ 2", "≈ 1.5", "1 + o(1)", "1 + o(1) (plus polylog)"];
+    let mut labels = Vec::new();
     let mut exponents = Vec::new();
     for (p_idx, _) in protocols.iter().enumerate() {
         let label = &report_for(p_idx, 0).protocol_label;
+        labels.push(label.as_str());
         if let Some(detail) = fit_power_law_detailed(&points[p_idx].0, &points[p_idx].1) {
-            let ci = detail.exponent_interval(1.96);
             exponents.push(detail.fit.exponent);
             summary.push(format!(
-                "{}: fitted exponent k = {:.2} (95% CI [{:.2}, {:.2}], R² = {:.3}), paper predicts {}",
-                label, detail.fit.exponent, ci.lower, ci.upper, detail.fit.r_squared, predictions[p_idx]
+                "{label}: fitted exponent {}, paper predicts {}",
+                exponent_text(&detail),
+                predictions[p_idx]
             ));
         } else {
             exponents.push(f64::NAN);
@@ -115,17 +117,7 @@ pub fn run(scale: Scale, seed: u64) -> ExperimentOutput {
         ));
     }
     summary.push("entries marked * did not reach the target accuracy (stall floor of nested local averaging); they are excluded from the fits".into());
-    if exponents.len() >= 3 {
-        let ordering = exponents[2] < exponents[1] && exponents[1] < exponents[0];
-        summary.push(format!(
-            "exponent ordering affine < geographic < pairwise: {}",
-            if ordering {
-                "holds"
-            } else {
-                "DOES NOT HOLD at these sizes"
-            }
-        ));
-    }
+    summary.extend(ordering_verdicts(&labels, &exponents));
 
     ExperimentOutput {
         id: "E4".into(),
@@ -133,6 +125,44 @@ pub fn run(scale: Scale, seed: u64) -> ExperimentOutput {
         table,
         summary,
     }
+}
+
+/// `k = …` with its 95% interval and R². A fit through two sizes has no
+/// residual degree of freedom, so it gets no interval rather than a
+/// zero-width one.
+fn exponent_text(detail: &PowerLawFitDetail) -> String {
+    let k = detail.fit.exponent;
+    if detail.dof == 0 {
+        return format!("k = {k:.2} (no CI: 2 points)");
+    }
+    let ci = detail.exponent_interval(1.96);
+    format!(
+        "k = {k:.2} (95% CI [{:.2}, {:.2}], R² = {:.3})",
+        ci.lower, ci.upper, detail.fit.r_squared
+    )
+}
+
+/// One verdict per affine variant on the paper's ordering
+/// `affine < geographic < pairwise`. `labels` and `exponents` follow
+/// [`COMPARISON_PROTOCOLS`]: pairwise, geographic, then the affine variants;
+/// a `NaN` exponent marks a protocol that could not be fitted.
+fn ordering_verdicts(labels: &[&str], exponents: &[f64]) -> Vec<String> {
+    let (pairwise, geographic) = (exponents[0], exponents[1]);
+    labels
+        .iter()
+        .zip(exponents)
+        .skip(2)
+        .map(|(label, &affine)| {
+            let verdict = if [affine, geographic, pairwise].iter().any(|k| k.is_nan()) {
+                "not checked: an exponent could not be fitted"
+            } else if affine < geographic && geographic < pairwise {
+                "holds"
+            } else {
+                "DOES NOT HOLD at these sizes"
+            };
+            format!("exponent ordering {label} < geographic < pairwise: {verdict}")
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -144,5 +174,51 @@ mod tests {
         let out = run(Scale::Smoke, 4);
         assert_eq!(out.table.len(), 2);
         assert!(out.summary.iter().any(|s| s.contains("fitted exponent")));
+    }
+
+    /// Two sizes leave the fit no degree of freedom: every exponent line says
+    /// so instead of printing a zero-width interval.
+    #[test]
+    fn two_point_fits_print_no_interval() {
+        let out = run(Scale::Smoke, 4);
+        let fits: Vec<&String> = out
+            .summary
+            .iter()
+            .filter(|s| s.contains("fitted exponent"))
+            .collect();
+        assert_eq!(fits.len(), 4, "{fits:?}");
+        for line in fits {
+            assert!(line.contains("(no CI: 2 points)"), "{line}");
+            assert!(!line.contains("CI ["), "{line}");
+        }
+    }
+
+    /// Each affine variant gets its own ordering verdict under its own
+    /// label, and a variant that breaks the ordering reads DOES NOT HOLD even
+    /// when the other one holds.
+    #[test]
+    fn ordering_is_checked_for_every_affine_variant() {
+        let labels = ["pairwise", "geographic", "idealized", "recursive"];
+        let verdicts = ordering_verdicts(&labels, &[1.82, 1.33, 1.01, 2.27]);
+        assert_eq!(
+            verdicts,
+            [
+                "exponent ordering idealized < geographic < pairwise: holds",
+                "exponent ordering recursive < geographic < pairwise: DOES NOT HOLD at these sizes",
+            ]
+        );
+        let unfitted = ordering_verdicts(&labels, &[1.82, 1.33, f64::NAN, 1.1]);
+        assert!(unfitted[0].ends_with("not checked: an exponent could not be fitted"));
+        assert!(unfitted[1].ends_with("holds"));
+
+        let out = run(Scale::Smoke, 4);
+        let lines: Vec<&String> = out
+            .summary
+            .iter()
+            .filter(|s| s.starts_with("exponent ordering"))
+            .collect();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines[0].contains("idealized"), "{}", lines[0]);
+        assert!(lines[1].contains("recursive"), "{}", lines[1]);
     }
 }
