@@ -5,22 +5,30 @@
 //! path in the workspace (greedy routing, pairwise partner draws, BFS,
 //! flooding) walks neighbor lists, so adjacency is now a single flat layout:
 //!
-//! * `offsets[u] .. offsets[u + 1]` indexes the slice of `neighbors` holding
-//!   `u`'s neighbors (sorted by node index),
-//! * `neighbors` stores node indices as `u32` (half the memory of `usize`,
-//!   twice the cache density; networks beyond `u32::MAX` nodes are far outside
-//!   the simulable regime and rejected at construction).
+//! * `offsets[u] .. offsets[u + 1]` indexes `u`'s entries (its neighbors,
+//!   sorted by node index),
+//! * `rows` stores each row as `k` column blocks of `degree(u)` words, the
+//!   row at `k·offsets[u] .. k·offsets[u + 1]`: `k − 1` per-entry payload
+//!   columns first, then the neighbor indices as `u32` (half the memory of
+//!   `usize`, twice the cache density; networks beyond `u32::MAX` nodes are
+//!   far outside the simulable regime and rejected at construction).
 //!
-//! [`GeometricGraph`](crate::GeometricGraph) additionally keeps a CSR-aligned
-//! scan row per node (the neighbors' `f32` coordinates and indices) so the
-//! greedy-routing inner loop streams contiguous memory instead of gathering
-//! positions by index; that layout lives in `geometric.rs` because only the
-//! graph knows its positions.
+//! [`CsrAdjacency::from_lists`], [`CsrBuilder`] and
+//! [`CsrAdjacency::from_raw_parts`] build the plain one-column layout (`k = 1`,
+//! indices only). [`GeometricGraph`](crate::GeometricGraph) stores its
+//! adjacency with `k = 3`: each row is `[x_bits… y_bits… idx…]`, the
+//! neighbors' `f32` coordinates ahead of their indices, so the
+//! greedy-routing inner loop streams one contiguous row instead of gathering
+//! positions by index, and every neighbor index is stored once — 12 bytes per
+//! directed edge in all.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Immutable CSR adjacency over `n` nodes.
+///
+/// Equality compares the offsets and the neighbor rows; payload columns are
+/// derived data and take no part in it.
 ///
 /// # Example
 ///
@@ -31,13 +39,26 @@ use std::collections::VecDeque;
 /// assert_eq!(adj.neighbors(1), &[0, 2]);
 /// assert_eq!(adj.degree(0), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CsrAdjacency {
-    /// `offsets[u]..offsets[u+1]` spans node `u`'s neighbors; length `n + 1`.
+    /// `offsets[u]..offsets[u+1]` spans node `u`'s entries; length `n + 1`.
     offsets: Vec<u32>,
-    /// Concatenated neighbor lists, each sorted ascending.
-    neighbors: Vec<u32>,
+    /// Words per entry: the payload columns plus the index column.
+    columns: usize,
+    /// Row-blocked entries: row `u` occupies
+    /// `columns·offsets[u] .. columns·offsets[u+1]`, one block of
+    /// `degree(u)` words per column, the sorted neighbor indices last.
+    rows: Vec<u32>,
 }
+
+impl PartialEq for CsrAdjacency {
+    fn eq(&self, other: &Self) -> bool {
+        self.offsets == other.offsets
+            && (0..self.len()).all(|u| self.neighbors(u) == other.neighbors(u))
+    }
+}
+
+impl Eq for CsrAdjacency {}
 
 impl CsrAdjacency {
     /// Builds CSR storage from per-node neighbor lists (used by tests and by
@@ -59,10 +80,8 @@ impl CsrAdjacency {
         builder.finish()
     }
 
-    /// Assembles CSR storage from pre-computed raw arrays — the entry point of
-    /// the two-pass parallel graph build, which produces exact `offsets` by
-    /// prefix-summing a degree pass and fills `neighbors` row-by-row into
-    /// disjoint slices.
+    /// Assembles one-column CSR storage from pre-computed raw arrays:
+    /// `offsets` and the concatenated neighbor rows.
     ///
     /// The caller guarantees each row `offsets[u]..offsets[u+1]` is sorted
     /// ascending (checked in debug builds, along with offset monotonicity).
@@ -72,19 +91,41 @@ impl CsrAdjacency {
     /// Panics if `offsets` is empty or its last entry does not equal
     /// `neighbors.len()`.
     pub fn from_raw_parts(offsets: Vec<u32>, neighbors: Vec<u32>) -> Self {
+        Self::from_raw_rows(offsets, 1, neighbors)
+    }
+
+    /// Assembles CSR storage whose entries carry `columns − 1` payload words
+    /// ahead of the neighbor index — the entry point of the two-pass
+    /// parallel graph build, which produces exact `offsets` by prefix-summing
+    /// a degree pass and fills the rows into disjoint slices. Row `u` is
+    /// `rows[columns·offsets[u] .. columns·offsets[u+1]]`, laid out as
+    /// `columns` blocks of `degree(u)` words with the neighbor indices last.
+    ///
+    /// The caller guarantees each row's indices are sorted ascending (checked
+    /// in debug builds, along with offset monotonicity).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `columns` is zero, `offsets` is empty, or `rows` does not
+    /// hold exactly `columns` words per entry.
+    pub fn from_raw_rows(offsets: Vec<u32>, columns: usize, rows: Vec<u32>) -> Self {
+        assert!(columns > 0, "a row holds at least the index column");
         assert!(!offsets.is_empty(), "offsets must hold at least the 0 row");
         assert_eq!(
-            *offsets.last().expect("non-empty") as usize,
-            neighbors.len(),
-            "final offset must seal the neighbor array"
+            columns * *offsets.last().expect("non-empty") as usize,
+            rows.len(),
+            "final offset must seal the row array"
         );
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        debug_assert!(offsets
-            .windows(2)
-            .all(|w| neighbors[w[0] as usize..w[1] as usize]
-                .windows(2)
-                .all(|p| p[0] < p[1])));
-        CsrAdjacency { offsets, neighbors }
+        let adjacency = CsrAdjacency {
+            offsets,
+            columns,
+            rows,
+        };
+        debug_assert!(
+            (0..adjacency.len()).all(|u| adjacency.neighbors(u).windows(2).all(|p| p[0] < p[1]))
+        );
+        adjacency
     }
 
     /// Number of nodes.
@@ -100,29 +141,39 @@ impl CsrAdjacency {
     /// Total number of directed adjacency entries (twice the undirected edge
     /// count for symmetric graphs).
     pub fn entry_count(&self) -> usize {
-        self.neighbors.len()
+        self.offsets[self.len()] as usize
     }
 
-    /// Neighbors of `u`, sorted by node index.
+    /// Neighbors of `u`, sorted by node index: the index column of `u`'s row.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
     #[inline]
     pub fn neighbors(&self, u: usize) -> &[u32] {
-        &self.neighbors[self.offsets[u] as usize..self.offsets[u + 1] as usize]
+        let range = self.neighbor_range(u);
+        let end = self.columns * range.end;
+        &self.rows[end - range.len()..end]
     }
 
-    /// The CSR range of `u`'s neighbors, for callers that keep auxiliary
-    /// arrays aligned with [`CsrAdjacency::raw_neighbors`].
+    /// The CSR range of `u`'s entries. In a `k`-column layout the row's
+    /// words are `k·range.start .. k·range.end` of
+    /// [`CsrAdjacency::raw_rows`]; callers that keep auxiliary arrays
+    /// aligned with the entries index them with the range itself.
     #[inline]
     pub fn neighbor_range(&self, u: usize) -> std::ops::Range<usize> {
         self.offsets[u] as usize..self.offsets[u + 1] as usize
     }
 
-    /// The full concatenated neighbor array.
-    pub fn raw_neighbors(&self) -> &[u32] {
-        &self.neighbors
+    /// The full row-blocked word array, payload columns included.
+    pub fn raw_rows(&self) -> &[u32] {
+        &self.rows
+    }
+
+    /// Takes the structure apart into `(offsets, rows)`, the arrays
+    /// [`CsrAdjacency::from_raw_rows`] assembles it from.
+    pub fn into_raw_parts(self) -> (Vec<u32>, Vec<u32>) {
+        (self.offsets, self.rows)
     }
 
     /// Degree of `u`.
@@ -281,7 +332,8 @@ impl CsrBuilder {
         }
         CsrAdjacency {
             offsets: self.offsets,
-            neighbors: self.neighbors,
+            columns: 1,
+            rows: self.neighbors,
         }
     }
 
@@ -362,9 +414,34 @@ mod tests {
     fn neighbor_range_aligns_with_raw_array() {
         let adj = path(5);
         for u in 0..5 {
+            assert_eq!(&adj.raw_rows()[adj.neighbor_range(u)], adj.neighbors(u));
+        }
+    }
+
+    #[test]
+    fn payload_columns_sit_ahead_of_the_indices_and_take_no_part_in_equality() {
+        let plain = path(4);
+        // Two payload columns per entry: each row is [10·v… 20·v… v…].
+        let (offsets, neighbors) = plain.clone().into_raw_parts();
+        let mut rows = Vec::new();
+        for w in offsets.windows(2) {
+            let row = &neighbors[w[0] as usize..w[1] as usize];
+            rows.extend(row.iter().map(|&v| 10 * v));
+            rows.extend(row.iter().map(|&v| 20 * v));
+            rows.extend_from_slice(row);
+        }
+        let wide = CsrAdjacency::from_raw_rows(offsets, 3, rows);
+        assert_eq!(wide, plain);
+        assert_eq!(wide.entry_count(), plain.entry_count());
+        for u in 0..4 {
+            let range = wide.neighbor_range(u);
+            let row = &wide.raw_rows()[3 * range.start..3 * range.end];
+            let (payload, idx) = row.split_at(2 * range.len());
+            assert_eq!(idx, plain.neighbors(u));
+            assert_eq!(wide.neighbors(u), idx);
             assert_eq!(
-                &adj.raw_neighbors()[adj.neighbor_range(u)],
-                adj.neighbors(u)
+                payload[..range.len()],
+                idx.iter().map(|&v| 10 * v).collect::<Vec<_>>()
             );
         }
     }

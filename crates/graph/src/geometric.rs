@@ -19,13 +19,14 @@ use std::sync::OnceLock;
 /// construction — the paper's network never changes during a run.
 ///
 /// Adjacency is stored in a flat CSR layout ([`CsrAdjacency`]): one `u32`
-/// offset array plus one concatenated `u32` neighbor array. Beside it sits a
-/// row-blocked scan mirror ([`GeometricGraph::scan_block`]): each row's
-/// neighbor coordinates rounded to `f32`, plus the row's indices, in one
-/// contiguous 12-byte-per-neighbor array. The greedy routing inner loop
-/// ("which neighbor is closest to the target?") streams that array instead
-/// of pointer-chasing per-node `Vec`s and gathering positions by index. The
-/// graph keeps one `f64` copy of every coordinate, [`GeometricGraph::positions`];
+/// offset array plus one row-blocked `u32` array that holds, per row, the
+/// neighbors' coordinates rounded to `f32` ahead of their indices — 12 bytes
+/// per directed edge, each neighbor index stored once. The greedy routing
+/// inner loop ("which neighbor is closest to the target?") streams a row
+/// ([`GeometricGraph::scan_block`]) instead of pointer-chasing per-node
+/// `Vec`s and gathering positions by index, and
+/// [`GeometricGraph::neighbors`] is the same row's index column. The graph
+/// keeps one `f64` copy of every coordinate, [`GeometricGraph::positions`];
 /// the CSR-aligned `f64` view [`GeometricGraph::neighbor_block`] is gathered
 /// from it on first call and is on no hot path.
 ///
@@ -54,20 +55,20 @@ pub struct GeometricGraph {
     positions: Vec<Point>,
     radius: f64,
     topology: Topology,
+    /// The adjacency in the three-column CSR layout: row `i` occupies
+    /// `3·offsets[i] .. 3·offsets[i+1]` of its row array as
+    /// `[x_bits… y_bits… idx…]` — each neighbor's coordinates rounded to
+    /// `f32` and stored as bit patterns, then the sorted neighbor indices.
+    /// The greedy-routing hot loop streams this **single** contiguous
+    /// 12-byte-per-neighbor array per hop: the coordinate columns feed the
+    /// vectorized approximate argmin, and the index column lets the walk
+    /// resolve near-minimal candidates exactly against
+    /// [`GeometricGraph::position`] (a table small enough to sit in L2/L3).
+    /// The coordinate columns are derived data — always exactly
+    /// `(positions[j].x as f32).to_bits()` (and `.y`) for the row's
+    /// neighbors `j` (see [`GeometricGraph::scan_block`]). The build writes
+    /// every row straight into this array.
     adjacency: CsrAdjacency,
-    /// Half-width scan mirror of the neighbor rows, row-blocked: row `i`
-    /// occupies `3·offsets[i] .. 3·offsets[i+1]` as `[x_bits… y_bits… idx…]`
-    /// — each neighbor's coordinates rounded to `f32` and stored as bit
-    /// patterns, the neighbor indices copied alongside. The greedy-routing
-    /// hot loop streams this **single** contiguous 12-byte-per-neighbor
-    /// array per hop: the coordinate halves feed the vectorized approximate
-    /// argmin, and the index third lets the walk resolve near-minimal
-    /// candidates exactly against [`GeometricGraph::position`] (a table
-    /// small enough to sit in L2/L3). Derived data — always exactly
-    /// `(positions[j].x as f32).to_bits()` (and `.y`) for the CSR row's
-    /// neighbors `j`, in CSR order (see [`GeometricGraph::scan_block`]).
-    /// The build writes every row straight into this array.
-    scan_rows: Vec<u32>,
     /// CSR-aligned `f64` neighbor coordinates `(xs, ys)` behind
     /// [`GeometricGraph::neighbor_block`], gathered from `positions` on
     /// first call. No routing path reads it, so a run never builds it.
@@ -118,9 +119,9 @@ impl GeometricGraph {
     ///    candidate windows,
     /// 3. an exclusive prefix sum turns the counts into exact CSR `offsets`,
     /// 4. a parallel **fill pass** re-queries each node in *index order*,
-    ///    sorts the row by packed `(neighbor, slot)` keys, and writes its CSR
-    ///    entries and its `f32` scan row straight into the final arrays —
-    ///    each chunk owns the disjoint slices its exact `offsets` give it, so
+    ///    sorts the row by packed `(neighbor, slot)` keys, and writes its
+    ///    `[x_bits… y_bits… idx…]` row straight into the final array —
+    ///    each chunk owns the disjoint slice its exact `offsets` give it, so
     ///    the writes stay sequential and nothing is copied afterwards (the
     ///    coordinates come from the cell-ordered mirror the query just
     ///    streamed; no post-sort position gather touches main memory).
@@ -235,9 +236,9 @@ impl GeometricGraph {
             *slot = acc as u32;
         }
 
-        // Pass 2: fill each row's CSR entries and scan row in place. Rows are
-        // produced in index order, and each chunk owns the disjoint slices of
-        // the final arrays that its exact offsets give it, so every chunk
+        // Pass 2: fill each three-column row in place. Rows are produced in
+        // index order, and each chunk owns the disjoint slice of the final
+        // array that its exact offsets give it, so every chunk
         // writes strictly sequentially and nothing is concatenated
         // afterwards. Each row sorts packed (neighbor, slot) keys; the
         // coordinates are then recovered from the cell-ordered mirror at the
@@ -246,27 +247,23 @@ impl GeometricGraph {
         // halves fit in 16 bits (n ≤ 65 536), halving the sort's memory
         // traffic exactly where whole-row sorting dominates the build.
         let total = offsets[n] as usize;
-        let mut neighbors = vec![0u32; total];
         let mut scan_rows = vec![0u32; 3 * total];
         let mut parts = Vec::with_capacity(chunk_ranges.len());
-        let mut nbr_rest = neighbors.as_mut_slice();
         let mut scan_rest = scan_rows.as_mut_slice();
         for rows in chunk_ranges {
             let span = (offsets[rows.end] - offsets[rows.start]) as usize;
-            let (nbrs, nbr_tail) = std::mem::take(&mut nbr_rest).split_at_mut(span);
             let (scan_part, scan_tail) = std::mem::take(&mut scan_rest).split_at_mut(3 * span);
-            nbr_rest = nbr_tail;
             scan_rest = scan_tail;
-            parts.push((rows, nbrs, scan_part));
+            parts.push((rows, scan_part));
         }
         let offsets_ref = &offsets;
         let positions_ref = &positions;
         let scan_ref = &scan;
-        let fill = |(rows, nbrs, scan_part): (Range<usize>, &mut [u32], &mut [u32])| {
+        let fill = |(rows, scan_part): (Range<usize>, &mut [u32])| {
             if n <= (1usize << 16) && !wide_keys {
-                fill_chunk::<u32>(scan_ref, positions_ref, offsets_ref, rows, nbrs, scan_part)
+                fill_chunk::<u32>(scan_ref, positions_ref, offsets_ref, rows, scan_part)
             } else {
-                fill_chunk::<u64>(scan_ref, positions_ref, offsets_ref, rows, nbrs, scan_part)
+                fill_chunk::<u64>(scan_ref, positions_ref, offsets_ref, rows, scan_part)
             }
         };
         parts.into_par_iter().map(fill).collect::<Vec<()>>();
@@ -275,13 +272,12 @@ impl GeometricGraph {
         // contributed exactly two directed entries.
         debug_assert_eq!(total % 2, 0, "asymmetric adjacency");
         let edge_count = total / 2;
-        let adjacency = CsrAdjacency::from_raw_parts(offsets, neighbors);
+        let adjacency = CsrAdjacency::from_raw_rows(offsets, 3, scan_rows);
         GeometricGraph {
             positions,
             radius,
             topology,
             adjacency,
-            scan_rows,
             neighbor_coords: OnceLock::new(),
             grid,
             edge_count,
@@ -292,11 +288,12 @@ impl GeometricGraph {
     /// adjacency construction kept verbatim (nested-`Vec` spatial grid with
     /// its conservative candidate windows, one streaming [`CsrBuilder`]
     /// scan, image-queried torus adjacency with a sort+dedup per row), plus a
-    /// separate pass that derives the scan rows from the finished CSR rows
-    /// and `positions` — so that the two-pass parallel pipeline, which
-    /// writes its scan rows during the fill, can be checked **bit-for-bit**
-    /// against an independent implementation (offsets, neighbors, scan rows,
-    /// edge count; `tests/build_pipeline_properties.rs`).
+    /// separate pass that derives the three-column rows from the builder's
+    /// finished CSR rows and `positions` and replaces the builder's copy —
+    /// so that the two-pass parallel pipeline, which writes its rows during
+    /// the fill, can be checked **bit-for-bit** against an independent
+    /// implementation (offsets, neighbors, scan rows, edge count;
+    /// `tests/build_pipeline_properties.rs`).
     ///
     /// Not a hot path — use [`GeometricGraph::build_with_topology`].
     ///
@@ -366,17 +363,18 @@ impl GeometricGraph {
                 }
             }
         }
-        let adjacency = builder.finish();
-        // Derive the scan rows from the sorted CSR rows (see the `scan_rows`
-        // field docs for the layout).
-        let mut scan_rows = Vec::with_capacity(3 * adjacency.entry_count());
-        for i in 0..n {
-            let row = adjacency.neighbors(i);
+        // Derive the three-column rows from the builder's sorted rows (see
+        // the `adjacency` field docs for the layout); they replace its copy.
+        let (offsets, neighbors) = builder.finish().into_raw_parts();
+        let mut scan_rows = Vec::with_capacity(3 * neighbors.len());
+        for w in offsets.windows(2) {
+            let row = &neighbors[w[0] as usize..w[1] as usize];
             let pts = row.iter().map(|&j| positions[j as usize]);
             scan_rows.extend(pts.clone().map(|p| (p.x as f32).to_bits()));
             scan_rows.extend(pts.map(|p| (p.y as f32).to_bits()));
             scan_rows.extend_from_slice(row);
         }
+        let adjacency = CsrAdjacency::from_raw_rows(offsets, 3, scan_rows);
         // The graph still carries the *current* grid type for nearest-node
         // queries; only the adjacency construction above is the preserved
         // code path.
@@ -386,7 +384,6 @@ impl GeometricGraph {
             radius,
             topology,
             adjacency,
-            scan_rows,
             neighbor_coords: OnceLock::new(),
             grid,
             edge_count,
@@ -485,25 +482,26 @@ impl GeometricGraph {
     }
 
     /// Neighbors of `node` (all nodes within the connectivity radius), sorted
-    /// by index.
+    /// by index: the index column of the node's
+    /// [`GeometricGraph::scan_block`] row, the same memory.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
     #[inline]
     pub fn neighbors(&self, node: NodeId) -> &[u32] {
-        self.adjacency.neighbors(node.index())
+        self.scan_block(node).2
     }
 
     /// `node`'s neighbors together with their `f64` coordinates, as three
     /// parallel slices `(indices, xs, ys)`: `xs[k]` and `ys[k]` are exactly
     /// `positions[indices[k]]`.
     ///
-    /// A derived view, not stored state: the first call gathers the
-    /// coordinates of every CSR entry from [`GeometricGraph::positions`]
-    /// into two CSR-aligned arrays (16 B per directed edge, which
-    /// [`GeometricGraph::heap_bytes`] then counts), and later calls slice
-    /// them. No routing path reads it — the walks scan
+    /// A derived view, not stored state: the first call gathers, row by
+    /// row, the coordinates of every CSR entry from
+    /// [`GeometricGraph::positions`] into two CSR-aligned arrays (16 B per
+    /// directed edge, which [`GeometricGraph::heap_bytes`] then counts), and
+    /// later calls slice them. No routing path reads it — the walks scan
     /// [`GeometricGraph::scan_block`] and read exact coordinates from
     /// [`GeometricGraph::position`] — so a simulation run never pays for it.
     ///
@@ -512,31 +510,34 @@ impl GeometricGraph {
     /// Panics if `node` is out of range.
     pub fn neighbor_block(&self, node: NodeId) -> (&[u32], &[f64], &[f64]) {
         let (xs, ys) = self.neighbor_coords.get_or_init(|| {
-            let entries = self.adjacency.raw_neighbors().iter();
-            entries
-                .map(|&j| (self.positions[j as usize].x, self.positions[j as usize].y))
-                .unzip()
+            let entries = self.adjacency.entry_count();
+            let (mut xs, mut ys) = (Vec::with_capacity(entries), Vec::with_capacity(entries));
+            for u in 0..self.len() {
+                for &j in self.neighbors(NodeId(u)) {
+                    xs.push(self.positions[j as usize].x);
+                    ys.push(self.positions[j as usize].y);
+                }
+            }
+            (xs, ys)
         });
         let range = self.adjacency.neighbor_range(node.index());
-        (
-            &self.adjacency.raw_neighbors()[range.clone()],
-            &xs[range.clone()],
-            &ys[range],
-        )
+        (self.neighbors(node), &xs[range.clone()], &ys[range])
     }
 
     /// The half-width scan view of `node`'s neighbor row: CSR-aligned
-    /// `(x_bits, y_bits, indices)` slices of one contiguous row-blocked
-    /// `u32` array.
+    /// `(x_bits, y_bits, indices)` slices of the node's row in the
+    /// adjacency's one contiguous row-blocked `u32` array.
     ///
     /// The first two slices are exactly the neighbors' positions rounded to
     /// `f32` and stored as bit patterns, `(positions[j].x as f32).to_bits()`
     /// in CSR order (`f32::from_bits` recovers them for free; pinned by
-    /// tests), so `|x32 − x| ≤ 2⁻²⁴` on the unit square; the third is the CSR
-    /// neighbor row itself. The greedy-routing hot loop streams this single
-    /// 12-byte-per-neighbor array per hop — the random-access memory traffic
-    /// the per-hop argmin is bound by at large `n` — and resolves
-    /// near-minimal candidates exactly from [`GeometricGraph::position`].
+    /// tests), so `|x32 − x| ≤ 2⁻²⁴` on the unit square; the third is the
+    /// neighbor row itself — the only copy of it, which
+    /// [`GeometricGraph::neighbors`] also returns. The greedy-routing hot
+    /// loop streams this single 12-byte-per-neighbor row per hop — the
+    /// random-access memory traffic the per-hop argmin is bound by at large
+    /// `n` — and resolves near-minimal candidates exactly from
+    /// [`GeometricGraph::position`].
     ///
     /// # Panics
     ///
@@ -544,23 +545,22 @@ impl GeometricGraph {
     #[inline]
     pub fn scan_block(&self, node: NodeId) -> (&[u32], &[u32], &[u32]) {
         let range = self.adjacency.neighbor_range(node.index());
-        let row = &self.scan_rows[3 * range.start..3 * range.end];
+        let row = &self.adjacency.raw_rows()[3 * range.start..3 * range.end];
         let (xs, rest) = row.split_at(range.len());
         let (ys, idx) = rest.split_at(range.len());
         (xs, ys, idx)
     }
 
-    /// Bytes of heap data the graph holds: positions, CSR offsets and index,
-    /// scan rows, the grid's bucket offsets and entries, and the
+    /// Bytes of heap data the graph holds: positions, the CSR offsets and
+    /// three-column rows, the grid's bucket offsets and entries, and the
     /// [`GeometricGraph::neighbor_block`] coordinates once something has
     /// built them. Counts array lengths, not allocator capacity, so the
-    /// figure is a function of the instance alone: `16·n + 16·m + 4·(n + 1)`
+    /// figure is a function of the instance alone: `16·n + 12·m + 4·(n + 1)`
     /// plus the grid's `4·(cells + 1 + n)` for `m` directed edges, and
     /// `16·m` more once the `f64` view exists.
     pub fn heap_bytes(&self) -> usize {
         let u32s = (self.len() + 1)
-            + self.adjacency.entry_count()
-            + self.scan_rows.len()
+            + self.adjacency.raw_rows().len()
             + (self.grid.cell_count() + 1)
             + self.grid.entries().len();
         let f64s = self
@@ -802,17 +802,15 @@ impl PackedKey for u32 {
 }
 
 /// Fills one contiguous row range (pass 2 of the build): query each row,
-/// sort its packed keys, and write the row's CSR entries into `nbrs` and its
-/// `[x_bits… y_bits… idx…]` scan row into `scan_rows` — the chunk's slices of
-/// the final arrays, starting at row `rows.start`. Coordinates come from the
-/// cell-ordered mirror. Generic over the key width so the `n ≤ 65 536` case
-/// sorts `u32`s.
+/// sort its packed keys, and write the row's `[x_bits… y_bits… idx…]` words
+/// into `scan_rows` — the chunk's slice of the final array, starting at row
+/// `rows.start`. Coordinates come from the cell-ordered mirror. Generic over
+/// the key width so the `n ≤ 65 536` case sorts `u32`s.
 fn fill_chunk<K: PackedKey>(
     scan: &NeighborScan<'_>,
     positions: &[Point],
     offsets: &[u32],
     rows: Range<usize>,
-    nbrs: &mut [u32],
     scan_rows: &mut [u32],
 ) {
     let base = offsets[rows.start] as usize;
@@ -828,7 +826,6 @@ fn fill_chunk<K: PackedKey>(
         let (ys, idx) = rest.split_at_mut(len);
         for (k, &key) in row.iter().enumerate() {
             let q = scan.cell_pts[key.slot()];
-            nbrs[lo + k] = key.neighbor();
             xs[k] = (q.x as f32).to_bits();
             ys[k] = (q.y as f32).to_bits();
             idx[k] = key.neighbor();

@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
+pub mod error;
 pub mod log;
 pub mod report;
 pub mod run;
@@ -42,6 +43,9 @@ pub mod run;
 pub use aggregate::{
     CellSummary, GroupFit, SweepAggregate, SweepAggregator, Verdict, GEOGRAPHIC_EXPONENT_RANGE,
 };
+pub use error::LabError;
 pub use log::{CellRecord, LogContents, ResultsLog, TrialOutcome};
 pub use report::SweepReport;
-pub use run::{run_sweep, run_sweep_probed, SweepOptions, SweepOutcome, SweepProgress};
+pub use run::{
+    check_sweep, run_sweep, run_sweep_probed, SweepOptions, SweepOutcome, SweepProgress,
+};

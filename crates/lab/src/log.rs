@@ -16,6 +16,7 @@
 //! record for observability but are **excluded from record equality**, the
 //! same contract as `TrialCost`.
 
+use crate::error::LabError;
 use geogossip_analysis::json::JsonValue;
 use geogossip_sim::scenario::{ParamValue, PlacementSpec, RadiusSpec, ScenarioReport, SweepCell};
 use geogossip_sim::ProtocolError;
@@ -286,8 +287,9 @@ impl ResultsLog {
     /// Loads every record from `path`. A missing file is an empty log. A
     /// trailing line that fails to parse — or parses but lost its trailing
     /// newline — is dropped (torn by a kill); a malformed line anywhere else
-    /// is a hard error carrying its line number.
-    pub fn load(path: &Path) -> Result<LogContents, ProtocolError> {
+    /// is a hard error carrying its line number. A file that exists but
+    /// cannot be read is a [`LabError::Io`].
+    pub fn load(path: &Path) -> Result<LogContents, LabError> {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -298,7 +300,7 @@ impl ResultsLog {
                 })
             }
             Err(e) => {
-                return Err(ProtocolError::malformed(format!(
+                return Err(LabError::Io(format!(
                     "cannot read results log `{}`: {e}",
                     path.display()
                 )))
@@ -346,7 +348,8 @@ impl ResultsLog {
                         "results log `{}` line {}: {e}",
                         path.display(),
                         i + 1
-                    )))
+                    ))
+                    .into())
                 }
             }
         }
@@ -361,18 +364,18 @@ impl ResultsLog {
     /// next append starts on a fresh line. The only write that ever shortens
     /// the file; callers invoke it exactly when `load` reported
     /// `dropped_torn_tail`.
-    pub fn truncate(path: &Path, valid_len: u64) -> Result<(), ProtocolError> {
+    pub fn truncate(path: &Path, valid_len: u64) -> Result<(), LabError> {
         let file = std::fs::OpenOptions::new()
             .write(true)
             .open(path)
             .map_err(|e| {
-                ProtocolError::malformed(format!(
+                LabError::Io(format!(
                     "cannot open results log `{}` for repair: {e}",
                     path.display()
                 ))
             })?;
         file.set_len(valid_len).map_err(|e| {
-            ProtocolError::malformed(format!(
+            LabError::Io(format!(
                 "cannot truncate results log `{}` to {valid_len} bytes: {e}",
                 path.display()
             ))
@@ -381,9 +384,9 @@ impl ResultsLog {
 
     /// Appends one record as a single compact line (one `write` call plus a
     /// flush, so a kill can tear at most the final line).
-    pub fn append(path: &Path, record: &CellRecord) -> Result<(), ProtocolError> {
+    pub fn append(path: &Path, record: &CellRecord) -> Result<(), LabError> {
         let io_err = |e: std::io::Error| {
-            ProtocolError::malformed(format!(
+            LabError::Io(format!(
                 "cannot append to results log `{}`: {e}",
                 path.display()
             ))

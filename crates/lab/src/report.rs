@@ -9,10 +9,10 @@
 //! diffs exactly those four).
 
 use crate::aggregate::SweepAggregate;
+use crate::error::LabError;
 use geogossip_analysis::json::JsonValue;
 use geogossip_analysis::Table;
 use geogossip_sim::scenario::format_epsilon;
-use geogossip_sim::ProtocolError;
 use std::path::{Path, PathBuf};
 
 /// A finished sweep report, ready to render.
@@ -333,16 +333,13 @@ impl SweepReport {
     /// `report.md`, `cells.csv`, `fits.csv`, `report.json` (deterministic —
     /// the kill-and-resume equality set) plus `timing.csv` (wall-clock,
     /// excluded from equality). Returns the written paths.
-    pub fn write_dir(&self, dir: &Path) -> Result<Vec<PathBuf>, ProtocolError> {
+    pub fn write_dir(&self, dir: &Path) -> Result<Vec<PathBuf>, LabError> {
         let io_err = |path: &Path| {
             let shown = path.display().to_string();
-            move |e: std::io::Error| {
-                ProtocolError::malformed(format!("cannot write `{shown}`: {e}"))
-            }
+            move |e: std::io::Error| LabError::Io(format!("cannot write `{shown}`: {e}"))
         };
-        std::fs::create_dir_all(dir).map_err(|e| {
-            ProtocolError::malformed(format!("cannot create `{}`: {e}", dir.display()))
-        })?;
+        std::fs::create_dir_all(dir)
+            .map_err(|e| LabError::Io(format!("cannot create `{}`: {e}", dir.display())))?;
         let files = [
             ("report.md", self.markdown()),
             ("cells.csv", self.cells_table().to_csv()),

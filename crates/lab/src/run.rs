@@ -8,6 +8,7 @@
 //! run produces a log whose records are bit-identical (modulo wall-clock
 //! fields) to an uninterrupted run.
 
+use crate::error::LabError;
 use crate::log::{CellRecord, ResultsLog};
 use geogossip_sim::scenario::{Runner, SweepSpec};
 use geogossip_sim::ProtocolError;
@@ -60,13 +61,33 @@ pub enum SweepProgress<'a> {
     Completed(&'a CellRecord, f64),
 }
 
+/// The checks a sweep passes before any of its cells runs: the sweep's own
+/// validation, then every cell through [`Runner::check`], so a cell the
+/// runner would refuse stops the campaign before the first cell runs.
+/// [`run_sweep`] calls it, and so does `geogossip validate`.
+///
+/// # Errors
+///
+/// The first failure; a cell's names the cell.
+pub fn check_sweep(runner: &Runner, sweep: &SweepSpec) -> Result<(), ProtocolError> {
+    sweep.validate()?;
+    for cell in sweep.expand() {
+        runner
+            .check(&cell.spec)
+            .map_err(|e| e.within(&format!("cell {} (`{}`)", cell.index, cell.spec.name)))?;
+    }
+    Ok(())
+}
+
 /// Runs (or resumes) a sweep, streaming each completed cell to
 /// `log_path` when given. Pass `None` to run purely in memory (the example
 /// and one-shot studies).
 ///
 /// # Errors
 ///
-/// * Spec validation and runner errors propagate.
+/// * [`check_sweep`] failures and runner errors propagate.
+/// * A results log that cannot be read, repaired or appended to is a
+///   [`LabError::Io`].
 /// * A non-empty log without `options.resume` is rejected.
 /// * A log whose records do not match the sweep's cells (wrong index or
 ///   name) is rejected — it belongs to a different campaign.
@@ -76,7 +97,7 @@ pub fn run_sweep(
     log_path: Option<&Path>,
     options: &SweepOptions,
     progress: impl FnMut(SweepProgress<'_>),
-) -> Result<SweepOutcome, ProtocolError> {
+) -> Result<SweepOutcome, LabError> {
     run_sweep_inner(runner, sweep, log_path, options, progress, None)
 }
 
@@ -92,7 +113,7 @@ pub fn run_sweep_probed(
     options: &SweepOptions,
     progress: impl FnMut(SweepProgress<'_>),
     probe: &mut dyn Probe,
-) -> Result<SweepOutcome, ProtocolError> {
+) -> Result<SweepOutcome, LabError> {
     run_sweep_inner(runner, sweep, log_path, options, progress, Some(probe))
 }
 
@@ -103,8 +124,8 @@ fn run_sweep_inner(
     options: &SweepOptions,
     mut progress: impl FnMut(SweepProgress<'_>),
     mut probe: Option<&mut dyn Probe>,
-) -> Result<SweepOutcome, ProtocolError> {
-    sweep.validate()?;
+) -> Result<SweepOutcome, LabError> {
+    check_sweep(runner, sweep)?;
     let cells = sweep.expand();
 
     let mut completed: BTreeMap<u64, CellRecord> = BTreeMap::new();
@@ -123,7 +144,8 @@ fn run_sweep_inner(
                  or choose a fresh log",
                 path.display(),
                 contents.records.len()
-            )));
+            ))
+            .into());
         }
         for record in contents.records {
             let cell = cells.get(record.index as usize).ok_or_else(|| {
@@ -143,7 +165,8 @@ fn run_sweep_inner(
                     record.index,
                     record.name,
                     cell.spec.name
-                )));
+                ))
+                .into());
             }
             completed.insert(record.index, record);
         }

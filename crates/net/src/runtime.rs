@@ -41,6 +41,62 @@ impl NetRuntime {
     }
 }
 
+/// What the runtime runs for a protocol spec: its actor set and the
+/// parameters the actors take.
+enum NetPlan {
+    Pairwise,
+    Geographic(TargetSelector),
+}
+
+impl NetPlan {
+    /// The runtime's dispatch, and so its one list of the protocols it can
+    /// run: [`TransportRuntime::check`] and [`TransportRuntime::run_trial`]
+    /// both go through it. It takes the same known keys as the shared-memory
+    /// registry's builders, so a spec that validates there validates here
+    /// (and vice versa), and it names the offending spec path on refusal.
+    fn for_spec(protocol: &ProtocolSpec) -> Result<Self, ProtocolError> {
+        match protocol.name.as_str() {
+            "pairwise" => {
+                protocol.reject_unknown(&[])?;
+                Ok(NetPlan::Pairwise)
+            }
+            "geographic" => {
+                protocol.reject_unknown(&["selector", "probes", "cap"])?;
+                let selector = match protocol.text("selector", "nearest-position")?.as_str() {
+                    "nearest-position" => TargetSelector::NearestToUniformPosition,
+                    "uniform-index" => TargetSelector::UniformByIndex,
+                    "rejection-sampled" => {
+                        return Err(ProtocolError::invalid(
+                            "protocol.selector",
+                            "`rejection-sampled` has no message-passing implementation \
+                             (its acceptance table is a shared-memory precomputation); \
+                             use nearest-position or uniform-index, or drop the \
+                             `transport` key",
+                        ))
+                    }
+                    other => {
+                        return Err(ProtocolError::invalid(
+                            "selector",
+                            format!(
+                                "unknown selector `{other}` (known: nearest-position, \
+                                 uniform-index, rejection-sampled)"
+                            ),
+                        ))
+                    }
+                };
+                Ok(NetPlan::Geographic(selector))
+            }
+            other => Err(ProtocolError::invalid(
+                "transport",
+                format!(
+                    "protocol `{other}` has no message-passing implementation \
+                     (available: pairwise, geographic)"
+                ),
+            )),
+        }
+    }
+}
+
 fn finish(
     protocol: &dyn NetProtocol,
     report: EngineReport,
@@ -73,6 +129,10 @@ fn finish(
 }
 
 impl TransportRuntime for NetRuntime {
+    fn check(&self, protocol: &ProtocolSpec) -> Result<(), ProtocolError> {
+        NetPlan::for_spec(protocol).map(drop)
+    }
+
     fn run_trial(
         &self,
         protocol: &ProtocolSpec,
@@ -97,13 +157,13 @@ impl TransportRuntime for NetRuntime {
                  `transport.reliability.drop` for wire-level loss",
             ));
         }
+        let plan = NetPlan::for_spec(protocol)?;
         // Activation loss is refused above, so the fault stream is consumed
         // only here, exactly as the engine consumes it at a zero drop rate.
         let mut nodes =
             (!faults.is_none()).then(|| NodeFaults::new(faults, graph.len(), &mut fault_rng));
-        match protocol.name.as_str() {
-            "pairwise" => {
-                protocol.reject_unknown(&[])?;
+        match plan {
+            NetPlan::Pairwise => {
                 let mut net = PairwiseNet::new(graph, values)?;
                 let (report, ledger) = NetScheduler::new(graph.len()).run_wire_probed(
                     &mut net,
@@ -123,32 +183,7 @@ impl TransportRuntime for NetRuntime {
                     transport.reliability,
                 ))
             }
-            "geographic" => {
-                // Same known keys as the shared-memory registry builder, so a
-                // spec that validates there validates here (and vice versa).
-                protocol.reject_unknown(&["selector", "probes", "cap"])?;
-                let selector = match protocol.text("selector", "nearest-position")?.as_str() {
-                    "nearest-position" => TargetSelector::NearestToUniformPosition,
-                    "uniform-index" => TargetSelector::UniformByIndex,
-                    "rejection-sampled" => {
-                        return Err(ProtocolError::invalid(
-                            "protocol.selector",
-                            "`rejection-sampled` has no message-passing implementation \
-                             (its acceptance table is a shared-memory precomputation); \
-                             use nearest-position or uniform-index, or drop the \
-                             `transport` key",
-                        ))
-                    }
-                    other => {
-                        return Err(ProtocolError::invalid(
-                            "selector",
-                            format!(
-                                "unknown selector `{other}` (known: nearest-position, \
-                                 uniform-index, rejection-sampled)"
-                            ),
-                        ))
-                    }
-                };
+            NetPlan::Geographic(selector) => {
                 let mut net = GeographicNet::with_selector(graph, values, selector)?;
                 let (report, ledger) = NetScheduler::new(graph.len()).run_wire_probed(
                     &mut net,
@@ -168,13 +203,6 @@ impl TransportRuntime for NetRuntime {
                     transport.reliability,
                 ))
             }
-            other => Err(ProtocolError::invalid(
-                "transport",
-                format!(
-                    "protocol `{other}` has no message-passing implementation \
-                     (available: pairwise, geographic)"
-                ),
-            )),
         }
     }
 }

@@ -72,6 +72,24 @@ impl ProtocolError {
             reason: reason.into(),
         }
     }
+
+    /// The same error with `context` (a file path, say) written ahead of its
+    /// reason, so the message says where without a second kind prefix:
+    /// `malformed scenario spec: <context>: <reason>`. The kind is kept, so
+    /// an [`ProtocolError::InvalidParameter`] stays one. Kinds without a
+    /// reason come back unchanged.
+    pub fn within(self, context: &str) -> Self {
+        match self {
+            ProtocolError::InvalidParameter { name, reason } => ProtocolError::InvalidParameter {
+                name,
+                reason: format!("{context}: {reason}"),
+            },
+            ProtocolError::MalformedSpec { reason } => ProtocolError::MalformedSpec {
+                reason: format!("{context}: {reason}"),
+            },
+            other => other,
+        }
+    }
 }
 
 impl fmt::Display for ProtocolError {
@@ -136,6 +154,24 @@ mod tests {
         for (err, expected) in cases {
             assert_eq!(err.to_string(), expected);
         }
+    }
+
+    #[test]
+    fn within_prefixes_the_reason_once_and_keeps_the_kind() {
+        assert_eq!(
+            ProtocolError::malformed("unknown sweep key `bogus`")
+                .within("s.json")
+                .to_string(),
+            "malformed scenario spec: s.json: unknown sweep key `bogus`"
+        );
+        assert_eq!(
+            ProtocolError::invalid("trials", "need at least one trial").within("s.json"),
+            ProtocolError::invalid("trials", "s.json: need at least one trial")
+        );
+        assert_eq!(
+            ProtocolError::EmptyNetwork.within("s.json"),
+            ProtocolError::EmptyNetwork
+        );
     }
 
     #[test]

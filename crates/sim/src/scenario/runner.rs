@@ -90,10 +90,33 @@ impl Runner {
         &*self.factory
     }
 
-    /// Runs one scenario, parallelising its trials across cores.
-    pub fn run(&self, spec: &ScenarioSpec) -> Result<ScenarioReport, ProtocolError> {
+    /// Checks `spec` the way every run does before its first trial: the
+    /// spec's own validation, a protocol name the factory knows, and, for a
+    /// spec with a `transport` key, an attached message-passing runtime that
+    /// can run its protocol ([`TransportRuntime::check`]). `geogossip
+    /// validate` calls this, so a spec it accepts is not refused by these
+    /// checks when it runs.
+    ///
+    /// # Errors
+    ///
+    /// The first failed check's [`ProtocolError`].
+    pub fn check(&self, spec: &ScenarioSpec) -> Result<(), ProtocolError> {
+        self.prepare(spec).map(drop)
+    }
+
+    /// [`Runner::check`], returning the protocol's seed tag.
+    fn prepare(&self, spec: &ScenarioSpec) -> Result<u64, ProtocolError> {
         spec.validate()?;
         let tag = self.resolve_tag(spec)?;
+        if spec.transport.is_some() {
+            self.transport_runtime()?.check(&spec.protocol)?;
+        }
+        Ok(tag)
+    }
+
+    /// Runs one scenario, parallelising its trials across cores.
+    pub fn run(&self, spec: &ScenarioSpec) -> Result<ScenarioReport, ProtocolError> {
+        let tag = self.prepare(spec)?;
         let outcomes: Vec<Result<(TrialCost, String), ProtocolError>> = (0..spec.trials)
             .into_par_iter()
             .map(|trial| self.run_trial(spec, tag, trial, None))
@@ -119,8 +142,7 @@ impl Runner {
     pub fn run_all(&self, specs: &[ScenarioSpec]) -> Result<Vec<ScenarioReport>, ProtocolError> {
         let mut tags = Vec::with_capacity(specs.len());
         for spec in specs {
-            spec.validate()?;
-            tags.push(self.resolve_tag(spec)?);
+            tags.push(self.prepare(spec)?);
         }
         let max_trials = specs.iter().map(|s| s.trials).max().unwrap_or(0);
         let grid: Vec<(usize, u64)> = (0..max_trials)
@@ -172,8 +194,7 @@ impl Runner {
         spec: &ScenarioSpec,
         probe: &mut dyn Probe,
     ) -> Result<ScenarioReport, ProtocolError> {
-        spec.validate()?;
-        let tag = self.resolve_tag(spec)?;
+        let tag = self.prepare(spec)?;
         let outcomes: Vec<Result<(TrialCost, String, EventBuffer), ProtocolError>> = (0..spec
             .trials)
             .into_par_iter()
@@ -200,6 +221,16 @@ impl Runner {
             .ok_or_else(|| ProtocolError::UnknownProtocol {
                 name: spec.protocol.name.clone(),
             })
+    }
+
+    fn transport_runtime(&self) -> Result<&dyn TransportRuntime, ProtocolError> {
+        self.transport.as_deref().ok_or_else(|| {
+            ProtocolError::invalid(
+                "transport",
+                "this runner has no message-passing runtime attached \
+                 (use `geogossip::builtin_runner()`)",
+            )
+        })
     }
 
     /// One trial: placement → field → protocol → engine, every stream derived
@@ -243,13 +274,7 @@ impl Runner {
             // byte-identical whether or not a runtime is attached. The
             // incoherent overlap (activation loss + transport) is rejected by
             // `ScenarioSpec::validate` before any trial starts.
-            let runtime = self.transport.as_deref().ok_or_else(|| {
-                ProtocolError::invalid(
-                    "transport",
-                    "this runner has no message-passing runtime attached \
-                     (use `geogossip::builtin_runner()`)",
-                )
-            })?;
+            let runtime = self.transport_runtime()?;
             let mut net_rng = seeds.trial(NET_STREAM_LABEL, trial);
             let fault_rng = seeds.trial(FAULT_STREAM_LABEL, trial);
             // The runtime builds its own protocol actors inside the run, so

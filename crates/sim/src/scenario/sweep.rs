@@ -290,9 +290,9 @@ impl SweepSpec {
             return Err(ProtocolError::invalid("trials", "need at least one trial"));
         }
         for cell in self.expand() {
-            cell.spec.validate().map_err(|e| {
-                ProtocolError::malformed(format!("cell {} (`{}`): {e}", cell.index, cell.spec.name))
-            })?;
+            cell.spec
+                .validate()
+                .map_err(|e| e.within(&format!("cell {} (`{}`)", cell.index, cell.spec.name)))?;
         }
         Ok(())
     }
@@ -414,12 +414,11 @@ impl SweepSpec {
     }
 
     /// Parses a sweep from the text of the file at `path`; messages carry
-    /// the path. The caller reads the file, so it can report a read failure
-    /// as its own kind of error.
+    /// the path once, and a rejection keeps its kind
+    /// ([`ProtocolError::within`]). The caller reads the file, so it can
+    /// report a read failure as its own kind of error.
     pub fn from_file_text(path: &str, text: &str) -> Result<Self, ProtocolError> {
-        let doc =
-            JsonValue::parse(text).map_err(|e| ProtocolError::malformed(format!("{path}: {e}")))?;
-        Self::from_json_value(&doc).map_err(|e| ProtocolError::malformed(format!("{path}: {e}")))
+        Self::from_json(text).map_err(|e| e.within(path))
     }
 
     fn decode(doc: &JsonValue) -> Result<Self, ProtocolError> {

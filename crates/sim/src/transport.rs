@@ -479,6 +479,19 @@ pub struct TransportTrial {
 /// [`Runner`]: crate::scenario::Runner
 /// [`FAULT_STREAM_LABEL`]: crate::fault::FAULT_STREAM_LABEL
 pub trait TransportRuntime: Send + Sync {
+    /// Whether this runtime can run `protocol`, checked before any trial
+    /// starts. The runner's [`Runner::check`] calls it for every spec with a
+    /// `transport` key, and `geogossip validate` calls that, so a spec that
+    /// validates is not refused for its protocol once it runs.
+    ///
+    /// # Errors
+    ///
+    /// The [`ProtocolError`] that [`TransportRuntime::run_trial`] returns
+    /// for the same protocol spec, naming the offending spec path.
+    ///
+    /// [`Runner::check`]: crate::scenario::Runner::check
+    fn check(&self, protocol: &ProtocolSpec) -> Result<(), ProtocolError>;
+
     /// Runs one trial of `protocol` over the simulated network.
     ///
     /// # Errors

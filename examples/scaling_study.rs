@@ -20,11 +20,10 @@
 
 use geogossip::analysis::Table;
 use geogossip::core::registry::builtin_runner;
-use geogossip::core::ProtocolError;
-use geogossip::lab::{run_sweep, SweepAggregator, SweepOptions, SweepReport};
+use geogossip::lab::{run_sweep, LabError, SweepAggregator, SweepOptions, SweepReport};
 use geogossip::sim::scenario::{ProtocolSpec, SweepSpec};
 
-fn main() -> Result<(), ProtocolError> {
+fn main() -> Result<(), LabError> {
     let sweep = SweepSpec::new(
         "scaling-study",
         vec![128, 256, 512, 1024],

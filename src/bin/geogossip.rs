@@ -22,7 +22,9 @@
 use geogossip::analysis::json::JsonValue;
 use geogossip::builtin_runner;
 use geogossip::experiments::{Scale, DEFAULT_SEED, EXPERIMENTS};
-use geogossip::lab::{run_sweep, SweepAggregator, SweepOptions, SweepProgress, SweepReport};
+use geogossip::lab::{
+    check_sweep, run_sweep, LabError, SweepAggregator, SweepOptions, SweepProgress, SweepReport,
+};
 use geogossip::sim::batch::available_threads;
 use geogossip::sim::field::Field;
 use geogossip::sim::scenario::{
@@ -73,6 +75,15 @@ impl fmt::Display for CliError {
 impl From<ProtocolError> for CliError {
     fn from(err: ProtocolError) -> Self {
         CliError::Spec(err)
+    }
+}
+
+impl From<LabError> for CliError {
+    fn from(err: LabError) -> Self {
+        match err {
+            LabError::Io(message) => CliError::Io(message),
+            LabError::Spec(err) => CliError::Spec(err),
+        }
     }
 }
 
@@ -659,8 +670,11 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `geogossip validate <spec.json>`: parses and validates a scenario spec,
-/// scenario bundle, or sweep spec without running anything. The process
-/// exits non-zero (via `main`) with the precise schema error on failure.
+/// scenario bundle, or sweep spec without running anything, through the
+/// same parsers as `run` and `sweep` and the runner's own pre-run checks
+/// ([`Runner::check`], [`check_sweep`]), so what it accepts does not fail
+/// those checks when it runs. The process exits non-zero (via `main`) with
+/// the precise schema error on failure.
 fn validate(args: &[String]) -> Result<(), CliError> {
     let [path] = args else {
         return Err(usage("usage: geogossip validate <spec.json>"));
@@ -668,9 +682,10 @@ fn validate(args: &[String]) -> Result<(), CliError> {
     let text = read_text(path)?;
     let doc =
         JsonValue::parse(&text).map_err(|e| ProtocolError::malformed(format!("{path}: {e}")))?;
+    let runner = builtin_runner();
     if SweepSpec::is_sweep_document(&doc) {
-        let spec = SweepSpec::from_json_value(&doc)
-            .map_err(|e| ProtocolError::malformed(format!("{path}: {e}")))?;
+        let spec = SweepSpec::from_file_text(path, &text)?;
+        check_sweep(&runner, &spec)?;
         println!(
             "ok: sweep `{}` ({} cells, {} trial(s) each)",
             spec.name,
@@ -679,6 +694,9 @@ fn validate(args: &[String]) -> Result<(), CliError> {
         );
     } else {
         let specs = ScenarioSpec::from_file_text(path, &text)?;
+        for spec in &specs {
+            runner.check(spec)?;
+        }
         let names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
         println!("ok: {} scenario(s): {}", specs.len(), names.join(", "));
     }

@@ -46,3 +46,128 @@ fn usage_and_io_errors_are_not_spec_errors() {
         "{stderr}"
     );
 }
+
+/// A fresh scratch path under the system temp directory for one test.
+fn scratch(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("geogossip-cli-errors-{name}"))
+}
+
+#[test]
+fn a_rejected_sweep_names_its_file_and_kind_once() {
+    let sweep = scratch("bad-sweep.json");
+    let path = sweep.to_str().unwrap();
+    std::fs::write(&sweep, "{\"sweep\": \"x\", \"bogus\": 1}").unwrap();
+    for command in ["validate", "sweep"] {
+        let (code, stderr) = geogossip(&[command, path]);
+        assert_eq!(code, Some(1), "{command}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!("error: malformed scenario spec: {path}: unknown sweep key `bogus`\n"),
+            "{command}"
+        );
+    }
+    // A rejection keeps its kind: zero trials is an invalid parameter, not
+    // a malformed document.
+    let text = std::fs::read_to_string("scenarios/sweeps/smoke_sweep.json").unwrap();
+    std::fs::write(&sweep, text.replace("\"trials\": 2", "\"trials\": 0")).unwrap();
+    for command in ["validate", "sweep"] {
+        let (code, stderr) = geogossip(&[command, path]);
+        assert_eq!(code, Some(1), "{command}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!("error: invalid parameter `trials`: {path}: need at least one trial\n"),
+            "{command}"
+        );
+    }
+    // So does a cell's: a one-sensor cell names the file, then the cell.
+    std::fs::write(&sweep, text.replace("\"n\": [64, 128]", "\"n\": [1]")).unwrap();
+    for command in ["validate", "sweep"] {
+        let (code, stderr) = geogossip(&[command, path]);
+        assert_eq!(code, Some(1), "{command}: {stderr}");
+        let prefix = format!("error: invalid parameter `topology.n`: {path}: cell 0 (`");
+        assert!(stderr.starts_with(&prefix), "{command}: {stderr}");
+        assert!(
+            stderr.ends_with("`): need at least two sensors, got 1\n"),
+            "{command}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&sweep);
+}
+
+/// A path whose parent is a regular file, so nothing can be read, created or
+/// written at it.
+fn path_under_a_file(name: &str) -> (std::path::PathBuf, String) {
+    let file = scratch(name);
+    std::fs::write(&file, "not a directory").unwrap();
+    let under = file.join("inside").to_str().unwrap().to_string();
+    (file, under)
+}
+
+#[test]
+fn an_unreadable_results_log_is_an_io_error() {
+    let (file, log) = path_under_a_file("log-parent");
+    let (code, stderr) = geogossip(&["sweep", "scenarios/sweeps/smoke_sweep.json", "--log", &log]);
+    let _ = std::fs::remove_file(&file);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with(&format!("error: cannot read results log `{log}`: ")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("scenario spec"), "{stderr}");
+}
+
+#[test]
+fn an_unwritable_report_directory_is_an_io_error() {
+    let (file, report) = path_under_a_file("report-parent");
+    let log = scratch("report-log.jsonl");
+    let _ = std::fs::remove_file(&log);
+    let (code, stderr) = geogossip(&[
+        "sweep",
+        "scenarios/sweeps/smoke_sweep.json",
+        "--log",
+        log.to_str().unwrap(),
+        "--max-cells",
+        "0",
+        "--report",
+        &report,
+    ]);
+    let _ = std::fs::remove_file(&file);
+    let _ = std::fs::remove_file(&log);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with(&format!("error: cannot create `{report}`: ")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("scenario spec"), "{stderr}");
+}
+
+#[test]
+fn validate_rejects_a_transport_the_protocol_cannot_run_on() {
+    let spec = scratch("affine-transport.json");
+    std::fs::write(
+        &spec,
+        r#"{
+          "name": "affine-over-the-wire",
+          "topology": {"n": 64, "placement": "uniform-square", "radius": {"connectivity-constant": 1.5}, "surface": "unit-square"},
+          "field": "spatial-gradient",
+          "protocol": {"name": "affine-idealized", "params": {}},
+          "stop": {"epsilon": 0.1},
+          "trials": 1,
+          "seed": 7,
+          "transport": {"latency": "instant"}
+        }"#,
+    )
+    .unwrap();
+    let path = spec.to_str().unwrap();
+    let (validate_code, validate_err) = geogossip(&["validate", path]);
+    let (run_code, run_err) = geogossip(&["run", path]);
+    let _ = std::fs::remove_file(&spec);
+    assert_eq!(run_code, Some(1), "{run_err}");
+    assert_eq!(
+        run_err,
+        "error: invalid parameter `transport`: protocol `affine-idealized` has no \
+         message-passing implementation (available: pairwise, geographic)\n"
+    );
+    assert_eq!(validate_code, Some(1), "{validate_err}");
+    assert_eq!(validate_err, run_err);
+}
