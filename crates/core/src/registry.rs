@@ -32,6 +32,10 @@ use geogossip_sim::engine::Activation;
 use geogossip_sim::scenario::{ProtocolFactory, ProtocolSpec, Runner};
 use rand::RngCore;
 
+/// A protocol's params check: the decoding its [`BuildFn`] starts with, run
+/// without a graph so a spec is refused before its first trial.
+pub type CheckFn = fn(&ProtocolSpec) -> Result<(), ProtocolError>;
+
 /// A protocol factory function: scenario parameters + network + initial
 /// values + stop target + the trial's run RNG, to a boxed protocol borrowing
 /// the network.
@@ -51,6 +55,7 @@ pub struct ProtocolEntry {
     pub summary: String,
     /// Mixed into the per-trial run seed; unique per entry.
     pub seed_tag: u64,
+    check: CheckFn,
     build: BuildFn,
 }
 
@@ -85,48 +90,58 @@ impl ProtocolRegistry {
             "pairwise",
             "Boyd et al. pairwise nearest-neighbor gossip",
             0,
+            no_params,
             build_pairwise,
         );
         registry.register(
             "geographic",
             "Dimakis et al. geographic gossip (params: selector, probes, cap)",
             1,
+            |spec| geographic_params(spec).map(drop),
             build_geographic,
         );
+        // Only the partition depends on `n`, and no param touches it, so a
+        // check decodes onto any size.
         registry.register(
             "affine-idealized",
             "affine hierarchy, round-based, exact local averaging (params: coefficient-fraction, …)",
             2,
+            |spec| round_based_config(spec, RoundBasedConfig::idealized(0)).map(drop),
             build_affine_idealized,
         );
         registry.register(
             "affine-recursive",
             "affine hierarchy, round-based, recursive gossip local averaging",
             3,
+            |spec| round_based_config(spec, RoundBasedConfig::practical(0)).map(drop),
             build_affine_recursive,
         );
         registry.register(
             "affine-state-machine",
             "affine hierarchy, literal asynchronous state machine (practical schedule)",
             4,
+            no_params,
             build_state_machine,
         );
         registry.register(
             "affine-complete",
             "Lemma-1 affine dynamics on the complete graph (params: alpha)",
             5,
+            |spec| uniform_alpha(spec).map(drop),
             build_affine_complete,
         );
         registry.register(
             "perturbed-affine-complete",
             "Lemma-2 perturbed affine dynamics (params: alpha, magnitude, kind)",
             6,
+            |spec| perturbation_params(spec).map(drop),
             build_perturbed_complete,
         );
         registry
     }
 
-    /// Registers (or replaces) a protocol under `name`.
+    /// Registers (or replaces) a protocol under `name`: `check` decodes a
+    /// spec's params the way `build` does, without a graph.
     ///
     /// # Panics
     ///
@@ -138,6 +153,7 @@ impl ProtocolRegistry {
         name: impl Into<String>,
         summary: impl Into<String>,
         seed_tag: u64,
+        check: CheckFn,
         build: BuildFn,
     ) {
         let name = name.into();
@@ -150,6 +166,7 @@ impl ProtocolRegistry {
             name,
             summary: summary.into(),
             seed_tag,
+            check,
             build,
         });
     }
@@ -162,6 +179,13 @@ impl ProtocolRegistry {
     fn entry(&self, name: &str) -> Option<&ProtocolEntry> {
         self.entries.iter().find(|e| e.name == name)
     }
+
+    fn resolve(&self, spec: &ProtocolSpec) -> Result<&ProtocolEntry, ProtocolError> {
+        self.entry(&spec.name)
+            .ok_or_else(|| ProtocolError::UnknownProtocol {
+                name: spec.name.clone(),
+            })
+    }
 }
 
 impl ProtocolFactory for ProtocolRegistry {
@@ -173,6 +197,10 @@ impl ProtocolFactory for ProtocolRegistry {
         self.entry(name).map(|e| e.seed_tag)
     }
 
+    fn check(&self, spec: &ProtocolSpec) -> Result<(), ProtocolError> {
+        (self.resolve(spec)?.check)(spec)
+    }
+
     fn build<'a>(
         &self,
         spec: &ProtocolSpec,
@@ -181,12 +209,7 @@ impl ProtocolFactory for ProtocolRegistry {
         epsilon: f64,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn Activation + 'a>, ProtocolError> {
-        let entry = self
-            .entry(&spec.name)
-            .ok_or_else(|| ProtocolError::UnknownProtocol {
-                name: spec.name.clone(),
-            })?;
-        (entry.build)(spec, graph, values, epsilon, rng)
+        (self.resolve(spec)?.build)(spec, graph, values, epsilon, rng)
     }
 }
 
@@ -200,6 +223,11 @@ pub fn builtin_runner() -> Runner {
 // Built-in factories.
 // ---------------------------------------------------------------------------
 
+/// The params check of `pairwise` and `affine-state-machine`: they take none.
+fn no_params(spec: &ProtocolSpec) -> Result<(), ProtocolError> {
+    spec.reject_unknown(&[])
+}
+
 fn build_pairwise<'a>(
     spec: &ProtocolSpec,
     graph: &'a GeometricGraph,
@@ -207,21 +235,41 @@ fn build_pairwise<'a>(
     _epsilon: f64,
     _rng: &mut dyn RngCore,
 ) -> Result<Box<dyn Activation + 'a>, ProtocolError> {
-    spec.reject_unknown(&[])?;
+    no_params(spec)?;
     Ok(Box::new(PairwiseGossip::new(graph, values)?))
 }
 
-fn build_geographic<'a>(
-    spec: &ProtocolSpec,
-    graph: &'a GeometricGraph,
-    values: Vec<f64>,
-    _epsilon: f64,
-    rng: &mut dyn RngCore,
-) -> Result<Box<dyn Activation + 'a>, ProtocolError> {
+/// How a `geographic` spec picks its gossip targets.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum GeographicParams {
+    /// The sensor nearest a uniform position (`nearest-position`, the
+    /// default).
+    NearestPosition,
+    /// A uniformly drawn sensor index (`uniform-index`).
+    UniformIndex,
+    /// Rejection sampling against `probes` Voronoi probes, accepting after
+    /// `cap` rejections (`rejection-sampled`).
+    RejectionSampled {
+        /// Probe positions (at least 1).
+        probes: usize,
+        /// Rejections before a candidate is accepted anyway.
+        cap: usize,
+    },
+}
+
+/// Decodes a `geographic` spec's params. The registry's check and builder
+/// and the message-passing runtime all read them through this one list of
+/// keys.
+///
+/// # Errors
+///
+/// An unknown key or selector, a value of the wrong type, or a probe count
+/// that is not a whole number of at least 1.
+pub fn geographic_params(spec: &ProtocolSpec) -> Result<GeographicParams, ProtocolError> {
     spec.reject_unknown(&["selector", "probes", "cap"])?;
-    let selector = match spec.text("selector", "nearest-position")?.as_str() {
-        "nearest-position" => TargetSelector::NearestToUniformPosition,
-        "uniform-index" => TargetSelector::UniformByIndex,
+    match spec.text("selector", "nearest-position")?.as_str() {
+        "nearest-position" => Ok(GeographicParams::NearestPosition),
+        "uniform-index" => Ok(GeographicParams::UniformIndex),
         "rejection-sampled" => {
             let probes = spec.number("probes", 10_000.0)?;
             // The selector needs at least one probe; `as usize` would turn a
@@ -232,16 +280,32 @@ fn build_geographic<'a>(
                     format!("must be a whole number of at least 1, got {probes}"),
                 ));
             }
-            let cap = spec.number("cap", 20.0)? as usize;
-            TargetSelector::rejection_sampled(graph, probes as usize, cap, rng)
+            Ok(GeographicParams::RejectionSampled {
+                probes: probes as usize,
+                cap: spec.number("cap", 20.0)? as usize,
+            })
         }
-        other => {
-            return Err(ProtocolError::invalid(
-                "selector",
-                format!(
-                    "unknown selector `{other}` (known: nearest-position, uniform-index, rejection-sampled)"
-                ),
-            ))
+        other => Err(ProtocolError::invalid(
+            "selector",
+            format!(
+                "unknown selector `{other}` (known: nearest-position, uniform-index, rejection-sampled)"
+            ),
+        )),
+    }
+}
+
+fn build_geographic<'a>(
+    spec: &ProtocolSpec,
+    graph: &'a GeometricGraph,
+    values: Vec<f64>,
+    _epsilon: f64,
+    rng: &mut dyn RngCore,
+) -> Result<Box<dyn Activation + 'a>, ProtocolError> {
+    let selector = match geographic_params(spec)? {
+        GeographicParams::NearestPosition => TargetSelector::NearestToUniformPosition,
+        GeographicParams::UniformIndex => TargetSelector::UniformByIndex,
+        GeographicParams::RejectionSampled { probes, cap } => {
+            TargetSelector::rejection_sampled(graph, probes, cap, rng)
         }
     };
     Ok(Box::new(GeographicGossip::with_selector(
@@ -249,7 +313,8 @@ fn build_geographic<'a>(
     )?))
 }
 
-/// Shared parameter decoding for the two round-based variants.
+/// Decodes a round-based variant's params onto its defaults `base`; its
+/// check and its builder both call this.
 fn round_based_config(
     spec: &ProtocolSpec,
     base: RoundBasedConfig,
@@ -334,8 +399,15 @@ fn build_state_machine<'a>(
     _epsilon: f64,
     _rng: &mut dyn RngCore,
 ) -> Result<Box<dyn Activation + 'a>, ProtocolError> {
-    spec.reject_unknown(&[])?;
+    no_params(spec)?;
     Ok(Box::new(AffineStateMachine::practical(graph, values)?))
+}
+
+/// Decodes `affine-complete`'s params: one `alpha` for every node, or
+/// `None` for random per-node coefficients.
+fn uniform_alpha(spec: &ProtocolSpec) -> Result<Option<f64>, ProtocolError> {
+    spec.reject_unknown(&["alpha"])?;
+    optional_number(spec, "alpha")
 }
 
 fn build_affine_complete<'a>(
@@ -345,24 +417,17 @@ fn build_affine_complete<'a>(
     _epsilon: f64,
     rng: &mut dyn RngCore,
 ) -> Result<Box<dyn Activation + 'a>, ProtocolError> {
-    spec.reject_unknown(&["alpha"])?;
-    let mut model = match spec.params.get("alpha") {
+    let mut model = match uniform_alpha(spec)? {
         None => AffineCompleteGraph::with_random_alphas(graph.len(), rng)?,
-        Some(_) => {
-            AffineCompleteGraph::with_uniform_alpha(graph.len(), spec.number("alpha", 0.4)?)?
-        }
+        Some(alpha) => AffineCompleteGraph::with_uniform_alpha(graph.len(), alpha)?,
     };
     model.set_centered_values(values)?;
     Ok(Box::new(CompleteGraphActivation::new(model)))
 }
 
-fn build_perturbed_complete<'a>(
-    spec: &ProtocolSpec,
-    graph: &'a GeometricGraph,
-    values: Vec<f64>,
-    _epsilon: f64,
-    _rng: &mut dyn RngCore,
-) -> Result<Box<dyn Activation + 'a>, ProtocolError> {
+/// Decodes `perturbed-affine-complete`'s params: `alpha`, the perturbation
+/// magnitude and its kind.
+fn perturbation_params(spec: &ProtocolSpec) -> Result<(f64, f64, PerturbationKind), ProtocolError> {
     spec.reject_unknown(&["alpha", "magnitude", "kind"])?;
     let kind = match spec.text("kind", "uniform-symmetric")?.as_str() {
         "constant" => PerturbationKind::Constant,
@@ -377,12 +442,22 @@ fn build_perturbed_complete<'a>(
             ))
         }
     };
-    let mut model = PerturbedAffineCompleteGraph::new(
-        graph.len(),
+    Ok((
         spec.number("alpha", 0.45)?,
         spec.number("magnitude", 1e-4)?,
         kind,
-    )?;
+    ))
+}
+
+fn build_perturbed_complete<'a>(
+    spec: &ProtocolSpec,
+    graph: &'a GeometricGraph,
+    values: Vec<f64>,
+    _epsilon: f64,
+    _rng: &mut dyn RngCore,
+) -> Result<Box<dyn Activation + 'a>, ProtocolError> {
+    let (alpha, magnitude, kind) = perturbation_params(spec)?;
+    let mut model = PerturbedAffineCompleteGraph::new(graph.len(), alpha, magnitude, kind)?;
     model.set_centered_values(values)?;
     Ok(Box::new(PerturbedCompleteGraphActivation::new(model)))
 }
@@ -504,7 +579,7 @@ mod tests {
     #[test]
     fn custom_registrations_replace_by_name_and_reject_tag_collisions() {
         let mut registry = ProtocolRegistry::builtin();
-        registry.register("pairwise", "replacement", 0, build_pairwise);
+        registry.register("pairwise", "replacement", 0, no_params, build_pairwise);
         assert_eq!(registry.entries().len(), 7);
         assert_eq!(
             registry
@@ -521,6 +596,6 @@ mod tests {
     #[should_panic(expected = "already taken")]
     fn colliding_seed_tags_panic() {
         let mut registry = ProtocolRegistry::builtin();
-        registry.register("another", "tag thief", 0, build_pairwise);
+        registry.register("another", "tag thief", 0, no_params, build_pairwise);
     }
 }

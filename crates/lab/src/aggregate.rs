@@ -4,15 +4,18 @@
 //! The aggregator consumes [`CellRecord`]s one at a time — per-cell
 //! statistics stream through [`Summary`] (mean/CI) and [`P2Quantile`]
 //! (median/p95) without buffering trial vectors, and only `(n, mean cost)`
-//! points per fit group are retained — so a log far larger than memory could
-//! still aggregate. `finish()` fits `cost ≈ C·n^k` per `(protocol, group)`
-//! in log–log space ([`fit_power_law_detailed`]) and derives the verdicts the
-//! paper's headline comparison is about.
+//! points per fit series are retained — so a log far larger than memory
+//! could still aggregate. `finish()` fits `cost ≈ C·n^k` per
+//! `(protocol, coordinates)` series in log–log space
+//! ([`fit_power_law_detailed`]) and derives the verdicts: the headline
+//! exponent claims the paper's comparison is about, then the degradation
+//! claims, each a row checked along every ladder of its axis.
 
-use crate::log::CellRecord;
+use crate::log::{nonzero_parts, CellCoords, CellRecord, FaultLevel};
 use geogossip_analysis::{
     fit_power_law_detailed, ConfidenceInterval, P2Quantile, PowerLawFitDetail, Summary,
 };
+use std::cmp::Ordering;
 
 /// z-score of the reports' 95% confidence intervals.
 pub const REPORT_Z: f64 = 1.96;
@@ -26,8 +29,9 @@ pub struct CellSummary {
     pub name: String,
     /// Protocol key (registry name + params).
     pub protocol: String,
-    /// Non-protocol, non-`n` axis coordinates (fit-grouping key).
-    pub group: String,
+    /// Every other axis coordinate but `n`: the fit-grouping key, and the
+    /// rung the degradation ladders place the cell on.
+    pub coords: CellCoords,
     /// Network size.
     pub n: usize,
     /// Stop target.
@@ -97,7 +101,7 @@ impl CellSummary {
             index: record.index,
             name: record.name.clone(),
             protocol: record.protocol.clone(),
-            group: record.group.clone(),
+            coords: record.coords.clone(),
             n: record.n,
             epsilon: record.epsilon,
             trials: record.trials.len() as u64,
@@ -120,13 +124,13 @@ impl CellSummary {
 }
 
 /// A fitted power law `mean transmissions ≈ C·n^k` for one
-/// `(protocol, group)` series of the sweep.
+/// `(protocol, coordinates)` series of the sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupFit {
     /// Protocol key of the series.
     pub protocol: String,
-    /// Non-protocol axis coordinates of the series.
-    pub group: String,
+    /// The coordinates every cell of the series shares; only `n` varies.
+    pub coords: CellCoords,
     /// Number of `(n, cost)` points fitted.
     pub points: usize,
     /// Cells of this series excluded from the fit because not every trial
@@ -137,6 +141,22 @@ pub struct GroupFit {
     pub detail: PowerLawFitDetail,
     /// 95% confidence interval around the exponent.
     pub interval: ConfidenceInterval,
+}
+
+impl GroupFit {
+    /// The exponent's 95% interval as the reports print it,
+    /// `{prefix}[lower, upper]`. A fit through two sizes has no residual
+    /// degree of freedom, so it reads `no CI: 2 points` instead of a
+    /// zero-width interval.
+    pub(crate) fn interval_text(&self, prefix: &str) -> String {
+        if self.detail.dof == 0 {
+            return "no CI: 2 points".into();
+        }
+        format!(
+            "{prefix}[{:.3}, {:.3}]",
+            self.interval.lower, self.interval.upper
+        )
+    }
 }
 
 /// One machine-checked claim about the fitted exponents.
@@ -154,8 +174,8 @@ pub struct Verdict {
 /// (`~n^{3/2}√log n` ⇒ a log–log fit lands near 1.5).
 pub const GEOGRAPHIC_EXPONENT_RANGE: (f64, f64) = (1.3, 1.7);
 
-/// A `(protocol, group)` series key.
-type SeriesKey = (String, String);
+/// A `(protocol, coordinates)` series key.
+type SeriesKey = (String, CellCoords);
 
 /// The accumulating `(n, cost)` points of one series, plus how many cells
 /// were left out of the fit.
@@ -169,7 +189,8 @@ struct SeriesPoints {
 #[derive(Debug, Default)]
 pub struct SweepAggregator {
     cells: Vec<CellSummary>,
-    // (protocol, group) → (n, mean transmissions) points, insertion-ordered.
+    // (protocol, coordinates) → (n, mean transmissions) points,
+    // insertion-ordered.
     series: Vec<(SeriesKey, SeriesPoints)>,
 }
 
@@ -186,7 +207,7 @@ impl SweepAggregator {
     /// series ([`GroupFit::excluded`]) so the report can say so.
     pub fn push(&mut self, record: &CellRecord) {
         let summary = CellSummary::new(record);
-        let key = (summary.protocol.clone(), summary.group.clone());
+        let key = (summary.protocol.clone(), summary.coords.clone());
         let series = match self.series.iter_mut().find(|(k, _)| *k == key) {
             Some((_, series)) => series,
             None => {
@@ -209,7 +230,7 @@ impl SweepAggregator {
     pub fn finish(mut self) -> SweepAggregate {
         self.cells.sort_by_key(|c| c.index);
         let mut fits = Vec::new();
-        for ((protocol, group), mut series) in self.series {
+        for ((protocol, coords), mut series) in self.series {
             series
                 .points
                 .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("n is finite"));
@@ -218,7 +239,7 @@ impl SweepAggregator {
             if let Some(detail) = fit_power_law_detailed(&xs, &ys) {
                 fits.push(GroupFit {
                     protocol,
-                    group,
+                    coords,
                     points: series.points.len(),
                     excluded: series.excluded,
                     interval: detail.exponent_interval(REPORT_Z),
@@ -227,9 +248,7 @@ impl SweepAggregator {
             }
         }
         let mut verdicts = derive_verdicts(&fits);
-        verdicts.extend(derive_degradation_verdicts(&self.cells));
-        verdicts.extend(derive_latency_verdicts(&self.cells));
-        verdicts.extend(derive_reliability_verdicts(&self.cells));
+        verdicts.extend(degradation_verdicts(&self.cells));
         SweepAggregate {
             cells: self.cells,
             fits,
@@ -243,13 +262,14 @@ impl SweepAggregator {
 pub struct SweepAggregate {
     /// Per-cell summaries in cell order.
     pub cells: Vec<CellSummary>,
-    /// Per-`(protocol, group)` power-law fits.
+    /// Per-`(protocol, coordinates)` power-law fits.
     pub fits: Vec<GroupFit>,
     /// Machine-checked scaling claims.
     pub verdicts: Vec<Verdict>,
 }
 
-/// Derives the headline scaling verdicts from the fitted exponents:
+/// Derives the headline scaling verdicts from the fitted exponents, each
+/// claim naming the protocol key of every series it compares:
 ///
 /// * plain geographic gossip lands in the paper's predicted window
 ///   [`GEOGRAPHIC_EXPONENT_RANGE`];
@@ -258,68 +278,55 @@ pub struct SweepAggregate {
 /// * geographic gossip scales strictly below pairwise gossip (the
 ///   `n^{3/2}` vs `n²` separation of Dimakis et al.).
 fn derive_verdicts(fits: &[GroupFit]) -> Vec<Verdict> {
-    let mut verdicts = Vec::new();
     fn base_name(protocol: &str) -> &str {
         protocol.split('{').next().unwrap_or(protocol)
     }
-    for fit in fits {
-        if base_name(&fit.protocol) == "geographic" {
-            let (lo, hi) = GEOGRAPHIC_EXPONENT_RANGE;
-            let k = fit.detail.fit.exponent;
-            verdicts.push(Verdict {
-                claim: format!(
-                    "geographic gossip exponent within [{lo}, {hi}] ({})",
-                    fit.group
-                ),
-                holds: (lo..=hi).contains(&k),
-                details: format!(
-                    "fitted k = {k:.3} (95% CI [{:.3}, {:.3}], R² = {:.3})",
-                    fit.interval.lower, fit.interval.upper, fit.detail.fit.r_squared
-                ),
-            });
-        }
-    }
-    for geographic in fits
+    let geographic: Vec<&GroupFit> = fits
         .iter()
         .filter(|f| base_name(&f.protocol) == "geographic")
-    {
-        for other in fits.iter().filter(|f| f.group == geographic.group) {
+        .collect();
+    let mut verdicts = Vec::new();
+    for fit in &geographic {
+        let (lo, hi) = GEOGRAPHIC_EXPONENT_RANGE;
+        let k = fit.detail.fit.exponent;
+        verdicts.push(Verdict {
+            claim: format!(
+                "{} gossip exponent within [{lo}, {hi}] ({})",
+                fit.protocol, fit.coords
+            ),
+            holds: (lo..=hi).contains(&k),
+            details: format!(
+                "fitted k = {k:.3} ({}, R² = {:.3})",
+                fit.interval_text("95% CI "),
+                fit.detail.fit.r_squared
+            ),
+        });
+    }
+    // The claim that `lower`, named `lower_name`, scales below `upper`.
+    let below = |lower: &GroupFit, lower_name: String, upper: &GroupFit| {
+        let (kl, ku) = (lower.detail.fit.exponent, upper.detail.fit.exponent);
+        Verdict {
+            claim: format!(
+                "{lower_name} scales strictly below {} gossip ({})",
+                upper.protocol, upper.coords
+            ),
+            holds: kl < ku,
+            details: format!(
+                "k[{}] = {kl:.3} ({}) vs k[{}] = {ku:.3} ({})",
+                lower.protocol,
+                lower.interval_text("95% CI "),
+                upper.protocol,
+                upper.interval_text("95% CI ")
+            ),
+        }
+    };
+    for geo in &geographic {
+        for other in fits.iter().filter(|f| f.coords == geo.coords) {
             let name = base_name(&other.protocol);
             if name.starts_with("affine") {
-                let (ka, kg) = (other.detail.fit.exponent, geographic.detail.fit.exponent);
-                verdicts.push(Verdict {
-                    claim: format!(
-                        "{} scales strictly below geographic gossip ({})",
-                        other.protocol, geographic.group
-                    ),
-                    holds: ka < kg,
-                    details: format!(
-                        "k[{}] = {ka:.3} (95% CI [{:.3}, {:.3}]) vs k[geographic] = {kg:.3} \
-                         (95% CI [{:.3}, {:.3}])",
-                        other.protocol,
-                        other.interval.lower,
-                        other.interval.upper,
-                        geographic.interval.lower,
-                        geographic.interval.upper
-                    ),
-                });
+                verdicts.push(below(other, other.protocol.clone(), geo));
             } else if name == "pairwise" {
-                let (kp, kg) = (other.detail.fit.exponent, geographic.detail.fit.exponent);
-                verdicts.push(Verdict {
-                    claim: format!(
-                        "geographic gossip scales strictly below pairwise gossip ({})",
-                        geographic.group
-                    ),
-                    holds: kg < kp,
-                    details: format!(
-                        "k[geographic] = {kg:.3} (95% CI [{:.3}, {:.3}]) vs k[pairwise] = {kp:.3} \
-                         (95% CI [{:.3}, {:.3}])",
-                        geographic.interval.lower,
-                        geographic.interval.upper,
-                        other.interval.lower,
-                        other.interval.upper
-                    ),
-                });
+                verdicts.push(below(geo, format!("{} gossip", geo.protocol), other));
             }
         }
     }
@@ -331,179 +338,10 @@ fn derive_verdicts(fits: &[GroupFit]) -> Vec<Verdict> {
 /// multiplicative tolerance, absorbing trial noise without hiding regressions.
 pub const DEGRADATION_SLACK: f64 = 1.5;
 
-/// Upper drop rate below which convergence must still be reached (verdict
-/// V2): losing up to half of all transmissions slows gossip but cannot stall
-/// it, because every surviving exchange still contracts the error.
+/// Upper drop rate below which convergence must still be reached: losing up
+/// to half of all transmissions slows gossip but cannot stall it, because
+/// every surviving exchange still contracts the error.
 pub const CONVERGENCE_DROP_CEILING: f64 = 0.5;
-
-/// The fault coordinates of one cell, parsed back out of its group key.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-struct FaultCoords {
-    drop: f64,
-    stale: f64,
-    churn: u64,
-}
-
-impl FaultCoords {
-    fn is_none(&self) -> bool {
-        self.drop == 0.0 && self.stale == 0.0 && self.churn == 0
-    }
-
-    /// Severity order: stale fraction dominates (it moves the floor), drop
-    /// rate breaks ties (it moves the cost), churn last.
-    fn severity(&self) -> (f64, f64, u64) {
-        (self.stale, self.drop, self.churn)
-    }
-}
-
-/// Splits a group key into its fault-free base and the fault coordinates the
-/// final segment encodes (`…/eps=0.05/drop=0.1+stale=0.05`). Groups without
-/// a fault segment — every pre-fault log line — parse as no-fault.
-fn split_fault_group(group: &str) -> (&str, FaultCoords) {
-    let Some((base, tail)) = group.rsplit_once('/') else {
-        return (group, FaultCoords::default());
-    };
-    let mut coords = FaultCoords::default();
-    let mut recognised = !tail.is_empty();
-    for part in tail.split('+') {
-        match part.split_once('=') {
-            Some(("drop", v)) => coords.drop = v.parse().unwrap_or(0.0),
-            Some(("stale", v)) => coords.stale = v.parse().unwrap_or(0.0),
-            Some(("churn", v)) => coords.churn = v.parse().unwrap_or(0),
-            _ => recognised = false,
-        }
-    }
-    if recognised {
-        (base, coords)
-    } else {
-        (group, FaultCoords::default())
-    }
-}
-
-/// Derives the degradation verdicts from the per-cell summaries, one triple
-/// per `(protocol, fault-free group, n)` series with at least two fault
-/// levels:
-///
-/// * **error floor monotone** — ordering the levels by severity
-///   (stale fraction, then drop rate), the mean final error never *drops* by
-///   more than [`DEGRADATION_SLACK`]: faults can only hurt accuracy;
-/// * **convergence retained** — every pure-loss level with
-///   `p ≤` [`CONVERGENCE_DROP_CEILING`] still converges on all trials;
-/// * **cost inflation bounded** — a pure-loss level at drop rate `p` costs at
-///   most `1/(1-p) ·` [`DEGRADATION_SLACK`] times the no-fault baseline:
-///   dropping a `p`-fraction of exchanges wastes exactly their cost, it does
-///   not compound.
-fn derive_degradation_verdicts(cells: &[CellSummary]) -> Vec<Verdict> {
-    fn base_name(protocol: &str) -> &str {
-        protocol.split('{').next().unwrap_or(protocol)
-    }
-    // (protocol, base group, n) → fault levels, insertion-ordered.
-    type LevelKey = (String, String, usize);
-    let mut series: Vec<(LevelKey, Vec<(FaultCoords, &CellSummary)>)> = Vec::new();
-    for cell in cells {
-        let (base_group, coords) = split_fault_group(&cell.group);
-        let key = (
-            base_name(&cell.protocol).to_string(),
-            base_group.to_string(),
-            cell.n,
-        );
-        match series.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, levels)) => levels.push((coords, cell)),
-            None => series.push((key, vec![(coords, cell)])),
-        }
-    }
-    let mut verdicts = Vec::new();
-    for ((protocol, base_group, n), mut levels) in series {
-        if levels.len() < 2 {
-            continue;
-        }
-        levels.sort_by(|a, b| {
-            a.0.severity()
-                .partial_cmp(&b.0.severity())
-                .expect("fault coordinates are finite")
-        });
-        let label = format!("{protocol}, {base_group}, n={n}");
-
-        // V1: the error floor is monotone in fault severity.
-        let mut floor_holds = true;
-        let mut floor_details = Vec::new();
-        for pair in levels.windows(2) {
-            let (lo, hi) = (&pair[0], &pair[1]);
-            if hi.1.mean_final_error * DEGRADATION_SLACK < lo.1.mean_final_error {
-                floor_holds = false;
-            }
-            floor_details.push(format!(
-                "err({}) = {:.4} → err({}) = {:.4}",
-                level_token(&lo.0),
-                lo.1.mean_final_error,
-                level_token(&hi.0),
-                hi.1.mean_final_error
-            ));
-        }
-        verdicts.push(Verdict {
-            claim: format!("error floor monotone in fault severity ({label})"),
-            holds: floor_holds,
-            details: floor_details.join("; "),
-        });
-
-        // V2: pure loss below the ceiling never costs convergence.
-        let mut conv_holds = true;
-        let mut conv_details = Vec::new();
-        for (coords, cell) in &levels {
-            if coords.stale == 0.0 && coords.churn == 0 && coords.drop <= CONVERGENCE_DROP_CEILING {
-                if cell.converged != cell.trials {
-                    conv_holds = false;
-                }
-                conv_details.push(format!(
-                    "{}: {}/{} trials converged",
-                    level_token(coords),
-                    cell.converged,
-                    cell.trials
-                ));
-            }
-        }
-        verdicts.push(Verdict {
-            claim: format!(
-                "convergence retained at drop rates ≤ {CONVERGENCE_DROP_CEILING} ({label})"
-            ),
-            holds: conv_holds,
-            details: conv_details.join("; "),
-        });
-
-        // V3: pure loss inflates cost by at most 1/(1-p), up to slack.
-        let baseline = levels
-            .iter()
-            .find(|(coords, _)| coords.is_none())
-            .map(|(_, cell)| cell.mean_transmissions);
-        let mut cost_holds = true;
-        let mut cost_details = Vec::new();
-        if let Some(baseline) = baseline {
-            for (coords, cell) in &levels {
-                if coords.drop > 0.0 && coords.stale == 0.0 && coords.churn == 0 {
-                    let bound = baseline * DEGRADATION_SLACK / (1.0 - coords.drop);
-                    if cell.mean_transmissions > bound {
-                        cost_holds = false;
-                    }
-                    cost_details.push(format!(
-                        "tx({}) = {:.0} vs bound {:.0} (baseline {:.0})",
-                        level_token(coords),
-                        cell.mean_transmissions,
-                        bound,
-                        baseline
-                    ));
-                }
-            }
-        }
-        if !cost_details.is_empty() {
-            verdicts.push(Verdict {
-                claim: format!("transmission cost inflation bounded by 1/(1-p) ({label})"),
-                holds: cost_holds,
-                details: cost_details.join("; "),
-            });
-        }
-    }
-    verdicts
-}
 
 /// Upper bound on transmission-cost inflation across a latency ladder,
 /// relative to the ladder's zero-latency rung: message delay staleness wastes
@@ -511,397 +349,296 @@ fn derive_degradation_verdicts(cells: &[CellSummary]) -> Vec<Verdict> {
 /// the mean latencies the committed sweeps probe (≲ a few clock slots).
 pub const LATENCY_COST_CEILING: f64 = 3.0;
 
-/// One rung of a latency ladder, parsed back out of a group key's `lat=`
-/// tail (or the bare group, which is the shared-memory zero-latency rung).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct LatencyCoords {
-    /// Mean per-message latency (0 for instant and shared-memory).
-    mean: f64,
-    /// Whether the cell actually ran on the message-passing transport.
-    transported: bool,
-}
-
-/// Splits a group key into its transport-free base and the latency rung its
-/// final segment encodes (`…/eps=0.05/lat=exp:0.01`). Groups without a
-/// `lat=` tail are the shared-memory rung of their own base.
-fn split_latency_group(group: &str) -> (&str, LatencyCoords) {
-    let shared_memory = LatencyCoords {
-        mean: 0.0,
-        transported: false,
-    };
-    let Some((base, tail)) = group.rsplit_once('/') else {
-        return (group, shared_memory);
-    };
-    let Some(model) = tail.strip_prefix("lat=") else {
-        return (group, shared_memory);
-    };
-    let mean = match model {
-        "instant" => Some(0.0),
-        other => other
-            .strip_prefix("fixed:")
-            .or_else(|| other.strip_prefix("exp:"))
-            .and_then(|v| v.parse().ok()),
-    };
-    match mean {
-        Some(mean) => (
-            base,
-            LatencyCoords {
-                mean,
-                transported: true,
-            },
-        ),
-        None => (group, shared_memory),
-    }
-}
-
-/// Derives the latency-degradation verdicts, one triple per
-/// `(protocol, transport-free group, n)` ladder holding at least two rungs of
-/// which at least one ran on the message-passing transport:
-///
-/// * **convergence retained** — every rung converges on all trials (the
-///   committed sweeps keep mean latency within a few clock slots, where
-///   staleness slows gossip but cannot stall it);
-/// * **cost monotone** — ordering rungs by mean latency, mean transmissions
-///   never *drop* by more than [`DEGRADATION_SLACK`]: delay can only waste
-///   exchanges, never save them;
-/// * **cost bounded** — no rung costs more than [`LATENCY_COST_CEILING`]
-///   times the ladder's zero-latency rung.
-fn derive_latency_verdicts(cells: &[CellSummary]) -> Vec<Verdict> {
-    fn base_name(protocol: &str) -> &str {
-        protocol.split('{').next().unwrap_or(protocol)
-    }
-    type LadderKey = (String, String, usize);
-    let mut ladders: Vec<(LadderKey, Vec<(LatencyCoords, &CellSummary)>)> = Vec::new();
-    for cell in cells {
-        let (base_group, coords) = split_latency_group(&cell.group);
-        // Fault-ladder and reliability-ladder cells have their own verdict
-        // families; neither tail is a latency rung.
-        if !coords.transported && split_fault_group(&cell.group).0 != cell.group.as_str() {
-            continue;
-        }
-        if split_reliability_group(&cell.group).1.is_some() {
-            continue;
-        }
-        let key = (
-            base_name(&cell.protocol).to_string(),
-            base_group.to_string(),
-            cell.n,
-        );
-        match ladders.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, rungs)) => rungs.push((coords, cell)),
-            None => ladders.push((key, vec![(coords, cell)])),
-        }
-    }
-    let mut verdicts = Vec::new();
-    for ((protocol, base_group, n), mut rungs) in ladders {
-        if rungs.len() < 2 || !rungs.iter().any(|(coords, _)| coords.transported) {
-            continue;
-        }
-        rungs.sort_by(|a, b| {
-            a.0.mean
-                .partial_cmp(&b.0.mean)
-                .expect("latency means are finite")
-        });
-        let label = format!("{protocol}, {base_group}, n={n}");
-
-        // L1: every rung still converges.
-        let conv_holds = rungs
-            .iter()
-            .all(|(_, cell)| cell.trials > 0 && cell.converged == cell.trials);
-        let conv_details: Vec<String> = rungs
-            .iter()
-            .map(|(coords, cell)| {
-                format!(
-                    "{}: {}/{} trials converged",
-                    latency_token(coords),
-                    cell.converged,
-                    cell.trials
-                )
-            })
-            .collect();
-        verdicts.push(Verdict {
-            claim: format!("convergence retained at every latency rung ({label})"),
-            holds: conv_holds,
-            details: conv_details.join("; "),
-        });
-
-        // L2: cost is monotone in mean latency, up to slack.
-        let mut monotone_holds = true;
-        let mut monotone_details = Vec::new();
-        for pair in rungs.windows(2) {
-            let (lo, hi) = (&pair[0], &pair[1]);
-            if hi.1.mean_transmissions * DEGRADATION_SLACK < lo.1.mean_transmissions {
-                monotone_holds = false;
-            }
-            monotone_details.push(format!(
-                "tx({}) = {:.0} → tx({}) = {:.0}",
-                latency_token(&lo.0),
-                lo.1.mean_transmissions,
-                latency_token(&hi.0),
-                hi.1.mean_transmissions
-            ));
-        }
-        verdicts.push(Verdict {
-            claim: format!("transmission cost monotone in mean latency ({label})"),
-            holds: monotone_holds,
-            details: monotone_details.join("; "),
-        });
-
-        // L3: cost inflation over the zero-latency rung stays bounded.
-        let baseline = rungs[0].1.mean_transmissions;
-        let bound = baseline * LATENCY_COST_CEILING;
-        let worst = rungs
-            .iter()
-            .map(|(_, cell)| cell.mean_transmissions)
-            .fold(f64::NEG_INFINITY, f64::max);
-        verdicts.push(Verdict {
-            claim: format!(
-                "transmission cost inflation bounded by {LATENCY_COST_CEILING}x at every \
-                 latency rung ({label})"
-            ),
-            holds: worst <= bound,
-            details: format!(
-                "worst rung {worst:.0} tx vs bound {bound:.0} (zero-latency baseline \
-                 {baseline:.0})"
-            ),
-        });
-    }
-    verdicts
-}
-
-/// Compact human token for one latency rung (`shared-memory`, `lat=0`,
-/// `lat=0.01`, …).
-fn latency_token(coords: &LatencyCoords) -> String {
-    if coords.transported {
-        format!("lat={}", coords.mean)
-    } else {
-        "shared-memory".into()
-    }
-}
-
 /// Upper drop rate below which an unreliable wire with retries must still
-/// reach convergence (verdict R1): with the default retry budget a message's
-/// end-to-end loss probability at `p = 0.3` is `p⁴ < 1%`, so nearly every
-/// round completes and gossip keeps contracting.
+/// reach convergence: with the default retry budget a message's end-to-end
+/// loss probability at `p = 0.3` is `p⁴ < 1%`, so nearly every round
+/// completes and gossip keeps contracting.
 pub const RELIABILITY_DROP_CEILING: f64 = 0.3;
 
-/// One rung of a reliability ladder, parsed back out of a group key's `rel=`
-/// tail (absence of a tail is the lossless rung of its own base group).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-struct ReliabilityCoords {
-    /// Per-message drop probability.
-    drop: f64,
-    /// Per-message duplication probability.
-    dup: f64,
+/// The coordinate a degradation ladder climbs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Axis {
+    /// Injected faults, by stale fraction (it moves the floor), then drop
+    /// rate (it moves the cost), then churn.
+    Faults,
+    /// Mean message latency on a lossless wire, from the shared-memory
+    /// engine up.
+    Latency,
+    /// Wire loss, by drop (it costs retransmissions and rounds), then
+    /// duplication (it only wastes uncharged copies).
+    Loss,
 }
 
-impl ReliabilityCoords {
-    fn is_lossless(&self) -> bool {
-        self.drop == 0.0 && self.dup == 0.0
-    }
-
-    /// Severity order: drop dominates (it costs retransmissions and rounds),
-    /// duplication breaks ties (it only wastes uncharged wire copies).
-    fn severity(&self) -> (f64, f64) {
-        (self.drop, self.dup)
-    }
-}
-
-/// Splits a group key into its reliability-free base and the wire coordinates
-/// its final segment encodes (`…/lat=instant/rel=drop:0.3+dup:0.05` — note
-/// the colon-separated values, which keep the `rel=` tail unambiguous to the
-/// `=`-keyed fault parser). Groups without a `rel=` tail return `None`: they
-/// are the lossless rung of their own base.
-fn split_reliability_group(group: &str) -> (&str, Option<ReliabilityCoords>) {
-    let Some((base, tail)) = group.rsplit_once('/') else {
-        return (group, None);
-    };
-    let Some(parts) = tail.strip_prefix("rel=") else {
-        return (group, None);
-    };
-    let mut coords = ReliabilityCoords::default();
-    for part in parts.split('+') {
-        let parsed = match part.split_once(':') {
-            Some(("drop", v)) => v.parse().ok().map(|p| coords.drop = p),
-            Some(("dup", v)) => v.parse().ok().map(|p| coords.dup = p),
-            _ => None,
-        };
-        if parsed.is_none() {
-            return (group, None);
-        }
-    }
-    (base, Some(coords))
-}
-
-/// Derives the reliability-degradation verdicts, one triple per
-/// `(protocol, reliability-free group, n)` ladder holding a lossless baseline
-/// plus at least one lossy rung (the baseline is the same latency rung with a
-/// reliable wire — `rel=` tails stack on top of `lat=` segments):
-///
-/// * **convergence retained** — every rung with drop rate
-///   `p ≤` [`RELIABILITY_DROP_CEILING`] converges on all trials: the retry
-///   budget makes end-to-end message loss rare, so loss slows gossip but
-///   cannot stall it;
-/// * **cost bounded** — a rung at drop rate `p` costs at most
-///   `1/(1-p)² ·` [`DEGRADATION_SLACK`] times the lossless baseline: every
-///   attempt is charged and the expected attempt count per delivered message
-///   is below `1/(1-p)`, while retry timeouts stall in-flight exchange
-///   chains and stretch the round count by roughly another `1/(1-p)`;
-/// * **error floor monotone** — ordering rungs by severity (drop, then
-///   duplication), the mean final error never *drops* by more than
-///   [`DEGRADATION_SLACK`]: an unreliable wire can only hurt accuracy.
-fn derive_reliability_verdicts(cells: &[CellSummary]) -> Vec<Verdict> {
-    fn base_name(protocol: &str) -> &str {
-        protocol.split('{').next().unwrap_or(protocol)
-    }
-    type LadderKey = (String, String, usize);
-    let mut ladders: Vec<(LadderKey, Vec<(ReliabilityCoords, &CellSummary)>)> = Vec::new();
-    for cell in cells {
-        let (base_group, coords) = split_reliability_group(&cell.group);
-        // Cells without a rel= tail join as the lossless rung of their own
-        // group; ladders that never gain a lossy rung are skipped below.
-        let coords = coords.unwrap_or_default();
-        let key = (
-            base_name(&cell.protocol).to_string(),
-            base_group.to_string(),
-            cell.n,
-        );
-        match ladders.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, rungs)) => rungs.push((coords, cell)),
-            None => ladders.push((key, vec![(coords, cell)])),
-        }
-    }
-    let mut verdicts = Vec::new();
-    for ((protocol, base_group, n), mut rungs) in ladders {
-        if rungs.len() < 2 || rungs.iter().all(|(coords, _)| coords.is_lossless()) {
-            continue;
-        }
-        rungs.sort_by(|a, b| {
-            a.0.severity()
-                .partial_cmp(&b.0.severity())
-                .expect("reliability coordinates are finite")
-        });
-        let label = format!("{protocol}, {base_group}, n={n}");
-
-        // R1: loss below the ceiling never costs convergence (retries hold).
-        let mut conv_holds = true;
-        let mut conv_details = Vec::new();
-        for (coords, cell) in &rungs {
-            if coords.drop <= RELIABILITY_DROP_CEILING {
-                if cell.trials == 0 || cell.converged != cell.trials {
-                    conv_holds = false;
+impl Axis {
+    /// The cell's coordinates with this axis at its baseline — no faults,
+    /// the shared-memory engine, a lossless wire — which every rung of the
+    /// cell's ladder shares. `None` keeps a lossy wire off the latency axis:
+    /// it climbs the loss axis.
+    fn rest(self, coords: &CellCoords) -> Option<CellCoords> {
+        let mut rest = coords.clone();
+        match self {
+            Axis::Faults => rest.faults = FaultLevel::default(),
+            Axis::Latency if coords.wire.is_some_and(|w| w.is_lossy()) => return None,
+            Axis::Latency => rest.wire = None,
+            Axis::Loss => {
+                if let Some(wire) = &mut rest.wire {
+                    (wire.drop, wire.dup) = (0.0, 0.0);
                 }
-                conv_details.push(format!(
-                    "{}: {}/{} trials converged",
-                    reliability_token(coords),
-                    cell.converged,
-                    cell.trials
-                ));
             }
         }
-        verdicts.push(Verdict {
-            claim: format!(
-                "convergence retained with retries at drop rates ≤ \
-                 {RELIABILITY_DROP_CEILING} ({label})"
-            ),
-            holds: conv_holds,
-            details: conv_details.join("; "),
-        });
+        Some(rest)
+    }
 
-        // R2: retransmissions inflate cost by at most 1/(1-p)² up to slack —
-        // one 1/(1-p) factor for charged attempts per delivered message, one
-        // for rounds stalled behind retry timeouts.
-        let baseline = rungs
-            .iter()
-            .find(|(coords, _)| coords.is_lossless())
-            .map(|(_, cell)| cell.mean_transmissions);
-        let mut cost_holds = true;
-        let mut cost_details = Vec::new();
-        if let Some(baseline) = baseline {
-            for (coords, cell) in &rungs {
-                if coords.drop > 0.0 {
-                    let keep = 1.0 - coords.drop;
-                    let bound = baseline * DEGRADATION_SLACK / (keep * keep);
-                    if cell.mean_transmissions > bound {
-                        cost_holds = false;
+    /// Where the rung sits on the axis, compared lexicographically.
+    fn severity(self, coords: &CellCoords) -> [f64; 3] {
+        let [mean, drop, dup] = wire_values(coords);
+        match self {
+            Axis::Faults => [
+                coords.faults.stale,
+                coords.faults.drop,
+                coords.faults.churn as f64,
+            ],
+            Axis::Latency => [mean, 0.0, 0.0],
+            Axis::Loss => [drop, dup, 0.0],
+        }
+    }
+
+    /// The rung's loss rate when loss is all that degrades it along this
+    /// axis: a fault level without stale nodes or churn, any wire.
+    fn pure_loss(self, coords: &CellCoords) -> Option<f64> {
+        let faults = coords.faults;
+        match self {
+            Axis::Faults => (faults.stale == 0.0 && faults.churn == 0).then_some(faults.drop),
+            Axis::Latency => None,
+            Axis::Loss => Some(wire_values(coords)[1]),
+        }
+    }
+
+    /// How verdict details name the rung (`none`, `lat=0.01`, `drop=0.3`…).
+    fn rung(self, coords: &CellCoords) -> String {
+        let [mean, drop, dup] = wire_values(coords);
+        match self {
+            Axis::Faults => coords.faults.to_string(),
+            Axis::Latency if coords.wire.is_none() => "shared-memory".into(),
+            Axis::Latency => format!("lat={mean}"),
+            Axis::Loss => nonzero_parts(&[("drop", drop), ("dup", dup)], "lossless"),
+        }
+    }
+
+    /// How verdict details name the rung a ladder's costs are held against.
+    fn baseline(self) -> &'static str {
+        match self {
+            Axis::Faults => "baseline",
+            Axis::Latency => "zero-latency baseline",
+            Axis::Loss => "lossless baseline",
+        }
+    }
+}
+
+/// A wire's mean latency, drop and duplication; zeros on shared memory.
+fn wire_values(coords: &CellCoords) -> [f64; 3] {
+    coords
+        .wire
+        .map_or([0.0; 3], |w| [w.latency.mean(), w.drop, w.dup])
+}
+
+/// A per-rung quantity a [`Check::Monotone`] claim follows up a ladder.
+#[derive(Debug, Clone, Copy)]
+enum Metric {
+    /// Mean final relative error, printed `err(rung) = 0.0480`.
+    Error,
+    /// Mean total transmissions, printed `tx(rung) = 1000`.
+    Transmissions,
+}
+
+impl Metric {
+    /// The rung's value, and how verdict details print it.
+    fn of(self, axis: Axis, cell: &CellSummary) -> (f64, String) {
+        let rung = axis.rung(&cell.coords);
+        match self {
+            Metric::Error => (
+                cell.mean_final_error,
+                format!("err({rung}) = {:.4}", cell.mean_final_error),
+            ),
+            Metric::Transmissions => (
+                cell.mean_transmissions,
+                format!("tx({rung}) = {:.0}", cell.mean_transmissions),
+            ),
+        }
+    }
+}
+
+/// What a degradation claim checks along one ladder.
+#[derive(Debug, Clone, Copy)]
+enum Check {
+    /// Climbing a rung never lowers the metric by more than
+    /// [`DEGRADATION_SLACK`]: degradation can only hurt.
+    Monotone(Metric),
+    /// Every rung converged on all of its trials: every rung whose pure loss
+    /// rate is at most the ceiling, or every rung at all.
+    Converged(Option<f64>),
+    /// A pure-loss rung at rate `p > 0` costs at most
+    /// `baseline · DEGRADATION_SLACK / (1-p)^power`, one `1/(1-p)` factor per
+    /// way loss wastes transmissions. No verdict without such a rung.
+    LossBound(i32),
+    /// No rung costs more than this factor times the first.
+    Ceiling(f64),
+}
+
+impl Check {
+    /// Whether the ladder upholds the check and the numbers behind the call,
+    /// or `None` when the check has nothing to judge.
+    fn run(self, axis: Axis, rungs: &[&CellSummary]) -> Option<(bool, String)> {
+        let mut holds = true;
+        let mut details = Vec::new();
+        match self {
+            Check::Monotone(metric) => {
+                for pair in rungs.windows(2) {
+                    let (lo, lo_text) = metric.of(axis, pair[0]);
+                    let (hi, hi_text) = metric.of(axis, pair[1]);
+                    if hi * DEGRADATION_SLACK < lo {
+                        holds = false;
                     }
-                    cost_details.push(format!(
-                        "tx({}) = {:.0} vs bound {:.0} (lossless baseline {:.0})",
-                        reliability_token(coords),
-                        cell.mean_transmissions,
-                        bound,
-                        baseline
+                    details.push(format!("{lo_text} → {hi_text}"));
+                }
+            }
+            Check::Converged(ceiling) => {
+                for cell in rungs {
+                    let pure_loss = axis.pure_loss(&cell.coords);
+                    if ceiling.is_some_and(|max| pure_loss.is_none_or(|p| p > max)) {
+                        continue;
+                    }
+                    holds &= cell.trials > 0 && cell.converged == cell.trials;
+                    let rung = axis.rung(&cell.coords);
+                    let (converged, trials) = (cell.converged, cell.trials);
+                    details.push(format!("{rung}: {converged}/{trials} trials converged"));
+                }
+            }
+            Check::LossBound(power) => {
+                let lossy: Vec<(f64, &CellSummary)> = rungs
+                    .iter()
+                    .filter_map(|cell| Some((axis.pure_loss(&cell.coords)?, *cell)))
+                    .filter(|(p, _)| *p > 0.0)
+                    .collect();
+                if lossy.is_empty() {
+                    return None;
+                }
+                let Some(baseline) = rungs
+                    .iter()
+                    .find(|cell| axis.rest(&cell.coords).as_ref() == Some(&cell.coords))
+                    .map(|cell| cell.mean_transmissions)
+                else {
+                    return Some((false, format!("no {} rung in the ladder", axis.baseline())));
+                };
+                for (p, cell) in lossy {
+                    let bound = baseline * DEGRADATION_SLACK / (1.0 - p).powi(power);
+                    let (tx, tx_text) = Metric::Transmissions.of(axis, cell);
+                    if tx > bound {
+                        holds = false;
+                    }
+                    let name = axis.baseline();
+                    details.push(format!(
+                        "{tx_text} vs bound {bound:.0} ({name} {baseline:.0})"
                     ));
                 }
             }
-        }
-        verdicts.push(Verdict {
-            claim: format!("retransmission cost inflation bounded by 1/(1-p)\u{b2} ({label})"),
-            holds: cost_holds && baseline.is_some(),
-            details: if cost_details.is_empty() {
-                "no lossless baseline rung in the ladder".into()
-            } else {
-                cost_details.join("; ")
-            },
-        });
-
-        // R3: the error floor is monotone in wire severity.
-        let mut floor_holds = true;
-        let mut floor_details = Vec::new();
-        for pair in rungs.windows(2) {
-            let (lo, hi) = (&pair[0], &pair[1]);
-            if hi.1.mean_final_error * DEGRADATION_SLACK < lo.1.mean_final_error {
-                floor_holds = false;
+            Check::Ceiling(factor) => {
+                let baseline = rungs[0].mean_transmissions;
+                let bound = baseline * factor;
+                let worst = rungs
+                    .iter()
+                    .map(|cell| cell.mean_transmissions)
+                    .fold(f64::NEG_INFINITY, f64::max);
+                holds = worst <= bound;
+                let name = axis.baseline();
+                details.push(format!(
+                    "worst rung {worst:.0} tx vs bound {bound:.0} ({name} {baseline:.0})"
+                ));
             }
-            floor_details.push(format!(
-                "err({}) = {:.4} → err({}) = {:.4}",
-                reliability_token(&lo.0),
-                lo.1.mean_final_error,
-                reliability_token(&hi.0),
-                hi.1.mean_final_error
-            ));
         }
-        verdicts.push(Verdict {
-            claim: format!("error floor monotone in wire loss severity ({label})"),
-            holds: floor_holds,
-            details: floor_details.join("; "),
-        });
+        Some((holds, details.join("; ")))
+    }
+}
+
+/// The degradation claims in report order; each is checked along every
+/// ladder of its axis. Degradation can only hurt, so neither the error
+/// floor nor the cost may fall as a ladder climbs. Dropping a `p`-fraction
+/// of activations wastes their cost without compounding: one `1/(1-p)`. A
+/// lossy wire adds a second, for rounds stalled behind retry timeouts, to
+/// the first, for charged attempts per delivered message.
+#[rustfmt::skip]
+fn claims() -> [(Axis, String, Check); 9] {
+    use Axis::{Faults, Latency, Loss};
+    use Check::{Ceiling, Converged, LossBound, Monotone};
+    use Metric::{Error, Transmissions};
+    [
+        (Faults, "error floor monotone in fault severity".into(), Monotone(Error)),
+        (Faults, format!("convergence retained at drop rates ≤ {CONVERGENCE_DROP_CEILING}"),
+            Converged(Some(CONVERGENCE_DROP_CEILING))),
+        (Faults, "transmission cost inflation bounded by 1/(1-p)".into(), LossBound(1)),
+        (Latency, "convergence retained at every latency rung".into(), Converged(None)),
+        (Latency, "transmission cost monotone in mean latency".into(), Monotone(Transmissions)),
+        (Latency, format!("transmission cost inflation bounded by {LATENCY_COST_CEILING}x at \
+                           every latency rung"), Ceiling(LATENCY_COST_CEILING)),
+        (Loss, format!("convergence retained with retries at drop rates ≤ \
+                        {RELIABILITY_DROP_CEILING}"), Converged(Some(RELIABILITY_DROP_CEILING))),
+        (Loss, "retransmission cost inflation bounded by 1/(1-p)\u{b2}".into(), LossBound(2)),
+        (Loss, "error floor monotone in wire loss severity".into(), Monotone(Error)),
+    ]
+}
+
+/// A ladder's protocol key, `n`, and coordinates at the axis baseline.
+type LadderKey<'a> = (&'a str, usize, CellCoords);
+
+/// The ladders along `axis`, each under its label: the cells that share
+/// protocol key, `n` and every coordinate but the axis, in severity order
+/// (ties keep cell order). A ladder is kept when it has at least two rungs
+/// and one of them is off the axis's baseline.
+fn ladders(cells: &[CellSummary], axis: Axis) -> Vec<(String, Vec<&CellSummary>)> {
+    let mut ladders: Vec<(LadderKey, Vec<&CellSummary>)> = Vec::new();
+    for cell in cells {
+        let Some(rest) = axis.rest(&cell.coords) else {
+            continue;
+        };
+        let key = (cell.protocol.as_str(), cell.n, rest);
+        match ladders.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, rungs)) => rungs.push(cell),
+            None => ladders.push((key, vec![cell])),
+        }
+    }
+    ladders
+        .into_iter()
+        .filter(|((.., rest), rungs)| rungs.len() >= 2 && rungs.iter().any(|c| c.coords != *rest))
+        .map(|((protocol, n, rest), mut rungs)| {
+            rungs.sort_by(|a, b| {
+                let (a, b) = (axis.severity(&a.coords), axis.severity(&b.coords));
+                let mut order = a.iter().zip(&b).map(|(x, y)| x.total_cmp(y));
+                order.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+            });
+            (format!("{protocol}, {rest}, n={n}"), rungs)
+        })
+        .collect()
+}
+
+/// Checks every degradation claim along every ladder of its axis: the fault
+/// ladders first, then latency, then loss, each ladder's claims together.
+fn degradation_verdicts(cells: &[CellSummary]) -> Vec<Verdict> {
+    let claims = claims();
+    let mut verdicts = Vec::new();
+    for axis in [Axis::Faults, Axis::Latency, Axis::Loss] {
+        for (label, rungs) in ladders(cells, axis) {
+            for (_, claim, check) in claims.iter().filter(|(a, ..)| *a == axis) {
+                if let Some((holds, details)) = check.run(axis, &rungs) {
+                    verdicts.push(Verdict {
+                        claim: format!("{claim} ({label})"),
+                        holds,
+                        details,
+                    });
+                }
+            }
+        }
     }
     verdicts
-}
-
-/// Compact human token for one reliability rung (`lossless`, `drop=0.3`,
-/// `drop=0.3+dup=0.05`, …).
-fn reliability_token(coords: &ReliabilityCoords) -> String {
-    if coords.is_lossless() {
-        return "lossless".into();
-    }
-    let mut parts = Vec::new();
-    if coords.drop > 0.0 {
-        parts.push(format!("drop={}", coords.drop));
-    }
-    if coords.dup > 0.0 {
-        parts.push(format!("dup={}", coords.dup));
-    }
-    parts.join("+")
-}
-
-/// Compact human token for one fault level (`none`, `drop=0.3`, …).
-fn level_token(coords: &FaultCoords) -> String {
-    if coords.is_none() {
-        return "none".into();
-    }
-    let mut parts = Vec::new();
-    if coords.drop > 0.0 {
-        parts.push(format!("drop={}", coords.drop));
-    }
-    if coords.stale > 0.0 {
-        parts.push(format!("stale={}", coords.stale));
-    }
-    if coords.churn > 0 {
-        parts.push(format!("churn={}", coords.churn));
-    }
-    parts.join("+")
 }
 
 #[cfg(test)]
@@ -929,7 +666,7 @@ mod tests {
             index,
             name: format!("s/c{index:04}-{protocol}-n{n}"),
             protocol: protocol.into(),
-            group: "unit-square/uniform-square/cc=1.5/eps=0.05".into(),
+            coords: CellCoords::parse("unit-square/uniform-square/cc=1.5/eps=0.05").unwrap(),
             n,
             epsilon: 0.05,
             trials: vec![trial(cost - 10, 100), trial(cost + 10, 120)],
@@ -1082,19 +819,16 @@ mod tests {
         assert_eq!(result.cells[3].converged, 1);
     }
 
-    /// A record at one fault level of the degradation ladder.
-    fn fault_record(
+    /// A record at one rung of a degradation ladder: `tail` follows the
+    /// base key (empty for a fault-free shared-memory cell).
+    fn rung_record(
         index: u64,
-        fault_tail: &str,
+        tail: &str,
         cost: u64,
         final_error: f64,
         converged: bool,
     ) -> CellRecord {
-        let group = if fault_tail.is_empty() {
-            "unit-square/uniform-square/cc=1.5/eps=0.05".to_string()
-        } else {
-            format!("unit-square/uniform-square/cc=1.5/eps=0.05/{fault_tail}")
-        };
+        let key = format!("unit-square/uniform-square/cc=1.5/eps=0.05/{tail}");
         let mut t = trial(cost, 100);
         t.final_error = final_error;
         t.converged = converged;
@@ -1102,7 +836,7 @@ mod tests {
             index,
             name: format!("s/c{index:04}-pairwise-n96"),
             protocol: "pairwise".into(),
-            group,
+            coords: CellCoords::parse(key.trim_end_matches('/')).expect("a key the lab writes"),
             n: 96,
             epsilon: 0.05,
             trials: vec![t],
@@ -1110,26 +844,12 @@ mod tests {
     }
 
     #[test]
-    fn fault_groups_split_into_base_and_coordinates() {
-        let (base, coords) =
-            split_fault_group("unit-square/uniform-square/cc=1.5/eps=0.05/drop=0.1+stale=0.05");
-        assert_eq!(base, "unit-square/uniform-square/cc=1.5/eps=0.05");
-        assert_eq!(coords.drop, 0.1);
-        assert_eq!(coords.stale, 0.05);
-        assert_eq!(coords.churn, 0);
-        // A fault-free group is its own base.
-        let (base, coords) = split_fault_group("unit-square/uniform-square/cc=1.5/eps=0.05");
-        assert_eq!(base, "unit-square/uniform-square/cc=1.5/eps=0.05");
-        assert!(coords.is_none());
-    }
-
-    #[test]
     fn degradation_verdicts_pass_on_a_well_behaved_ladder() {
         let mut agg = SweepAggregator::new();
-        agg.push(&fault_record(0, "", 1000, 0.048, true));
-        agg.push(&fault_record(1, "drop=0.1", 1100, 0.047, true));
-        agg.push(&fault_record(2, "drop=0.3", 1400, 0.049, true));
-        agg.push(&fault_record(3, "drop=0.1+stale=0.05", 1200, 0.09, false));
+        agg.push(&rung_record(0, "", 1000, 0.048, true));
+        agg.push(&rung_record(1, "drop=0.1", 1100, 0.047, true));
+        agg.push(&rung_record(2, "drop=0.3", 1400, 0.049, true));
+        agg.push(&rung_record(3, "drop=0.1+stale=0.05", 1200, 0.09, false));
         let result = agg.finish();
         let degradation: Vec<&Verdict> = result
             .verdicts
@@ -1158,8 +878,8 @@ mod tests {
         // Error floor *collapsing* under faults (nonsense → fail), a
         // non-converged pure-drop cell below the ceiling, and runaway cost.
         let mut agg = SweepAggregator::new();
-        agg.push(&fault_record(0, "", 1000, 0.048, true));
-        agg.push(&fault_record(1, "drop=0.3", 9000, 0.002, false));
+        agg.push(&rung_record(0, "", 1000, 0.048, true));
+        agg.push(&rung_record(1, "drop=0.3", 9000, 0.002, false));
         let result = agg.finish();
         let degradation: Vec<&Verdict> = result
             .verdicts
@@ -1177,66 +897,18 @@ mod tests {
     #[test]
     fn degradation_verdicts_need_at_least_two_fault_levels() {
         let mut agg = SweepAggregator::new();
-        agg.push(&fault_record(0, "", 1000, 0.048, true));
+        agg.push(&rung_record(0, "", 1000, 0.048, true));
         let result = agg.finish();
         assert!(result.verdicts.is_empty(), "{:#?}", result.verdicts);
-    }
-
-    /// A record at one rung of a latency ladder (empty tail = shared-memory).
-    fn latency_record(
-        index: u64,
-        latency_tail: &str,
-        cost: u64,
-        final_error: f64,
-        converged: bool,
-    ) -> CellRecord {
-        let group = if latency_tail.is_empty() {
-            "unit-square/uniform-square/cc=1.5/eps=0.05".to_string()
-        } else {
-            format!("unit-square/uniform-square/cc=1.5/eps=0.05/{latency_tail}")
-        };
-        let mut t = trial(cost, 100);
-        t.final_error = final_error;
-        t.converged = converged;
-        CellRecord {
-            index,
-            name: format!("s/c{index:04}-pairwise-n96"),
-            protocol: "pairwise".into(),
-            group,
-            n: 96,
-            epsilon: 0.05,
-            trials: vec![t],
-        }
-    }
-
-    #[test]
-    fn latency_groups_split_into_base_and_rungs() {
-        let (base, coords) =
-            split_latency_group("unit-square/uniform-square/cc=1.5/eps=0.05/lat=exp:0.01");
-        assert_eq!(base, "unit-square/uniform-square/cc=1.5/eps=0.05");
-        assert_eq!(coords.mean, 0.01);
-        assert!(coords.transported);
-        let (_, coords) = split_latency_group("a/b/lat=instant");
-        assert_eq!(coords.mean, 0.0);
-        assert!(coords.transported);
-        let (_, coords) = split_latency_group("a/b/lat=fixed:0.25");
-        assert_eq!(coords.mean, 0.25);
-        // Plain and fault-tailed groups are the shared-memory rung of
-        // themselves.
-        for group in ["a/b/eps=0.05", "a/b/eps=0.05/drop=0.1"] {
-            let (base, coords) = split_latency_group(group);
-            assert_eq!(base, group);
-            assert!(!coords.transported);
-        }
     }
 
     #[test]
     fn latency_verdicts_pass_on_a_well_behaved_ladder() {
         let mut agg = SweepAggregator::new();
-        agg.push(&latency_record(0, "", 1000, 0.048, true));
-        agg.push(&latency_record(1, "lat=instant", 1000, 0.048, true));
-        agg.push(&latency_record(2, "lat=fixed:0.005", 1200, 0.047, true));
-        agg.push(&latency_record(3, "lat=exp:0.01", 1600, 0.049, true));
+        agg.push(&rung_record(0, "", 1000, 0.048, true));
+        agg.push(&rung_record(1, "lat=instant", 1000, 0.048, true));
+        agg.push(&rung_record(2, "lat=fixed:0.005", 1200, 0.047, true));
+        agg.push(&rung_record(3, "lat=exp:0.01", 1600, 0.049, true));
         let result = agg.finish();
         let latency: Vec<&Verdict> = result
             .verdicts
@@ -1263,9 +935,9 @@ mod tests {
         // A rung that fails to converge, costs *less* than a lower rung by
         // more than slack, and blows through the inflation ceiling.
         let mut agg = SweepAggregator::new();
-        agg.push(&latency_record(0, "lat=instant", 9000, 0.048, true));
-        agg.push(&latency_record(1, "lat=exp:0.01", 1000, 0.2, false));
-        let mut failing = latency_record(2, "lat=exp:0.02", 40000, 0.3, true);
+        agg.push(&rung_record(0, "lat=instant", 9000, 0.048, true));
+        agg.push(&rung_record(1, "lat=exp:0.01", 1000, 0.2, false));
+        let mut failing = rung_record(2, "lat=exp:0.02", 40000, 0.3, true);
         failing.trials[0].transmissions = 40000;
         agg.push(&failing);
         let result = agg.finish();
@@ -1284,11 +956,12 @@ mod tests {
         // (they are one cell's group in real sweeps anyway), and a single
         // transported cell has nothing to compare against.
         let mut agg = SweepAggregator::new();
-        agg.push(&latency_record(0, "lat=instant", 1000, 0.048, true));
+        agg.push(&rung_record(0, "lat=instant", 1000, 0.048, true));
         let result = agg.finish();
         assert!(result.verdicts.is_empty(), "{:#?}", result.verdicts);
     }
 
+    /// A rung of a reliability ladder: the instant wire, plus `rel_tail`.
     fn reliability_record(
         index: u64,
         rel_tail: &str,
@@ -1296,65 +969,28 @@ mod tests {
         final_error: f64,
         converged: bool,
     ) -> CellRecord {
-        let group = if rel_tail.is_empty() {
-            "unit-square/uniform-square/cc=1.5/eps=0.05/lat=instant".to_string()
-        } else {
-            format!("unit-square/uniform-square/cc=1.5/eps=0.05/lat=instant/{rel_tail}")
-        };
-        let mut t = trial(cost, 100);
-        t.final_error = final_error;
-        t.converged = converged;
-        CellRecord {
-            index,
-            name: format!("s/c{index:04}-pairwise-n96"),
-            protocol: "pairwise".into(),
-            group,
-            n: 96,
-            epsilon: 0.05,
-            trials: vec![t],
-        }
-    }
-
-    #[test]
-    fn reliability_groups_split_into_base_and_coordinates() {
-        let (base, coords) = split_reliability_group(
-            "unit-square/uniform-square/cc=1.5/eps=0.05/lat=instant/rel=drop:0.3+dup:0.05",
-        );
-        assert_eq!(
-            base,
-            "unit-square/uniform-square/cc=1.5/eps=0.05/lat=instant"
-        );
-        let coords = coords.expect("rel tail parses");
-        assert_eq!(coords.drop, 0.3);
-        assert_eq!(coords.dup, 0.05);
-        let (_, coords) = split_reliability_group("a/b/rel=drop:0.1");
-        assert_eq!(
-            coords,
-            Some(ReliabilityCoords {
-                drop: 0.1,
-                dup: 0.0
-            })
-        );
-        // Plain, latency-tailed, and fault-tailed groups carry no wire
-        // coordinates; a malformed tail is treated the same way.
-        for group in [
-            "a/b/eps=0.05",
-            "a/b/eps=0.05/lat=instant",
-            "a/b/eps=0.05/drop=0.1",
-            "a/b/eps=0.05/rel=drop=0.1",
-        ] {
-            let (base, coords) = split_reliability_group(group);
-            assert_eq!(base, group);
-            assert_eq!(coords, None);
-        }
+        let tail = format!("lat=instant/{rel_tail}");
+        rung_record(index, &tail, cost, final_error, converged)
     }
 
     #[test]
     fn reliability_verdicts_pass_on_a_well_behaved_ladder() {
         let mut agg = SweepAggregator::new();
         agg.push(&reliability_record(0, "", 1000, 0.048, true));
-        agg.push(&reliability_record(1, "rel=drop:0.1", 1150, 0.048, true));
-        agg.push(&reliability_record(2, "rel=drop:0.3", 1500, 0.049, true));
+        agg.push(&reliability_record(
+            1,
+            "rel=drop:0.1+dup:0",
+            1150,
+            0.048,
+            true,
+        ));
+        agg.push(&reliability_record(
+            2,
+            "rel=drop:0.3+dup:0",
+            1500,
+            0.049,
+            true,
+        ));
         agg.push(&reliability_record(
             3,
             "rel=drop:0.3+dup:0.05",
@@ -1397,7 +1033,13 @@ mod tests {
         // 1/(1-p) bound, and *improves* the error floor by more than slack.
         let mut agg = SweepAggregator::new();
         agg.push(&reliability_record(0, "", 1000, 0.048, true));
-        agg.push(&reliability_record(1, "rel=drop:0.3", 10_000, 0.01, false));
+        agg.push(&reliability_record(
+            1,
+            "rel=drop:0.3+dup:0",
+            10_000,
+            0.01,
+            false,
+        ));
         let result = agg.finish();
         let reliability: Vec<&Verdict> = result
             .verdicts
@@ -1422,6 +1064,38 @@ mod tests {
         agg.push(&reliability_record(0, "", 1000, 0.048, true));
         let result = agg.finish();
         assert!(result.verdicts.is_empty(), "{:#?}", result.verdicts);
+    }
+
+    /// Two parameterised variants of one protocol are two series: they form
+    /// no degradation ladder, and every claim names the variants it judged.
+    #[test]
+    fn parameterised_variants_are_told_apart() {
+        let geographic = [
+            "geographic{selector=nearest-position}",
+            "geographic{selector=uniform-index}",
+        ];
+        let affine = "affine-idealized{coefficient-fraction=0.3}";
+        let mut agg = SweepAggregator::new();
+        for (i, (protocol, k)) in [(geographic[0], 1.5), (geographic[1], 1.4), (affine, 1.1)]
+            .into_iter()
+            .enumerate()
+        {
+            for (j, n) in [64usize, 128].into_iter().enumerate() {
+                let cost = (3.0 * (n as f64).powf(k)).round() as u64;
+                agg.push(&record((2 * i + j) as u64, protocol, n, cost));
+            }
+        }
+        let result = agg.finish();
+        assert_eq!(result.fits.len(), 3);
+        let claims: Vec<&str> = result.verdicts.iter().map(|v| v.claim.as_str()).collect();
+        assert_eq!(claims.len(), 4, "{claims:#?}");
+        let coords = "(unit-square/uniform-square/cc=1.5/eps=0.05)";
+        for variant in geographic {
+            let exponent = format!("{variant} gossip exponent within [1.3, 1.7] {coords}");
+            let below = format!("{affine} scales strictly below {variant} gossip {coords}");
+            assert!(claims.contains(&exponent.as_str()), "{claims:#?}");
+            assert!(claims.contains(&below.as_str()), "{claims:#?}");
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! comparison into one machine-checkable pipeline:
 //!
 //! 1. **Declare** the grid as a [`SweepSpec`](geogossip_sim::scenario::SweepSpec)
-//!    (axes over `n`, protocol, placement, radius regime, surface, ε) — it
+//!    (axes over `n`, protocol, placement, radius regime, surface, ε, faults
+//!    and transport) — it
 //!    expands deterministically into a scenario matrix with per-cell seeds
 //!    derived from `(master_seed, cell_index)`.
 //! 2. **Execute** it with [`run_sweep`]: cells run in index order through the
@@ -21,9 +22,11 @@
 //!    (modulo wall-clock fields).
 //! 3. **Aggregate** the log with [`SweepAggregator`]: per-cell mean/CI
 //!    (`Summary`) and median/p95 (`P2Quantile`, streaming) statistics, then
-//!    per-`(protocol, group)` log–log power-law fits with exponent confidence
-//!    intervals, and [`Verdict`]s stating whether the fitted exponents
-//!    reproduce the paper's claims.
+//!    per-`(protocol, coordinates)` log–log power-law fits with exponent
+//!    confidence intervals, and [`Verdict`]s stating whether the fitted
+//!    exponents reproduce the paper's claims and whether each degradation
+//!    ladder (cells alike but for their faults, latency or wire loss)
+//!    degrades gracefully.
 //! 4. **Report** with [`SweepReport`]: Markdown + CSV + JSON, wall-clock kept
 //!    in a separate `timing.csv` so the report set is byte-reproducible.
 //!
@@ -44,7 +47,7 @@ pub use aggregate::{
     CellSummary, GroupFit, SweepAggregate, SweepAggregator, Verdict, GEOGRAPHIC_EXPONENT_RANGE,
 };
 pub use error::LabError;
-pub use log::{CellRecord, LogContents, ResultsLog, TrialOutcome};
+pub use log::{CellCoords, CellRecord, FaultLevel, LogContents, ResultsLog, TrialOutcome, Wire};
 pub use report::SweepReport;
 pub use run::{
     check_sweep, run_sweep, run_sweep_probed, SweepOptions, SweepOutcome, SweepProgress,

@@ -8,9 +8,9 @@
 //! their own `(master_seed, cell_index)`-derived seeds.
 //!
 //! A kill can tear the final line mid-write. [`ResultsLog::load`] therefore
-//! drops a trailing line that does not parse (the cell simply re-runs on
-//! resume); a malformed line anywhere *else* is a hard error — that is
-//! corruption, not a torn tail.
+//! drops a trailing line that is not complete JSON (the cell simply re-runs
+//! on resume); a malformed line anywhere *else*, and a complete line that is
+//! not a valid record, is a hard error — that is corruption, not a torn tail.
 //!
 //! Wall-clock fields (`seconds`, `engine-seconds`) ride along in every trial
 //! record for observability but are **excluded from record equality**, the
@@ -18,9 +18,13 @@
 
 use crate::error::LabError;
 use geogossip_analysis::json::JsonValue;
-use geogossip_sim::scenario::{ParamValue, PlacementSpec, RadiusSpec, ScenarioReport, SweepCell};
+use geogossip_sim::scenario::{
+    ParamValue, PlacementSpec, RadiusSpec, ScenarioReport, ScenarioSpec, SweepCell,
+};
+use geogossip_sim::transport::LatencyModel;
 use geogossip_sim::ProtocolError;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
 
@@ -64,6 +68,189 @@ impl PartialEq for TrialOutcome {
     }
 }
 
+/// A sweep cell's coordinates on every axis but protocol and `n`: the key
+/// its fits group by and the rungs its degradation ladders compare.
+///
+/// `Display` writes the cell's group key, the only form the results log and
+/// the reports know: `surface/placement/radius/eps=…`, then
+/// `/drop=…+stale=…+churn=…` when the cell injects faults, then `/lat=…`
+/// when it runs on the message-passing transport, then
+/// `/rel=drop:…+dup:…` when that wire is lossy. [`CellCoords::parse`] is its
+/// inverse; nothing else writes or reads a group key.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CellCoords {
+    /// `surface/placement/radius/eps=…`, compared whole and never read apart.
+    pub base: String,
+    /// The injected faults (all zero when the cell has none).
+    pub faults: FaultLevel,
+    /// The message-passing wire, or `None` on the shared-memory engine.
+    pub wire: Option<Wire>,
+}
+
+/// A cell's fault level: its `FaultSpec` as far as the group key records it.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+pub struct FaultLevel {
+    /// Per-activation drop rate.
+    pub drop: f64,
+    /// Fraction of stale-value sensors.
+    pub stale: f64,
+    /// Number of churn events.
+    pub churn: u64,
+}
+
+/// A cell's message-passing wire: its latency model and loss (the retry
+/// policy is not a coordinate).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Wire {
+    /// Per-message delivery-delay model.
+    pub latency: LatencyModel,
+    /// Per-message drop probability.
+    pub drop: f64,
+    /// Per-message duplication probability.
+    pub dup: f64,
+}
+
+impl Wire {
+    /// Whether the wire drops or duplicates messages.
+    pub(crate) fn is_lossy(&self) -> bool {
+        self.drop != 0.0 || self.dup != 0.0
+    }
+}
+
+/// `name=value` for each positive part, joined by `+`, or `none` when
+/// every part is zero.
+pub(crate) fn nonzero_parts(parts: &[(&str, f64)], none: &str) -> String {
+    let parts: Vec<String> = parts
+        .iter()
+        .filter(|(_, value)| *value > 0.0)
+        .map(|(name, value)| format!("{name}={value}"))
+        .collect();
+    if parts.is_empty() {
+        none.into()
+    } else {
+        parts.join("+")
+    }
+}
+
+/// `none`, or the nonzero parts: `drop=0.1+stale=0.05+churn=2`.
+impl fmt::Display for FaultLevel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let churn = self.churn as f64;
+        let parts = [("drop", self.drop), ("stale", self.stale), ("churn", churn)];
+        f.write_str(&nonzero_parts(&parts, "none"))
+    }
+}
+
+/// The group key.
+impl fmt::Display for CellCoords {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.base)?;
+        if self.faults != FaultLevel::default() {
+            write!(f, "/{}", self.faults)?;
+        }
+        if let Some(wire) = &self.wire {
+            match wire.latency {
+                LatencyModel::Instant => f.write_str("/lat=instant")?,
+                LatencyModel::Fixed(delay) => write!(f, "/lat=fixed:{delay}")?,
+                LatencyModel::Exponential { mean } => write!(f, "/lat=exp:{mean}")?,
+            }
+            if wire.is_lossy() {
+                write!(f, "/rel=drop:{}+dup:{}", wire.drop, wire.dup)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl CellCoords {
+    /// The coordinates of a sweep cell's scenario.
+    pub fn of(spec: &ScenarioSpec) -> Self {
+        let placement = match spec.topology.placement {
+            PlacementSpec::UniformSquare => "uniform-square".to_string(),
+            PlacementSpec::Clustered { clusters, spread } => {
+                format!("clustered(k={clusters},spread={spread})")
+            }
+            PlacementSpec::Perforated { hole } => {
+                let (lo, hi) = (hole.min(), hole.max());
+                format!("perforated({},{},{},{})", lo.x, lo.y, hi.x, hi.y)
+            }
+        };
+        let radius = match spec.topology.radius {
+            RadiusSpec::ConnectivityConstant(c) => format!("cc={c}"),
+            RadiusSpec::Absolute(r) => format!("r={r}"),
+        };
+        // `/`-separated (not `|`): group keys land in Markdown table cells,
+        // where a pipe would split the column.
+        let base = format!(
+            "{}/{placement}/{radius}/eps={}",
+            spec.topology.surface.token(),
+            spec.stop.epsilon
+        );
+        CellCoords {
+            base,
+            faults: FaultLevel {
+                drop: spec.faults.drop_rate,
+                stale: spec.faults.stale_fraction,
+                churn: spec.faults.churn.len() as u64,
+            },
+            wire: spec.transport.map(|t| Wire {
+                latency: t.latency,
+                drop: t.reliability.drop,
+                dup: t.reliability.duplicate,
+            }),
+        }
+    }
+
+    /// Reads a group key back. `None` unless `Display` writes exactly `key`
+    /// for the coordinates read.
+    pub fn parse(key: &str) -> Option<Self> {
+        let mut segments = key.split('/').peekable();
+        let base: Vec<&str> = segments.by_ref().take(4).collect();
+        if base.len() < 4 {
+            return None;
+        }
+        let mut coords = CellCoords {
+            base: base.join("/"),
+            faults: FaultLevel::default(),
+            wire: None,
+        };
+        if let Some(faults) = segments.next_if(|s| !s.starts_with("lat=")) {
+            for part in faults.split('+') {
+                match part.split_once('=')? {
+                    ("drop", v) => coords.faults.drop = v.parse().ok()?,
+                    ("stale", v) => coords.faults.stale = v.parse().ok()?,
+                    ("churn", v) => coords.faults.churn = v.parse().ok()?,
+                    _ => return None,
+                }
+            }
+        }
+        if let Some(latency) = segments.next() {
+            let latency = match latency.strip_prefix("lat=")? {
+                "instant" => LatencyModel::Instant,
+                model => match model.split_once(':')? {
+                    ("fixed", v) => LatencyModel::Fixed(v.parse().ok()?),
+                    ("exp", v) => LatencyModel::Exponential {
+                        mean: v.parse().ok()?,
+                    },
+                    _ => return None,
+                },
+            };
+            let (drop, dup) = match segments.next() {
+                None => ("0", "0"),
+                Some(rel) => rel.strip_prefix("rel=drop:")?.split_once("+dup:")?,
+            };
+            coords.wire = Some(Wire {
+                latency,
+                drop: drop.parse().ok()?,
+                dup: dup.parse().ok()?,
+            });
+        }
+        // The round trip rejects what the reads above let through: a stray
+        // segment, a zero or reordered fault part, a lossless `rel=`.
+        (coords.to_string() == key).then_some(coords)
+    }
+}
+
 /// One completed sweep cell: its grid coordinates plus per-trial outcomes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellRecord {
@@ -73,13 +260,9 @@ pub struct CellRecord {
     pub name: String,
     /// Protocol key: registry name plus rendered params when present.
     pub protocol: String,
-    /// The non-protocol, non-`n` axis coordinates
-    /// (`surface/placement/radius/eps=…`, plus the fault token as a
-    /// `/drop=…+stale=…` segment when the cell injects faults, plus the
-    /// transport token as a `/lat=…` segment when the cell runs on the
-    /// message-passing transport) — the fit-grouping key. Default cells keep
-    /// the historical four-segment key.
-    pub group: String,
+    /// Every other axis coordinate but `n`; the log line holds them as the
+    /// `group` key.
+    pub coords: CellCoords,
     /// Network size of the cell.
     pub n: usize,
     /// Stop target of the cell.
@@ -111,40 +294,6 @@ impl CellRecord {
     /// Builds the record for a just-completed cell from its scenario report.
     pub fn new(cell: &SweepCell, report: &ScenarioReport) -> Self {
         let spec = &cell.spec;
-        let placement = match spec.topology.placement {
-            PlacementSpec::UniformSquare => "uniform-square".to_string(),
-            PlacementSpec::Clustered { clusters, spread } => {
-                format!("clustered(k={clusters},spread={spread})")
-            }
-            PlacementSpec::Perforated { hole } => format!(
-                "perforated({},{},{},{})",
-                hole.min().x,
-                hole.min().y,
-                hole.max().x,
-                hole.max().y
-            ),
-        };
-        let radius = match spec.topology.radius {
-            RadiusSpec::ConnectivityConstant(c) => format!("cc={c}"),
-            RadiusSpec::Absolute(r) => format!("r={r}"),
-        };
-        // `/`-separated (not `|`): group strings land in Markdown table
-        // cells, where a pipe would split the column.
-        let mut group = format!(
-            "{}/{}/{}/eps={}",
-            spec.topology.surface.token(),
-            placement,
-            radius,
-            spec.stop.epsilon
-        );
-        if !spec.faults.is_none() {
-            group.push('/');
-            group.push_str(&spec.faults.token());
-        }
-        if let Some(transport) = &spec.transport {
-            group.push('/');
-            group.push_str(&transport.token());
-        }
         let trials = report
             .trials
             .iter()
@@ -165,7 +314,7 @@ impl CellRecord {
             index: cell.index,
             name: spec.name.clone(),
             protocol: protocol_key(&spec.protocol),
-            group,
+            coords: CellCoords::of(spec),
             n: spec.topology.n,
             epsilon: spec.stop.epsilon,
             trials,
@@ -196,7 +345,7 @@ impl CellRecord {
             ("cell", self.index.into()),
             ("name", JsonValue::string(self.name.clone())),
             ("protocol", JsonValue::string(self.protocol.clone())),
-            ("group", JsonValue::string(self.group.clone())),
+            ("group", JsonValue::string(self.coords.to_string())),
             ("n", self.n.into()),
             ("epsilon", self.epsilon.into()),
             ("trials", JsonValue::Array(trials)),
@@ -216,6 +365,7 @@ impl CellRecord {
                 .map(str::to_string)
                 .ok_or_else(|| ProtocolError::malformed(format!("record `{key}` must be a string")))
         };
+        let group = field_str("group")?;
         let epsilon = doc
             .get("epsilon")
             .and_then(JsonValue::as_f64)
@@ -256,7 +406,9 @@ impl CellRecord {
             index: field_u64("cell")?,
             name: field_str("name")?,
             protocol: field_str("protocol")?,
-            group: field_str("group")?,
+            coords: CellCoords::parse(&group).ok_or_else(|| {
+                ProtocolError::malformed(format!("record `group` `{group}` is not a group key"))
+            })?,
             n: field_u64("n")? as usize,
             epsilon,
             trials,
@@ -285,10 +437,11 @@ pub struct ResultsLog;
 
 impl ResultsLog {
     /// Loads every record from `path`. A missing file is an empty log. A
-    /// trailing line that fails to parse — or parses but lost its trailing
-    /// newline — is dropped (torn by a kill); a malformed line anywhere else
-    /// is a hard error carrying its line number. A file that exists but
-    /// cannot be read is a [`LabError::Io`].
+    /// trailing line that is not complete JSON — or is complete but lost its
+    /// trailing newline — is dropped (torn by a kill). Any other line that is
+    /// not a record, such as malformed JSON mid-file or a group key
+    /// [`CellCoords::parse`] cannot read, is a hard error carrying its line
+    /// number. A file that exists but cannot be read is a [`LabError::Io`].
     pub fn load(path: &Path) -> Result<LogContents, LabError> {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
@@ -320,38 +473,25 @@ impl ResultsLog {
         let mut dropped_torn_tail = false;
         let mut valid_len = 0u64;
         for (i, (start, line)) in lines.iter().enumerate() {
-            let parsed = JsonValue::parse(line.trim_end())
-                .map_err(|e| ProtocolError::malformed(e.to_string()))
-                .and_then(|doc| CellRecord::from_json_value(&doc));
-            match parsed {
-                Ok(record) if line.ends_with('\n') => {
-                    records.push(record);
-                    valid_len = (start + line.len()) as u64;
-                }
-                Ok(_) => {
-                    // A record that parses but lost its trailing newline can
-                    // only be the final line (the append was killed between
-                    // the JSON and the `\n`). Keeping it would make the next
-                    // append concatenate onto it and corrupt the line — so it
-                    // is torn, like any other interrupted append: dropped,
-                    // truncated away, and its cell re-runs.
-                    dropped_torn_tail = true;
-                }
-                Err(e) if i + 1 == lines.len() => {
-                    // Torn tail: the final append was interrupted. Drop the
-                    // line; its cell re-runs on resume.
-                    let _ = e;
-                    dropped_torn_tail = true;
-                }
-                Err(e) => {
-                    return Err(ProtocolError::malformed(format!(
-                        "results log `{}` line {}: {e}",
-                        path.display(),
-                        i + 1
-                    ))
-                    .into())
-                }
+            let doc = JsonValue::parse(line.trim_end());
+            if i + 1 == lines.len() && (doc.is_err() || !line.ends_with('\n')) {
+                // Torn tail: the final append was killed mid-JSON, or between
+                // the JSON and its `\n`. Keeping a newline-less record would
+                // make the next append concatenate onto it, so either way the
+                // line is dropped, truncated away, and its cell re-runs.
+                dropped_torn_tail = true;
+                break;
             }
+            // A complete line that is not a record is corruption wherever it
+            // sits: resuming past it would silently drop or re-run a cell.
+            let record = doc
+                .map_err(|e| ProtocolError::malformed(e.to_string()))
+                .and_then(|doc| CellRecord::from_json_value(&doc))
+                .map_err(|e| {
+                    e.within(&format!("results log `{}` line {}", path.display(), i + 1))
+                })?;
+            records.push(record);
+            valid_len = (start + line.len()) as u64;
         }
         Ok(LogContents {
             records,
@@ -412,7 +552,7 @@ mod tests {
             index,
             name: format!("demo/c{index:04}-pairwise-n64"),
             protocol: "pairwise".into(),
-            group: "unit-square/uniform-square/cc=1.5/eps=0.05".into(),
+            coords: CellCoords::parse("unit-square/uniform-square/cc=1.5/eps=0.05").unwrap(),
             n: 64,
             epsilon: 0.05,
             trials: vec![TrialOutcome {
@@ -430,8 +570,8 @@ mod tests {
         }
     }
 
-    /// The group key of a transport cell carries the `lat=` token as its
-    /// final segment (the latency-ladder coordinate the aggregator parses).
+    /// The group key of a transport cell built by `CellRecord::new` carries
+    /// its `lat=` segment last; a shared-memory cell's carries none.
     #[test]
     fn transport_cells_append_the_latency_token_to_the_group() {
         use geogossip_sim::scenario::{ScenarioReport, ScenarioSpec, SweepCell};
@@ -448,20 +588,106 @@ mod tests {
                 spec: spec.clone(),
             };
             let report = ScenarioReport::new(spec, "pairwise (Boyd)".into(), Vec::new());
-            let record = CellRecord::new(&cell, &report);
+            let group = CellRecord::new(&cell, &report).coords.to_string();
             match suffix {
-                Some(suffix) => assert!(
-                    record.group.ends_with(suffix),
-                    "group `{}` lacks `{suffix}`",
-                    record.group
-                ),
+                Some(suffix) => {
+                    assert!(group.ends_with(suffix), "group `{group}` lacks `{suffix}`")
+                }
                 None => assert!(
-                    !record.group.contains("lat="),
-                    "default cell got a transport tail: `{}`",
-                    record.group
+                    !group.contains("lat="),
+                    "default cell got a transport tail: `{group}`"
                 ),
             }
         }
+    }
+
+    /// Every key an expansion over every placement, radius, surface, fault
+    /// and wire kind writes reads back to its coordinates, with the
+    /// spellings group keys have always had; a key `Display` never writes
+    /// does not.
+    #[test]
+    fn coords_read_back_every_key_an_expansion_writes() {
+        let sweep = geogossip_sim::scenario::SweepSpec::from_json(
+            r#"{"sweep": "keys", "axes": {
+                "n": [32], "protocol": [{"name": "pairwise", "params": {}}],
+                "placement": ["uniform-square", {"clustered": {"clusters": 4, "spread": 0.05}},
+                              {"perforated": {"hole": [0.25, 0.25, 0.75, 0.5]}}],
+                "radius": [{"connectivity-constant": 1.5}, {"absolute": 0.25}],
+                "surface": ["unit-square", "torus"],
+                "faults": [{}, {"stale-fraction": 0.05}, {"churn": [{"fraction": 0.1, "at-tick": 9}]},
+                           {"stale-fraction": 0.1, "churn": [
+                               {"fraction": 0.1, "at-tick": 9}, {"fraction": 0.1, "at-tick": 99}]}],
+                "transport": [null, {"latency": "instant"}, {"latency": {"fixed": 0.25}},
+                              {"latency": {"exp": {"mean": 0.5}}},
+                              {"latency": "instant", "reliability": {"drop": 0.3, "duplicate": 0.05}},
+                              {"latency": "instant", "reliability": {"drop": 0.1}},
+                              {"latency": "instant", "reliability": {"duplicate": 0.05}}]}}"#,
+        )
+        .unwrap();
+        let keys: Vec<String> = sweep
+            .expand()
+            .iter()
+            .map(|cell| {
+                let coords = CellCoords::of(&cell.spec);
+                let key = coords.to_string();
+                assert_eq!(CellCoords::parse(&key), Some(coords), "{key}");
+                key
+            })
+            .collect();
+        assert_eq!(keys.len(), 3 * 2 * 2 * 4 * 7);
+        let base = "unit-square/uniform-square/cc=1.5/eps=0.05";
+        for (tail, written) in [
+            ("", true),
+            ("/stale=0.1+churn=2", true),
+            ("/lat=instant", true),
+            ("/lat=fixed:0.25", true),
+            ("/lat=exp:0.5", true),
+            ("/lat=instant/rel=drop:0.3+dup:0.05", true),
+            ("/lat=instant/rel=drop:0.1+dup:0", true),
+            ("/churn=1/lat=instant/rel=drop:0+dup:0.05", true),
+            ("/none", false),
+            ("/drop=0", false),
+            ("/stale=0.1+drop=0.2", false),
+            ("/rel=drop:0.1+dup:0", false),
+            ("/lat=fixed", false),
+            ("/lat=instant/rel=drop:0.1", false),
+            ("/lat=instant/rel=drop:0+dup:0", false),
+            ("/lat=instant/x", false),
+        ] {
+            let key = format!("{base}{tail}");
+            assert_eq!(keys.contains(&key), written, "{key}");
+            assert_eq!(CellCoords::parse(&key).is_some(), written, "{key}");
+        }
+        assert!(
+            keys.contains(&"torus/clustered(k=4,spread=0.05)/r=0.25/eps=0.05/stale=0.05".into())
+        );
+        assert!(keys.contains(&"unit-square/perforated(0.25,0.25,0.75,0.5)/cc=1.5/eps=0.05".into()));
+        assert_eq!(CellCoords::parse("unit-square/uniform-square/cc=1.5"), None);
+        // Activation loss cannot share a grid with a wire, so pin it here.
+        assert_eq!(FaultLevel::default().to_string(), "none");
+        let key = format!("{base}/drop=0.25+stale=0.1+churn=2");
+        let faults = CellCoords::parse(&key).expect("a fault key").faults;
+        assert_eq!((faults.drop, faults.stale, faults.churn), (0.25, 0.1, 2));
+    }
+
+    /// A complete line whose group key does not read back is corruption,
+    /// even as the final line: dropping it as torn would truncate a
+    /// committed cell away.
+    #[test]
+    fn an_unreadable_group_key_is_a_line_numbered_error() {
+        let dir = std::env::temp_dir().join("geogossip-lab-log-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad-group.jsonl");
+        let good = record(0).to_json_value().render();
+        let bad = record(1)
+            .to_json_value()
+            .render()
+            .replace("eps=0.05", "eps=0.05/lat=warp");
+        std::fs::write(&path, format!("{good}\n{bad}\n")).unwrap();
+        let err = ResultsLog::load(&path).unwrap_err();
+        assert!(err.to_string().contains("line 2"), "got {err}");
+        assert!(err.to_string().contains("lat=warp"), "got {err}");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

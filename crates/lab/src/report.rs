@@ -76,7 +76,7 @@ impl SweepReport {
                 cell.index.to_string(),
                 cell.name.clone(),
                 cell.protocol.clone(),
-                cell.group.clone(),
+                cell.coords.to_string(),
                 cell.n.to_string(),
                 format_epsilon(cell.epsilon),
                 cell.trials.to_string(),
@@ -118,7 +118,7 @@ impl SweepReport {
         for fit in &self.aggregate.fits {
             table.add_row(vec![
                 fit.protocol.clone(),
-                fit.group.clone(),
+                fit.coords.to_string(),
                 fit.points.to_string(),
                 fit.excluded.to_string(),
                 format!("{}", fit.detail.fit.exponent),
@@ -182,10 +182,10 @@ impl SweepReport {
             for fit in &self.aggregate.fits {
                 fits.add_row(vec![
                     fit.protocol.clone(),
-                    fit.group.clone(),
+                    fit.coords.to_string(),
                     fit.points.to_string(),
                     format!("{:.3}", fit.detail.fit.exponent),
-                    format!("[{:.3}, {:.3}]", fit.interval.lower, fit.interval.upper),
+                    fit.interval_text(""),
                     format!("{:.4}", fit.detail.fit.prefactor),
                     format!("{:.4}", fit.detail.fit.r_squared),
                 ]);
@@ -263,7 +263,7 @@ impl SweepReport {
                     ("cell", c.index.into()),
                     ("name", JsonValue::string(c.name.clone())),
                     ("protocol", JsonValue::string(c.protocol.clone())),
-                    ("group", JsonValue::string(c.group.clone())),
+                    ("group", JsonValue::string(c.coords.to_string())),
                     ("n", c.n.into()),
                     ("epsilon", c.epsilon.into()),
                     ("trials", c.trials.into()),
@@ -293,7 +293,7 @@ impl SweepReport {
             .map(|f| {
                 JsonValue::object(vec![
                     ("protocol", JsonValue::string(f.protocol.clone())),
-                    ("group", JsonValue::string(f.group.clone())),
+                    ("group", JsonValue::string(f.coords.to_string())),
                     ("points", f.points.into()),
                     ("excluded-cells", f.excluded.into()),
                     ("exponent", f.detail.fit.exponent.into()),
@@ -361,21 +361,28 @@ impl SweepReport {
 mod tests {
     use super::*;
     use crate::aggregate::SweepAggregator;
-    use crate::log::{CellRecord, TrialOutcome};
+    use crate::log::{CellCoords, CellRecord, TrialOutcome};
 
     fn aggregate() -> SweepAggregate {
+        aggregate_over(&[64, 128, 256])
+    }
+
+    /// Geographic and affine series over `sizes`, in cell order.
+    fn aggregate_over(sizes: &[usize]) -> SweepAggregate {
         let mut agg = SweepAggregator::new();
-        for (i, n) in [64usize, 128, 256].iter().enumerate() {
+        for (i, n) in sizes.iter().enumerate() {
             for (j, (protocol, k)) in [("geographic", 1.5f64), ("affine-idealized", 1.02)]
                 .iter()
                 .enumerate()
             {
                 let cost = (2.0 * (*n as f64).powf(*k)).round() as u64;
+                let index = j * sizes.len() + i;
                 agg.push(&CellRecord {
-                    index: (j * 3 + i) as u64,
-                    name: format!("demo/c{:04}-{protocol}-n{n}", j * 3 + i),
+                    index: index as u64,
+                    name: format!("demo/c{index:04}-{protocol}-n{n}"),
                     protocol: (*protocol).into(),
-                    group: "unit-square/uniform-square/cc=1.5/eps=0.05".into(),
+                    coords: CellCoords::parse("unit-square/uniform-square/cc=1.5/eps=0.05")
+                        .unwrap(),
                     n: *n,
                     epsilon: 0.05,
                     trials: vec![TrialOutcome {
@@ -459,6 +466,28 @@ mod tests {
         );
         // Result-only: wall-clock fields never enter the JSON report.
         assert!(!report.to_json_value().pretty().contains("seconds"));
+    }
+
+    /// A fit through two sizes has no residual degree of freedom: its
+    /// verdicts and the Markdown fit table say so instead of printing a
+    /// zero-width interval, while the CSV keeps the numbers.
+    #[test]
+    fn two_point_fits_print_no_interval() {
+        let report = SweepReport::new("two", 4, aggregate_over(&[64, 128]));
+        assert!(report.aggregate.fits.iter().all(|f| f.detail.dof == 0));
+        assert_eq!(report.aggregate.verdicts.len(), 2);
+        for verdict in &report.aggregate.verdicts {
+            assert!(
+                verdict.details.contains("(no CI: 2 points"),
+                "{}",
+                verdict.details
+            );
+            assert!(!verdict.details.contains("95% CI"), "{}", verdict.details);
+        }
+        let md = report.markdown();
+        assert_eq!(md.matches("| no CI: 2 points |").count(), 2, "{md}");
+        assert!(!md.contains("95% CI ["), "{md}");
+        assert!(!report.fits_table().to_csv().contains("no CI"));
     }
 
     #[test]

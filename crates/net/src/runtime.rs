@@ -1,8 +1,8 @@
 //! The [`TransportRuntime`] implementation plugged into the scenario runner.
 //!
 //! [`NetRuntime`] maps a protocol spec onto the message-passing actors,
-//! mirroring the shared-memory registry's parameter validation (same known
-//! keys, same unknown-selector wording), builds the shared-memory engine's
+//! decoding its params with the shared-memory registry's own decoders (same
+//! known keys, same wording), builds the shared-memory engine's
 //! node-fault state ([`NodeFaults`]) from the dedicated `"faults"` trial
 //! stream when the spec asks for churn or stale nodes, runs the
 //! [`NetScheduler`], and returns the oracle-keyed metrics with the fault
@@ -12,6 +12,7 @@
 
 use crate::protocols::{GeographicNet, PairwiseNet};
 use crate::scheduler::{MessageLedger, NetProtocol, NetScheduler};
+use geogossip_core::registry::{geographic_params, GeographicParams};
 use geogossip_graph::GeometricGraph;
 use geogossip_routing::TargetSelector;
 use geogossip_sim::engine::{EngineReport, StopCondition};
@@ -51,41 +52,30 @@ enum NetPlan {
 impl NetPlan {
     /// The runtime's dispatch, and so its one list of the protocols it can
     /// run: [`TransportRuntime::check`] and [`TransportRuntime::run_trial`]
-    /// both go through it. It takes the same known keys as the shared-memory
-    /// registry's builders, so a spec that validates there validates here
-    /// (and vice versa), and it names the offending spec path on refusal.
+    /// both go through it. It decodes params with the shared-memory
+    /// registry's own decoders, so the two read the same keys, and it names
+    /// the offending spec path on refusal.
     fn for_spec(protocol: &ProtocolSpec) -> Result<Self, ProtocolError> {
         match protocol.name.as_str() {
             "pairwise" => {
                 protocol.reject_unknown(&[])?;
                 Ok(NetPlan::Pairwise)
             }
-            "geographic" => {
-                protocol.reject_unknown(&["selector", "probes", "cap"])?;
-                let selector = match protocol.text("selector", "nearest-position")?.as_str() {
-                    "nearest-position" => TargetSelector::NearestToUniformPosition,
-                    "uniform-index" => TargetSelector::UniformByIndex,
-                    "rejection-sampled" => {
-                        return Err(ProtocolError::invalid(
-                            "protocol.selector",
-                            "`rejection-sampled` has no message-passing implementation \
-                             (its acceptance table is a shared-memory precomputation); \
-                             use nearest-position or uniform-index, or drop the \
-                             `transport` key",
-                        ))
-                    }
-                    other => {
-                        return Err(ProtocolError::invalid(
-                            "selector",
-                            format!(
-                                "unknown selector `{other}` (known: nearest-position, \
-                                 uniform-index, rejection-sampled)"
-                            ),
-                        ))
-                    }
-                };
-                Ok(NetPlan::Geographic(selector))
-            }
+            "geographic" => match geographic_params(protocol)? {
+                GeographicParams::NearestPosition => Ok(NetPlan::Geographic(
+                    TargetSelector::NearestToUniformPosition,
+                )),
+                GeographicParams::UniformIndex => {
+                    Ok(NetPlan::Geographic(TargetSelector::UniformByIndex))
+                }
+                GeographicParams::RejectionSampled { .. } => Err(ProtocolError::invalid(
+                    "protocol.selector",
+                    "`rejection-sampled` has no message-passing implementation \
+                     (its acceptance table is a shared-memory precomputation); \
+                     use nearest-position or uniform-index, or drop the \
+                     `transport` key",
+                )),
+            },
             other => Err(ProtocolError::invalid(
                 "transport",
                 format!(

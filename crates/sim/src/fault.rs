@@ -173,25 +173,6 @@ impl FaultSpec {
         }
     }
 
-    /// Compact coordinate token for group keys and reports, e.g.
-    /// `drop=0.1+stale=0.05` or `none` for the default spec.
-    pub fn token(&self) -> String {
-        if self.is_none() {
-            return "none".to_string();
-        }
-        let mut parts = Vec::new();
-        if self.drop_rate > 0.0 {
-            parts.push(format!("drop={}", self.drop_rate));
-        }
-        if self.stale_fraction > 0.0 {
-            parts.push(format!("stale={}", self.stale_fraction));
-        }
-        if !self.churn.is_empty() {
-            parts.push(format!("churn={}", self.churn.len()));
-        }
-        parts.join("+")
-    }
-
     /// Serialises to the JSON `faults` object, emitting only non-default keys
     /// (so specs without faults keep their historical byte-exact rendering).
     pub fn to_json_value(&self) -> JsonValue {
@@ -693,7 +674,6 @@ mod tests {
         let spec = FaultSpec::default();
         assert!(spec.is_none());
         assert!(spec.validate().is_ok());
-        assert_eq!(spec.token(), "none");
         assert_eq!(spec.to_json_value().render(), "{}");
     }
 
@@ -720,7 +700,6 @@ mod tests {
         let parsed = spec_json(&json).expect("round trip parses");
         assert_eq!(parsed, spec);
         assert_eq!(parsed.to_json_value().render(), json);
-        assert_eq!(spec.token(), "drop=0.25+stale=0.1+churn=2");
     }
 
     #[test]

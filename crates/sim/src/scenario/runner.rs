@@ -32,6 +32,15 @@ pub trait ProtocolFactory: Send + Sync {
     /// per-protocol streams bit-for-bit.
     fn seed_tag(&self, name: &str) -> Option<u64>;
 
+    /// Checks `spec`'s params as [`ProtocolFactory::build`] reads them,
+    /// without a graph, so [`Runner::check`] refuses bad params before the
+    /// first trial. The default accepts every spec: such a factory's params
+    /// are checked only when `build` runs.
+    fn check(&self, spec: &ProtocolSpec) -> Result<(), ProtocolError> {
+        let _ = spec;
+        Ok(())
+    }
+
     /// Builds a protocol instance over `graph` with the given initial values.
     ///
     /// `epsilon` is the scenario's stop target (round-based protocols derive
@@ -91,11 +100,12 @@ impl Runner {
     }
 
     /// Checks `spec` the way every run does before its first trial: the
-    /// spec's own validation, a protocol name the factory knows, and, for a
-    /// spec with a `transport` key, an attached message-passing runtime that
-    /// can run its protocol ([`TransportRuntime::check`]). `geogossip
-    /// validate` calls this, so a spec it accepts is not refused by these
-    /// checks when it runs.
+    /// spec's own validation, a protocol name the factory knows, the
+    /// protocol's params ([`ProtocolFactory::check`]), and, for a spec with a
+    /// `transport` key, an attached message-passing runtime that can run its
+    /// protocol ([`TransportRuntime::check`]). `geogossip validate` calls
+    /// this, so a spec it accepts is not refused by these checks when it
+    /// runs.
     ///
     /// # Errors
     ///
@@ -108,6 +118,7 @@ impl Runner {
     fn prepare(&self, spec: &ScenarioSpec) -> Result<u64, ProtocolError> {
         spec.validate()?;
         let tag = self.resolve_tag(spec)?;
+        self.factory.check(&spec.protocol)?;
         if spec.transport.is_some() {
             self.transport_runtime()?.check(&spec.protocol)?;
         }

@@ -175,13 +175,6 @@ impl ReliabilitySpec {
         Ok(())
     }
 
-    /// Compact coordinate token, e.g. `rel=drop:0.3+dup:0.05`. Parts are
-    /// colon-separated (not `=`-separated) so a group key carrying this token
-    /// can never be mistaken for a fault coordinate tail.
-    pub fn token(&self) -> String {
-        format!("rel=drop:{}+dup:{}", self.drop, self.duplicate)
-    }
-
     /// Serialises to the JSON `reliability` object, omitting default-valued
     /// keys (an all-default block renders as `{}` and is itself omitted by
     /// [`TransportSpec::to_json_value`]).
@@ -335,22 +328,6 @@ impl TransportSpec {
             }
         }
         self.reliability.validate()
-    }
-
-    /// Compact coordinate token for group keys and reports, e.g.
-    /// `lat=instant`, `lat=fixed:0.5` or `lat=exp:0.25`; an unreliable wire
-    /// appends its own segment: `lat=instant/rel=drop:0.3+dup:0.05`.
-    pub fn token(&self) -> String {
-        let latency = match self.latency {
-            LatencyModel::Instant => "lat=instant".to_string(),
-            LatencyModel::Fixed(delay) => format!("lat=fixed:{delay}"),
-            LatencyModel::Exponential { mean } => format!("lat=exp:{mean}"),
-        };
-        if self.reliability.is_lossless() {
-            latency
-        } else {
-            format!("{latency}/{}", self.reliability.token())
-        }
     }
 
     /// Serialises to the JSON `transport` object. The `reliability` key is
@@ -537,7 +514,6 @@ mod tests {
         let spec = TransportSpec::default();
         assert_eq!(spec.latency, LatencyModel::Instant);
         assert!(spec.validate().is_ok());
-        assert_eq!(spec.token(), "lat=instant");
     }
 
     #[test]
@@ -653,22 +629,5 @@ mod tests {
         assert_eq!(LatencyModel::Instant.mean(), 0.0);
         assert_eq!(LatencyModel::Fixed(0.25).mean(), 0.25);
         assert_eq!(LatencyModel::Exponential { mean: 0.5 }.mean(), 0.5);
-        assert_eq!(
-            TransportSpec::with_latency(LatencyModel::Fixed(0.25)).token(),
-            "lat=fixed:0.25"
-        );
-        assert_eq!(
-            TransportSpec::with_latency(LatencyModel::Exponential { mean: 0.5 }).token(),
-            "lat=exp:0.5"
-        );
-        let lossy = TransportSpec {
-            latency: LatencyModel::Instant,
-            reliability: ReliabilitySpec {
-                drop: 0.3,
-                duplicate: 0.05,
-                ..ReliabilitySpec::default()
-            },
-        };
-        assert_eq!(lossy.token(), "lat=instant/rel=drop:0.3+dup:0.05");
     }
 }

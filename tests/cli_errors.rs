@@ -171,3 +171,75 @@ fn validate_rejects_a_transport_the_protocol_cannot_run_on() {
     assert_eq!(validate_code, Some(1), "{validate_err}");
     assert_eq!(validate_err, run_err);
 }
+
+/// A scenario spec on the standard 64-node instance running `protocol`.
+fn spec_with_protocol(protocol: &str) -> String {
+    format!(
+        r#"{{
+          "name": "bad-params",
+          "topology": {{"n": 64, "placement": "uniform-square", "radius": {{"connectivity-constant": 1.5}}, "surface": "unit-square"}},
+          "field": "spatial-gradient",
+          "protocol": {protocol},
+          "stop": {{"epsilon": 0.1}},
+          "trials": 1,
+          "seed": 7
+        }}"#
+    )
+}
+
+#[test]
+fn validate_rejects_the_params_run_rejects() {
+    let spec = scratch("bad-params.json");
+    let path = spec.to_str().unwrap();
+    for (protocol, message) in [
+        (
+            r#"{"name": "pairwise", "params": {"bogus": 1}}"#,
+            "error: invalid parameter `bogus`: unknown parameter for protocol `pairwise` \
+             (known: none)\n",
+        ),
+        (
+            r#"{"name": "geographic", "params": {"selector": "rejection-sampled", "probes": 0}}"#,
+            "error: invalid parameter `probes`: must be a whole number of at least 1, got 0\n",
+        ),
+    ] {
+        std::fs::write(&spec, spec_with_protocol(protocol)).unwrap();
+        let (validate_code, validate_err) = geogossip(&["validate", path]);
+        let (run_code, run_err) = geogossip(&["run", path]);
+        assert_eq!(run_code, Some(1), "{run_err}");
+        assert_eq!(run_err, message);
+        assert_eq!(validate_code, Some(1), "{protocol}: {validate_err}");
+        assert_eq!(validate_err, run_err);
+    }
+    let _ = std::fs::remove_file(&spec);
+}
+
+#[test]
+fn a_sweep_with_bad_params_stops_before_its_first_cell() {
+    let sweep = scratch("bad-params-sweep.json");
+    let log = scratch("bad-params-sweep.jsonl");
+    let _ = std::fs::remove_file(&log);
+    let text = std::fs::read_to_string("scenarios/sweeps/smoke_sweep.json").unwrap();
+    std::fs::write(
+        &sweep,
+        text.replace(
+            r#"{"name": "geographic", "params": {}}"#,
+            r#"{"name": "pairwise", "params": {"bogus": 1}}"#,
+        ),
+    )
+    .unwrap();
+    let (code, stderr) = geogossip(&[
+        "sweep",
+        sweep.to_str().unwrap(),
+        "--log",
+        log.to_str().unwrap(),
+    ]);
+    let logged = std::fs::read_to_string(&log).unwrap_or_default();
+    let _ = std::fs::remove_file(&sweep);
+    let _ = std::fs::remove_file(&log);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("unknown parameter for protocol `pairwise`"),
+        "{stderr}"
+    );
+    assert_eq!(logged, "", "a cell ran before the sweep was refused");
+}
