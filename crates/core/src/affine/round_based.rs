@@ -159,6 +159,31 @@ impl RoundBasedConfig {
         self.coefficient = rule;
         self
     }
+
+    /// The ranges of the two numeric factors: `rounds_factor` strictly
+    /// positive, `epsilon_decay` in `(0, 1]`, both finite. Needs no network,
+    /// so the registry's params check calls it too, and the errors name the
+    /// spec keys (`rounds-factor`, `epsilon-decay`).
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::InvalidParameter`] for the first factor out of range.
+    pub(crate) fn validate(&self) -> Result<(), ProtocolError> {
+        let (rounds, decay) = (self.rounds_factor, self.epsilon_decay);
+        if !(rounds.is_finite() && rounds > 0.0) {
+            return Err(ProtocolError::invalid(
+                "rounds-factor",
+                "must be strictly positive",
+            ));
+        }
+        if !(decay > 0.0 && decay <= 1.0) {
+            return Err(ProtocolError::invalid(
+                "epsilon-decay",
+                "must lie in (0, 1]",
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Counters describing one run of the round-based protocol.
@@ -237,7 +262,8 @@ impl<'a> RoundBasedAffineGossip<'a> {
     ///   for malformed inputs.
     /// * [`ProtocolError::DegeneratePartition`] when the partition has fewer
     ///   than two populated top-level cells.
-    /// * [`ProtocolError::InvalidParameter`] for non-positive factors.
+    /// * [`ProtocolError::InvalidParameter`] for a `rounds_factor` that is
+    ///   not strictly positive or an `epsilon_decay` outside `(0, 1]`.
     pub fn new(
         graph: &'a GeometricGraph,
         initial_values: Vec<f64>,
@@ -252,21 +278,7 @@ impl<'a> RoundBasedAffineGossip<'a> {
                 values: initial_values.len(),
             });
         }
-        if !config.rounds_factor.is_finite() || config.rounds_factor <= 0.0 {
-            return Err(ProtocolError::InvalidParameter {
-                name: "rounds_factor".into(),
-                reason: "must be strictly positive".into(),
-            });
-        }
-        if !config.epsilon_decay.is_finite()
-            || config.epsilon_decay <= 0.0
-            || config.epsilon_decay > 1.0
-        {
-            return Err(ProtocolError::InvalidParameter {
-                name: "epsilon_decay".into(),
-                reason: "must lie in (0, 1]".into(),
-            });
-        }
+        config.validate()?;
         let hierarchy = Hierarchy::build(graph, config.partition)?;
         let in_cell_rows = vec![None; hierarchy.partition().num_cells()];
         Ok(RoundBasedAffineGossip {

@@ -82,14 +82,8 @@ impl AffineCompleteGraph {
         if alphas.is_empty() {
             return Err(ProtocolError::EmptyNetwork);
         }
-        if let Some(bad) = alphas
-            .iter()
-            .find(|a| !a.is_finite() || **a <= ALPHA_MIN || **a >= ALPHA_MAX)
-        {
-            return Err(ProtocolError::InvalidParameter {
-                name: "alpha".into(),
-                reason: format!("coefficient {bad} outside the open interval (1/3, 1/2)"),
-            });
+        for &alpha in &alphas {
+            Self::validate_alpha(alpha)?;
         }
         let n = alphas.len();
         Ok(AffineCompleteGraph {
@@ -100,6 +94,25 @@ impl AffineCompleteGraph {
             sum_sq: 0.0,
             drift_bound: 0.0,
         })
+    }
+
+    /// The range of a Lemma-1 coefficient, the open interval `(1/3, 1/2)`.
+    /// Needs no network, so the registry's params check calls it too and
+    /// `geogossip validate` refuses what a run would.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::InvalidParameter`] naming `alpha` when it is outside
+    /// the interval or not finite.
+    pub(crate) fn validate_alpha(alpha: f64) -> Result<(), ProtocolError> {
+        if alpha.is_finite() && alpha > ALPHA_MIN && alpha < ALPHA_MAX {
+            Ok(())
+        } else {
+            Err(ProtocolError::invalid(
+                "alpha",
+                format!("coefficient {alpha} outside the open interval (1/3, 1/2)"),
+            ))
+        }
     }
 
     /// Creates the model with every coefficient equal to `alpha`.
@@ -315,6 +328,23 @@ pub struct PerturbedAffineCompleteGraph {
 }
 
 impl PerturbedAffineCompleteGraph {
+    /// The range of the perturbation bound: non-negative and finite. Needs
+    /// no network, so the registry's params check calls it too.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::InvalidParameter`] naming `magnitude` otherwise.
+    pub(crate) fn validate_magnitude(magnitude: f64) -> Result<(), ProtocolError> {
+        if magnitude.is_finite() && magnitude >= 0.0 {
+            Ok(())
+        } else {
+            Err(ProtocolError::invalid(
+                "magnitude",
+                "perturbation bound must be non-negative and finite",
+            ))
+        }
+    }
+
     /// Creates the perturbed model with uniform coefficient `alpha`,
     /// perturbation magnitude bound `magnitude` (the `ε` of Lemma 2), and the
     /// chosen perturbation pattern.
@@ -330,12 +360,7 @@ impl PerturbedAffineCompleteGraph {
         magnitude: f64,
         kind: PerturbationKind,
     ) -> Result<Self, ProtocolError> {
-        if !magnitude.is_finite() || magnitude < 0.0 {
-            return Err(ProtocolError::InvalidParameter {
-                name: "magnitude".into(),
-                reason: "perturbation bound must be non-negative and finite".into(),
-            });
-        }
+        Self::validate_magnitude(magnitude)?;
         Ok(PerturbedAffineCompleteGraph {
             inner: AffineCompleteGraph::with_uniform_alpha(n, alpha)?,
             magnitude,

@@ -313,8 +313,8 @@ fn build_geographic<'a>(
     )?))
 }
 
-/// Decodes a round-based variant's params onto its defaults `base`; its
-/// check and its builder both call this.
+/// Decodes a round-based variant's params onto its defaults `base` and
+/// checks their ranges; its check and its builder both call this.
 fn round_based_config(
     spec: &ProtocolSpec,
     base: RoundBasedConfig,
@@ -355,6 +355,7 @@ fn round_based_config(
             }
         };
     }
+    config.validate()?;
     Ok(config)
 }
 
@@ -403,11 +404,15 @@ fn build_state_machine<'a>(
     Ok(Box::new(AffineStateMachine::practical(graph, values)?))
 }
 
-/// Decodes `affine-complete`'s params: one `alpha` for every node, or
-/// `None` for random per-node coefficients.
+/// Decodes `affine-complete`'s params: one `alpha` for every node, in
+/// range, or `None` for random per-node coefficients.
 fn uniform_alpha(spec: &ProtocolSpec) -> Result<Option<f64>, ProtocolError> {
     spec.reject_unknown(&["alpha"])?;
-    optional_number(spec, "alpha")
+    let alpha = optional_number(spec, "alpha")?;
+    if let Some(alpha) = alpha {
+        AffineCompleteGraph::validate_alpha(alpha)?;
+    }
+    Ok(alpha)
 }
 
 fn build_affine_complete<'a>(
@@ -426,7 +431,7 @@ fn build_affine_complete<'a>(
 }
 
 /// Decodes `perturbed-affine-complete`'s params: `alpha`, the perturbation
-/// magnitude and its kind.
+/// magnitude and its kind, each in range.
 fn perturbation_params(spec: &ProtocolSpec) -> Result<(f64, f64, PerturbationKind), ProtocolError> {
     spec.reject_unknown(&["alpha", "magnitude", "kind"])?;
     let kind = match spec.text("kind", "uniform-symmetric")?.as_str() {
@@ -442,11 +447,10 @@ fn perturbation_params(spec: &ProtocolSpec) -> Result<(f64, f64, PerturbationKin
             ))
         }
     };
-    Ok((
-        spec.number("alpha", 0.45)?,
-        spec.number("magnitude", 1e-4)?,
-        kind,
-    ))
+    let (alpha, magnitude) = (spec.number("alpha", 0.45)?, spec.number("magnitude", 1e-4)?);
+    PerturbedAffineCompleteGraph::validate_magnitude(magnitude)?;
+    AffineCompleteGraph::validate_alpha(alpha)?;
+    Ok((alpha, magnitude, kind))
 }
 
 fn build_perturbed_complete<'a>(

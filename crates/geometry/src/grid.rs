@@ -236,42 +236,64 @@ impl UniformGrid {
         }
     }
 
-    /// Calls `f` with the entry-slot range of every cell that can contain a
-    /// point within *wrapped* (torus) distance `radius` of `query`, visiting
-    /// each cell **at most once**.
+    /// Calls `f` with the entry-slot ranges that together hold every cell
+    /// that can contain a point within *wrapped* (torus) distance `radius`
+    /// of `query`, each cell's slots **at most once**.
     ///
-    /// Wrapped cell coordinates are enumerated directly (`(qcol + d) mod
-    /// cols`) instead of querying periodic images of the point, so a bucket —
-    /// and therefore a point — can never be reported through two images: the
-    /// per-row dedup of torus adjacency holds by construction, even at radii
-    /// approaching `1/2`. The grid must have been built over the unit square
-    /// (the only surface the torus metric is defined on).
+    /// The candidate block is the wrapped window of `±ceil(r / cell_side)`
+    /// cells around the query's cell, enumerated as wrapped cell coordinates
+    /// (`(qcol + d) mod cols`) instead of periodic images of the point, so a
+    /// bucket — and therefore a point — can never be reported through two
+    /// images: the per-row dedup of torus adjacency holds by construction,
+    /// even at radii approaching `1/2`. Like
+    /// [`UniformGrid::for_each_candidate_range`], each grid row of the window
+    /// is handed over as whole column runs: one slot range where the window
+    /// stays clear of the seam or spans every column, two where it crosses
+    /// the seam. A query at the graph build's `r/3` cells therefore hands
+    /// its 49 cells over as 7–14 ranges. The grid must have been built over
+    /// the unit square (the only surface the torus metric is defined on).
     #[inline]
     pub fn for_each_candidate_range_torus(
         &self,
         query: Point,
         radius: f64,
-        mut f: impl FnMut(std::ops::Range<usize>),
+        f: impl FnMut(std::ops::Range<usize>),
     ) {
+        self.torus_runs(query, radius).for_each(f);
+    }
+
+    /// The slot ranges behind [`UniformGrid::for_each_candidate_range_torus`]
+    /// and [`UniformGrid::neighbors_within_torus`]: per wrapped window row,
+    /// one range per wrapped column run ([`wrapped_runs`]).
+    #[inline]
+    fn torus_runs(
+        &self,
+        query: Point,
+        radius: f64,
+    ) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
         debug_assert!(
             self.bounds.min() == Point::new(0.0, 0.0) && self.bounds.max() == Point::new(1.0, 1.0),
             "torus queries require a unit-square grid"
         );
-        let col_span = (radius / self.cell_w).ceil() as isize;
-        let row_span = (radius / self.cell_h).ceil() as isize;
-        let qcol = self.col_of_unclamped(query.x);
-        let qrow = self.row_of_unclamped(query.y);
-        let cols = self.cols as isize;
-        let rows = self.rows as isize;
-        let row_iters = (2 * row_span + 1).min(rows);
-        let col_iters = (2 * col_span + 1).min(cols);
-        for dr in 0..row_iters {
-            let row = wrap_window(qrow, row_span, rows, dr);
-            for dc in 0..col_iters {
-                let col = wrap_window(qcol, col_span, cols, dc);
-                f(self.cell_range(col, row));
-            }
-        }
+        let col_runs = wrapped_runs(
+            self.col_of_unclamped(query.x),
+            (radius / self.cell_w).ceil() as isize,
+            self.cols,
+        );
+        let row_runs = wrapped_runs(
+            self.row_of_unclamped(query.y),
+            (radius / self.cell_h).ceil() as isize,
+            self.rows,
+        );
+        row_runs.into_iter().flatten().flat_map(move |row| {
+            col_runs
+                .clone()
+                .into_iter()
+                .filter(|run| !run.is_empty())
+                .map(move |run| {
+                    self.cell_range(run.start, row).start..self.cell_range(run.end - 1, row).end
+                })
+        })
     }
 
     /// Iterates over the indices of all points within Euclidean distance
@@ -331,25 +353,8 @@ impl UniformGrid {
             "grid built over a different point set"
         );
         let r2 = radius * radius;
-        let (qcol, qrow) = (
-            self.col_of_unclamped(query.x),
-            self.row_of_unclamped(query.y),
-        );
-        let (col_span, row_span) = (
-            (radius / self.cell_w).ceil() as isize,
-            (radius / self.cell_h).ceil() as isize,
-        );
-        let (cols, rows) = (self.cols as isize, self.rows as isize);
-        let row_iters = (2 * row_span + 1).min(rows);
-        let col_iters = (2 * col_span + 1).min(cols);
-        (0..row_iters)
-            .flat_map(move |dr| {
-                let row = wrap_window(qrow, row_span, rows, dr);
-                (0..col_iters).flat_map(move |dc| {
-                    let col = wrap_window(qcol, col_span, cols, dc);
-                    self.cell_points(col, row).iter().copied()
-                })
-            })
+        self.torus_runs(query, radius)
+            .flat_map(move |run| self.entries[run].iter().copied())
             .map(|i| i as usize)
             .filter(move |&i| {
                 let dx = wrap_delta(points[i].x - query.x);
@@ -465,17 +470,24 @@ fn clip_window(base: isize, span: isize, extent: usize) -> (usize, usize) {
     }
 }
 
-/// The `d`-th coordinate of the wrapped window `base ± span` on an axis of
-/// `extent` cells. When the window covers the whole axis the caller iterates
-/// `d ∈ 0..extent` and coordinates are taken verbatim; otherwise the window
-/// (width `< extent`) wraps, so every produced coordinate is distinct — the
-/// structural guarantee that a torus query reports each cell at most once.
+/// The wrapped window `base ± span` on an axis of `extent` cells, as two
+/// disjoint runs of coordinates (the second possibly empty): the whole axis
+/// when the window is at least as wide, one run when the window stays clear
+/// of the seam, and the runs on either side of the seam when it crosses it.
+/// No coordinate appears twice — the structural guarantee that a torus query
+/// reports each cell at most once.
 #[inline]
-fn wrap_window(base: isize, span: isize, extent: isize, d: isize) -> usize {
-    if 2 * span + 1 >= extent {
-        d as usize
+fn wrapped_runs(base: isize, span: isize, extent: usize) -> [std::ops::Range<usize>; 2] {
+    let width = span.saturating_mul(2).saturating_add(1);
+    if width >= extent as isize {
+        return [0..extent, 0..0];
+    }
+    let lo = (base - span).rem_euclid(extent as isize) as usize;
+    let end = lo + width as usize;
+    if end <= extent {
+        [lo..end, 0..0]
     } else {
-        (base + d - span).rem_euclid(extent) as usize
+        [lo..extent, 0..end - extent]
     }
 }
 
@@ -605,6 +617,63 @@ mod tests {
                 assert_eq!(sorted, brute_force_within_torus(&pts, q, radius));
             }
         }
+    }
+
+    #[test]
+    fn torus_ranges_cover_the_wrapped_window_once_in_row_runs() {
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let pts = sample_unit_square(600, &mut rng);
+        let edge = [0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0];
+        let mut queries: Vec<Point> = edge
+            .iter()
+            .flat_map(|&x| edge.iter().map(move |&y| Point::new(x, y)))
+            .collect();
+        queries.extend(pts.iter().step_by(53).copied());
+        let mut spans_every_column = false;
+        for radius in [0.01, 0.03, 0.07, 0.11, 0.2, 0.3, 0.41, 0.49] {
+            // The graph build's cell side, and one cell per radius.
+            for cell_side in [radius / 3.0, radius] {
+                let grid = UniformGrid::build(unit_square(), &pts, cell_side);
+                let col_span = (radius / grid.cell_w).ceil() as isize;
+                let row_span = (radius / grid.cell_h).ceil() as isize;
+                let (cols, rows) = (grid.cols as isize, grid.rows as isize);
+                spans_every_column |= 2 * col_span + 1 >= cols;
+                for &q in &queries {
+                    let (qcol, qrow) = (grid.col_of_unclamped(q.x), grid.row_of_unclamped(q.y));
+                    let mut want: Vec<usize> = (-row_span..=row_span)
+                        .flat_map(|dr| (-col_span..=col_span).map(move |dc| (dc, dr)))
+                        .map(|(dc, dr)| {
+                            let col = (qcol + dc).rem_euclid(cols) as usize;
+                            let row = (qrow + dr).rem_euclid(rows) as usize;
+                            row * grid.cols + col
+                        })
+                        .collect();
+                    want.sort_unstable();
+                    want.dedup();
+                    let want: Vec<usize> = want
+                        .into_iter()
+                        .flat_map(|cell| grid.cell_range(cell % grid.cols, cell / grid.cols))
+                        .collect();
+                    let mut got = Vec::new();
+                    let mut calls = 0;
+                    grid.for_each_candidate_range_torus(q, radius, |range| {
+                        calls += 1;
+                        got.extend(range);
+                    });
+                    let window_rows = (2 * row_span + 1).min(rows) as usize;
+                    assert!(
+                        calls <= 2 * window_rows,
+                        "{calls} ranges for {window_rows} window rows at r={radius}, q={q}"
+                    );
+                    let handed = got.len();
+                    got.sort_unstable();
+                    got.dedup();
+                    assert_eq!(got.len(), handed, "overlapping ranges at r={radius}, q={q}");
+                    assert_eq!(got, want, "window slots differ at r={radius}, q={q}");
+                }
+            }
+        }
+        assert!(spans_every_column, "no window spanned every column");
     }
 
     #[test]

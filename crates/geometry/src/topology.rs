@@ -95,6 +95,20 @@ pub fn wrap_delta(d: f64) -> f64 {
     d.min(1.0 - d)
 }
 
+/// [`wrap_delta`] for the difference of two coordinates in `[0, 1]`, folded
+/// by reflection: `min(|d|, 1 − |d|)`.
+///
+/// Equal to [`wrap_delta`] bit for bit whenever `|d| ≤ 1` — there `|d| % 1`
+/// is `|d|` exactly (or `0` at `|d| = 1`, where both forms give `0`) — but
+/// without the libm `fmod`, so a filter loop over it stays branch-free and
+/// can vectorize. Outside that domain it does not wrap: callers must know
+/// their coordinates lie in the unit square (the graph build asserts it).
+#[inline]
+pub fn wrap_unit_delta(d: f64) -> f64 {
+    let d = d.abs();
+    d.min(1.0 - d)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,6 +159,34 @@ mod tests {
         let a = Point::new(0.3, 0.4);
         let b = Point::new(0.6, 0.8);
         assert_eq!(Topology::UnitSquare.distance(a, b), a.distance(b));
+    }
+
+    #[test]
+    fn wrap_unit_delta_is_wrap_delta_on_unit_differences() {
+        use rand::{Rng, SeedableRng};
+        let tiny = f64::from_bits(1); // the smallest subnormal
+        let mut edges = vec![
+            0.0,
+            0.5,
+            0.5f64.next_down(),
+            0.5f64.next_up(),
+            1.0,
+            1.0f64.next_down(),
+            f64::EPSILON,
+            tiny,
+            f64::MIN_POSITIVE.next_down(), // the largest subnormal
+            f64::MIN_POSITIVE,
+        ];
+        edges.extend(edges.clone().iter().map(|d| -d));
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
+        let sweep = (0..100_000).map(|_| rng.gen::<f64>() - rng.gen::<f64>());
+        for d in edges.into_iter().chain(sweep) {
+            assert_eq!(
+                wrap_unit_delta(d).to_bits(),
+                wrap_delta(d).to_bits(),
+                "fold differs at d = {d:e}"
+            );
+        }
     }
 
     #[test]

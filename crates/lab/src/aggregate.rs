@@ -344,9 +344,10 @@ pub const DEGRADATION_SLACK: f64 = 1.5;
 pub const CONVERGENCE_DROP_CEILING: f64 = 0.5;
 
 /// Upper bound on transmission-cost inflation across a latency ladder,
-/// relative to the ladder's zero-latency rung: message delay staleness wastes
-/// some exchanges but must not blow the cost up by more than this factor at
-/// the mean latencies the committed sweeps probe (≲ a few clock slots).
+/// relative to the ladder's lowest rung (its zero-latency rung when it has
+/// one): message delay staleness wastes some exchanges but must not blow the
+/// cost up by more than this factor at the mean latencies the committed
+/// sweeps probe (≲ a few clock slots).
 pub const LATENCY_COST_CEILING: f64 = 3.0;
 
 /// Upper drop rate below which an unreliable wire with retries must still
@@ -481,7 +482,8 @@ enum Check {
     /// `baseline · DEGRADATION_SLACK / (1-p)^power`, one `1/(1-p)` factor per
     /// way loss wastes transmissions. No verdict without such a rung.
     LossBound(i32),
-    /// No rung costs more than this factor times the first.
+    /// No rung costs more than this factor times the first, the axis
+    /// baseline when the ladder has one.
     Ceiling(f64),
 }
 
@@ -550,7 +552,13 @@ impl Check {
                     .map(|cell| cell.mean_transmissions)
                     .fold(f64::NEG_INFINITY, f64::max);
                 holds = worst <= bound;
-                let name = axis.baseline();
+                // A ladder without a zero-severity rung holds its costs
+                // against its lowest rung: name that rung, not the baseline.
+                let name = if axis.severity(&rungs[0].coords) == [0.0; 3] {
+                    axis.baseline().to_string()
+                } else {
+                    format!("lowest rung {}:", axis.rung(&rungs[0].coords))
+                };
                 details.push(format!(
                     "worst rung {worst:.0} tx vs bound {bound:.0} ({name} {baseline:.0})"
                 ));
@@ -948,6 +956,26 @@ mod tests {
             .collect();
         assert_eq!(latency.len(), 3);
         assert!(latency.iter().all(|v| !v.holds), "{:#?}", result.verdicts);
+    }
+
+    #[test]
+    fn latency_ceiling_names_the_rung_its_bound_comes_from() {
+        let ceiling = |tails: [&str; 2]| {
+            let mut agg = SweepAggregator::new();
+            agg.push(&rung_record(0, tails[0], 1910, 0.048, true));
+            agg.push(&rung_record(1, tails[1], 2026, 0.048, true));
+            let verdicts = agg.finish().verdicts.into_iter();
+            let mut ceiling = verdicts.filter(|v| v.claim.contains("inflation bounded by 3x"));
+            ceiling.next().expect("a ceiling verdict").details
+        };
+        assert_eq!(
+            ceiling(["lat=fixed:0.002", "lat=exp:0.004"]),
+            "worst rung 2026 tx vs bound 5730 (lowest rung lat=0.002: 1910)"
+        );
+        assert_eq!(
+            ceiling(["lat=instant", "lat=exp:0.004"]),
+            "worst rung 2026 tx vs bound 5730 (zero-latency baseline 1910)"
+        );
     }
 
     #[test]

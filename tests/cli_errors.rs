@@ -201,6 +201,25 @@ fn validate_rejects_the_params_run_rejects() {
             r#"{"name": "geographic", "params": {"selector": "rejection-sampled", "probes": 0}}"#,
             "error: invalid parameter `probes`: must be a whole number of at least 1, got 0\n",
         ),
+        // Value ranges the protocol constructors enforce.
+        (
+            r#"{"name": "affine-complete", "params": {"alpha": 5.0}}"#,
+            "error: invalid parameter `alpha`: coefficient 5 outside the open interval \
+             (1/3, 1/2)\n",
+        ),
+        (
+            r#"{"name": "perturbed-affine-complete", "params": {"magnitude": -1}}"#,
+            "error: invalid parameter `magnitude`: perturbation bound must be non-negative \
+             and finite\n",
+        ),
+        (
+            r#"{"name": "affine-recursive", "params": {"epsilon-decay": 2}}"#,
+            "error: invalid parameter `epsilon-decay`: must lie in (0, 1]\n",
+        ),
+        (
+            r#"{"name": "affine-idealized", "params": {"rounds-factor": -1}}"#,
+            "error: invalid parameter `rounds-factor`: must be strictly positive\n",
+        ),
     ] {
         std::fs::write(&spec, spec_with_protocol(protocol)).unwrap();
         let (validate_code, validate_err) = geogossip(&["validate", path]);
