@@ -253,7 +253,9 @@ fn write_sequence(
 }
 
 /// Renders a number: whole values in integer form, everything else through
-/// Rust's shortest-round-trip float formatting.
+/// Rust's shortest-round-trip float formatting — in exponent form below 1e-6
+/// and from 1e21 up in magnitude (ECMAScript's switch points), so that
+/// ε = 1e-300 prints as `1e-300` rather than as a 300-digit decimal.
 fn render_number(v: f64) -> String {
     if !v.is_finite() {
         // JSON has no NaN/∞; null is the least-wrong representation and the
@@ -262,6 +264,8 @@ fn render_number(v: f64) -> String {
     }
     if v.fract() == 0.0 && v.abs() <= 9e15 {
         format!("{}", v as i64)
+    } else if v.abs() < 1e-6 || v.abs() >= 1e21 {
+        format!("{v:e}")
     } else {
         format!("{v}")
     }
@@ -552,6 +556,27 @@ mod tests {
         assert_eq!(render_number(200_000_000.0), "200000000");
         assert_eq!(render_number(0.05), "0.05");
         assert_eq!(render_number(f64::NAN), "null");
+    }
+
+    #[test]
+    fn extreme_numbers_render_in_exponent_form_and_parse_back_exactly() {
+        for (v, text) in [
+            (1e-300, "1e-300"),
+            (5e-324, "5e-324"),
+            (-2.5e-7, "-2.5e-7"),
+            (1e300, "1e300"),
+        ] {
+            assert_eq!(render_number(v), text);
+            let back = JsonValue::parse(text).unwrap().as_f64().unwrap();
+            assert_eq!(back.to_bits(), v.to_bits(), "{text}");
+        }
+        for (v, text) in [
+            (0.05, "0.05"),
+            (12345.5, "12345.5"),
+            (9e15, "9000000000000000"),
+        ] {
+            assert_eq!(render_number(v), text);
+        }
     }
 
     #[test]

@@ -160,26 +160,47 @@ impl RoundBasedConfig {
         self
     }
 
-    /// The ranges of the two numeric factors: `rounds_factor` strictly
-    /// positive, `epsilon_decay` in `(0, 1]`, both finite. Needs no network,
-    /// so the registry's params check calls it too, and the errors name the
-    /// spec keys (`rounds-factor`, `epsilon-decay`).
+    /// The ranges of the numeric settings: `rounds_factor`, a population
+    /// fraction coefficient and a gossip exchange cap factor finite and
+    /// strictly positive, `epsilon_decay` in `(0, 1]`, and at least one top
+    /// round. Needs no network, so the registry's params check calls it too,
+    /// and the errors name the spec keys (`rounds-factor`, …).
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::InvalidParameter`] for the first factor out of range.
+    /// [`ProtocolError::InvalidParameter`] for the first setting out of
+    /// range.
     pub(crate) fn validate(&self) -> Result<(), ProtocolError> {
-        let (rounds, decay) = (self.rounds_factor, self.epsilon_decay);
-        if !(rounds.is_finite() && rounds > 0.0) {
-            return Err(ProtocolError::invalid(
-                "rounds-factor",
-                "must be strictly positive",
-            ));
+        let fraction = match self.coefficient {
+            CoefficientRule::FractionOfPopulation(fraction) => Some(fraction),
+            CoefficientRule::Fixed(_) => None,
+        };
+        let exchanges = match self.local_averaging {
+            LocalAveraging::Gossip {
+                max_exchanges_factor,
+            } => Some(max_exchanges_factor),
+            LocalAveraging::Exact => None,
+        };
+        for (key, factor) in [
+            ("rounds-factor", Some(self.rounds_factor)),
+            ("coefficient-fraction", fraction),
+            ("max-exchanges-factor", exchanges),
+        ] {
+            if factor.is_some_and(|f| !(f.is_finite() && f > 0.0)) {
+                return Err(ProtocolError::invalid(key, "must be strictly positive"));
+            }
         }
+        let decay = self.epsilon_decay;
         if !(decay > 0.0 && decay <= 1.0) {
             return Err(ProtocolError::invalid(
                 "epsilon-decay",
                 "must lie in (0, 1]",
+            ));
+        }
+        if self.max_top_rounds == 0 {
+            return Err(ProtocolError::invalid(
+                "max-top-rounds",
+                "must be a whole number of at least 1, got 0",
             ));
         }
         Ok(())
@@ -262,8 +283,10 @@ impl<'a> RoundBasedAffineGossip<'a> {
     ///   for malformed inputs.
     /// * [`ProtocolError::DegeneratePartition`] when the partition has fewer
     ///   than two populated top-level cells.
-    /// * [`ProtocolError::InvalidParameter`] for a `rounds_factor` that is
-    ///   not strictly positive or an `epsilon_decay` outside `(0, 1]`.
+    /// * [`ProtocolError::InvalidParameter`] for a setting outside the
+    ///   ranges [`RoundBasedConfig`] checks (`rounds_factor`, the coefficient
+    ///   fraction and the exchange cap factor strictly positive,
+    ///   `epsilon_decay` in `(0, 1]`, at least one top round).
     pub fn new(
         graph: &'a GeometricGraph,
         initial_values: Vec<f64>,

@@ -264,27 +264,16 @@ pub enum GeographicParams {
 /// # Errors
 ///
 /// An unknown key or selector, a value of the wrong type, or a probe count
-/// that is not a whole number of at least 1.
+/// or cap that is not a whole number of at least 1.
 pub fn geographic_params(spec: &ProtocolSpec) -> Result<GeographicParams, ProtocolError> {
     spec.reject_unknown(&["selector", "probes", "cap"])?;
     match spec.text("selector", "nearest-position")?.as_str() {
         "nearest-position" => Ok(GeographicParams::NearestPosition),
         "uniform-index" => Ok(GeographicParams::UniformIndex),
-        "rejection-sampled" => {
-            let probes = spec.number("probes", 10_000.0)?;
-            // The selector needs at least one probe; `as usize` would turn a
-            // fraction or a negative into 0 and panic there.
-            if !(probes >= 1.0 && probes.fract() == 0.0) {
-                return Err(ProtocolError::invalid(
-                    "probes",
-                    format!("must be a whole number of at least 1, got {probes}"),
-                ));
-            }
-            Ok(GeographicParams::RejectionSampled {
-                probes: probes as usize,
-                cap: spec.number("cap", 20.0)? as usize,
-            })
-        }
+        "rejection-sampled" => Ok(GeographicParams::RejectionSampled {
+            probes: count(spec, "probes", 10_000)? as usize,
+            cap: count(spec, "cap", 20)? as usize,
+        }),
         other => Err(ProtocolError::invalid(
             "selector",
             format!(
@@ -341,7 +330,7 @@ fn round_based_config(
     }
     config.rounds_factor = spec.number("rounds-factor", config.rounds_factor)?;
     config.epsilon_decay = spec.number("epsilon-decay", config.epsilon_decay)?;
-    config.max_top_rounds = spec.number("max-top-rounds", config.max_top_rounds as f64)? as u64;
+    config.max_top_rounds = count(spec, "max-top-rounds", config.max_top_rounds)?;
     if let Some(factor) = optional_number(spec, "max-exchanges-factor")? {
         config.local_averaging = match config.local_averaging {
             LocalAveraging::Gossip { .. } => LocalAveraging::Gossip {
@@ -357,6 +346,21 @@ fn round_based_config(
     }
     config.validate()?;
     Ok(config)
+}
+
+/// Reads a count param (`probes`, `cap`, `max-top-rounds`), with a default
+/// when absent: a whole number of at least 1, checked before the cast that
+/// would turn a fraction or a negative into 0.
+fn count(spec: &ProtocolSpec, key: &str, default: u64) -> Result<u64, ProtocolError> {
+    let value = spec.number(key, default as f64)?;
+    if value >= 1.0 && value.fract() == 0.0 {
+        Ok(value as u64)
+    } else {
+        Err(ProtocolError::invalid(
+            key,
+            format!("must be a whole number of at least 1, got {value}"),
+        ))
+    }
 }
 
 fn optional_number(spec: &ProtocolSpec, key: &str) -> Result<Option<f64>, ProtocolError> {

@@ -411,21 +411,48 @@ fn greedy_walk_reference<M: RouteMetric>(
     }
 }
 
-/// Liveness-masked greedy walk for fault-injection scenarios: the per-hop
-/// argmin considers only neighbors marked alive, so packets route *around*
-/// crashed nodes. An all-`f64` scalar scan modeled on
-/// [`greedy_walk_reference`], reading each live neighbor's coordinates from
-/// [`GeometricGraph::position`] — the public entry points only reach it with
-/// a non-empty mask, i.e. while churn has actually killed nodes, so it
-/// trades the vectorized fast path for the simplest correct scan. Same progress
-/// rule and tie-breaking (strictly closer or stop; lowest neighbor index on
-/// equal distance, CSR rows being sorted), so with an all-alive mask the
-/// walk is bit-identical to the unmasked reference.
+/// One hop of the liveness-masked walk and step, as [`greedy_hop`] is of the
+/// unmasked pair: the argmin over the neighbors marked alive (indices beyond
+/// `alive`'s length count as alive). An all-`f64` scalar scan modeled on
+/// [`greedy_walk_reference`] — the public entry points only reach it with a
+/// non-empty mask, i.e. while churn has actually killed nodes, so it trades
+/// the vectorized fast path for the simplest correct scan. Strict `<` keeps
+/// the lowest neighbor index on equal distance, CSR rows being sorted.
+/// Returns `(f64::INFINITY, u32::MAX)` when no neighbor is alive; the caller
+/// applies the progress rule.
+#[inline(always)]
+fn masked_hop<M: RouteMetric>(
+    graph: &GeometricGraph,
+    current: NodeId,
+    target: Point,
+    metric: M,
+    alive: &[bool],
+) -> (f64, u32) {
+    let mut min_dist = f64::INFINITY;
+    let mut best = u32::MAX;
+    for &j in graph.neighbors(current) {
+        if !alive.get(j as usize).copied().unwrap_or(true) {
+            continue;
+        }
+        let p = graph.position(NodeId(j as usize));
+        let d = metric.d2(p.x - target.x, p.y - target.y);
+        if d < min_dist {
+            min_dist = d;
+            best = j;
+        }
+    }
+    (min_dist, best)
+}
+
+/// Liveness-masked greedy walk for fault-injection scenarios: [`masked_hop`]
+/// until no live neighbor is strictly closer, so packets route *around*
+/// crashed nodes; with an all-alive mask it is bit-identical to the unmasked
+/// reference.
 ///
 /// Graceful degradation: when every closer neighbor is dead the walk stops at
 /// the nearest **live** local minimum; if the source cannot move at all, the
 /// terminus is the source itself with zero hops (callers treat a self-partner
-/// as a free no-op). Indices beyond `alive`'s length count as alive.
+/// as a free no-op).
 #[inline(always)]
 fn greedy_walk_masked<M: RouteMetric>(
     graph: &GeometricGraph,
@@ -434,28 +461,16 @@ fn greedy_walk_masked<M: RouteMetric>(
     metric: M,
     alive: &[bool],
 ) -> (NodeId, usize) {
-    let mut current = source.index();
+    let mut current = source;
     let src = graph.position(source);
     let mut current_dist = metric.d2(src.x - target.x, src.y - target.y);
     let mut hops = 0usize;
     loop {
-        let mut min_dist = f64::INFINITY;
-        let mut best = usize::MAX;
-        for &j in graph.neighbors(NodeId(current)) {
-            if !alive.get(j as usize).copied().unwrap_or(true) {
-                continue;
-            }
-            let p = graph.position(NodeId(j as usize));
-            let d = metric.d2(p.x - target.x, p.y - target.y);
-            if d < min_dist {
-                min_dist = d;
-                best = j as usize;
-            }
-        }
+        let (min_dist, best) = masked_hop(graph, current, target, metric, alive);
         if min_dist >= current_dist {
-            return (NodeId(current), hops);
+            return (current, hops);
         }
-        current = best;
+        current = NodeId(best as usize);
         current_dist = min_dist;
         hops += 1;
     }
@@ -741,10 +756,10 @@ pub fn greedy_step_masked(
     }
 }
 
-/// Monomorphised body of [`greedy_step_masked`]: one iteration of
-/// [`greedy_walk_masked`]'s scan, recomputing the current distance from
-/// [`GeometricGraph::position`] (the same `f64` the walk carries, bit for
-/// bit — both read every coordinate from the one position table).
+/// Monomorphised body of [`greedy_step_masked`]: [`masked_hop`] once, plus
+/// the walk's progress rule against `current`'s own distance, recomputed
+/// from [`GeometricGraph::position`] (the same `f64` the walk carries, bit
+/// for bit — both read every coordinate from the one position table).
 #[inline]
 fn greedy_step_masked_metric<M: RouteMetric>(
     graph: &GeometricGraph,
@@ -755,24 +770,8 @@ fn greedy_step_masked_metric<M: RouteMetric>(
 ) -> Option<NodeId> {
     let pos = graph.position(current);
     let current_dist = metric.d2(pos.x - target.x, pos.y - target.y);
-    let mut min_dist = f64::INFINITY;
-    let mut best = 0u32;
-    for &j in graph.neighbors(current) {
-        if !alive.get(j as usize).copied().unwrap_or(true) {
-            continue;
-        }
-        let p = graph.position(NodeId(j as usize));
-        let d = metric.d2(p.x - target.x, p.y - target.y);
-        if d < min_dist {
-            min_dist = d;
-            best = j;
-        }
-    }
-    if min_dist >= current_dist {
-        None
-    } else {
-        Some(NodeId(best as usize))
-    }
+    let (min_dist, best) = masked_hop(graph, current, target, metric, alive);
+    (min_dist < current_dist).then_some(NodeId(best as usize))
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ impl TargetSelector {
     ///
     /// # Panics
     ///
-    /// Panics if the graph is empty or `samples` is zero.
+    /// Panics if the graph is empty, or `samples` or `max_attempts` is zero.
     pub fn rejection_sampled<R: Rng + ?Sized>(
         graph: &GeometricGraph,
         samples: usize,
@@ -57,6 +57,7 @@ impl TargetSelector {
             "cannot build a target selector for an empty graph"
         );
         assert!(samples > 0, "need at least one probe sample");
+        assert!(max_attempts > 0, "need at least one attempt");
         let mut hits = vec![0usize; graph.len()];
         for _ in 0..samples {
             let p = uniform_point_in(unit_square(), rng);
@@ -85,7 +86,7 @@ impl TargetSelector {
             .collect();
         TargetSelector::RejectionSampled {
             acceptance,
-            max_attempts: max_attempts.max(1),
+            max_attempts,
         }
     }
 

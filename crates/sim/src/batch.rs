@@ -48,6 +48,8 @@ use crate::clock::Tick;
 use crate::engine::Activation;
 use crate::error::ProtocolError;
 use crate::metrics::TransmissionCounter;
+use crate::schema::{whole, Fields};
+use geogossip_analysis::json::JsonValue;
 use geogossip_geometry::point::NodeId;
 use geogossip_geometry::Point;
 use geogossip_graph::GeometricGraph;
@@ -95,6 +97,27 @@ impl ParallelSpec {
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.batch = batch;
         self
+    }
+
+    /// Decodes the `parallelism` object of a scenario or a sweep:
+    /// `{"threads": t, "batch": b}`, `batch` defaulting to
+    /// [`DEFAULT_TICK_BATCH`].
+    pub(crate) fn decode(value: &JsonValue, path: &str) -> Result<Self, ProtocolError> {
+        let fields = Fields::new(value, path, &["threads", "batch"])?;
+        Ok(ParallelSpec {
+            threads: fields.require("threads", whole)?,
+            batch: fields
+                .optional("batch", whole)?
+                .unwrap_or(DEFAULT_TICK_BATCH),
+        })
+    }
+
+    /// Renders the `parallelism` object, both keys written out.
+    pub(crate) fn to_json_value(self) -> JsonValue {
+        JsonValue::object(vec![
+            ("threads", self.threads.into()),
+            ("batch", self.batch.into()),
+        ])
     }
 
     /// Checks both knobs are usable (strictly positive).

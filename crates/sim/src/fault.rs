@@ -58,6 +58,7 @@ use crate::clock::Tick;
 use crate::engine::{Activation, Clocking, SquaredError};
 use crate::error::ProtocolError;
 use crate::metrics::TransmissionCounter;
+use crate::schema::{cap, each, number, whole, Fields};
 use geogossip_analysis::json::JsonValue;
 use geogossip_graph::LivenessMask;
 use geogossip_telemetry::{Event, NoProbe, Probe};
@@ -209,78 +210,26 @@ impl FaultSpec {
     /// Decodes a `faults` object; unknown keys hard-error (the same
     /// typos-fail-loudly rule as every other schema object).
     pub fn decode(doc: &JsonValue) -> Result<Self, ProtocolError> {
-        let obj = doc
-            .as_object()
-            .ok_or_else(|| ProtocolError::malformed("`faults` must be an object"))?;
-        for (key, _) in obj {
-            if !matches!(key.as_str(), "drop-rate" | "stale-fraction" | "churn") {
-                return Err(ProtocolError::malformed(format!(
-                    "unknown faults key `{key}` (known: drop-rate, stale-fraction, churn)"
-                )));
-            }
-        }
-        let number = |key: &str| -> Result<f64, ProtocolError> {
-            match doc.get(key) {
-                None => Ok(0.0),
-                Some(value) => value.as_f64().ok_or_else(|| {
-                    ProtocolError::malformed(format!("`faults.{key}` must be a number"))
-                }),
-            }
+        let faults = Fields::new(doc, "faults", &["drop-rate", "stale-fraction", "churn"])?;
+        let churn_event = |value: &JsonValue, path: &str| {
+            let event = Fields::labelled(
+                value,
+                "faults.churn",
+                path,
+                &["fraction", "at-tick", "rejoin-tick"],
+            )?;
+            Ok(ChurnEvent {
+                fraction: event.require("fraction", number)?,
+                at_tick: event.require("at-tick", whole)?,
+                rejoin_tick: event.optional("rejoin-tick", cap)?.flatten(),
+            })
         };
-        let drop_rate = number("drop-rate")?;
-        let stale_fraction = number("stale-fraction")?;
-        let mut churn = Vec::new();
-        if let Some(raw) = doc.get("churn") {
-            let events = raw
-                .as_array()
-                .ok_or_else(|| ProtocolError::malformed("`faults.churn` must be an array"))?;
-            for (i, event) in events.iter().enumerate() {
-                let fields = event.as_object().ok_or_else(|| {
-                    ProtocolError::malformed(format!("`faults.churn[{i}]` must be an object"))
-                })?;
-                for (key, _) in fields {
-                    if !matches!(key.as_str(), "fraction" | "at-tick" | "rejoin-tick") {
-                        return Err(ProtocolError::malformed(format!(
-                            "unknown faults.churn key `{key}` (known: fraction, at-tick, \
-                             rejoin-tick)"
-                        )));
-                    }
-                }
-                let fraction = event
-                    .get("fraction")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| {
-                        ProtocolError::malformed(format!(
-                            "`faults.churn[{i}].fraction` must be a number"
-                        ))
-                    })?;
-                let at_tick = event
-                    .get("at-tick")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| {
-                        ProtocolError::malformed(format!(
-                            "`faults.churn[{i}].at-tick` must be a whole number"
-                        ))
-                    })?;
-                let rejoin_tick = match event.get("rejoin-tick") {
-                    None | Some(JsonValue::Null) => None,
-                    Some(value) => Some(value.as_u64().ok_or_else(|| {
-                        ProtocolError::malformed(format!(
-                            "`faults.churn[{i}].rejoin-tick` must be a whole number or null"
-                        ))
-                    })?),
-                };
-                churn.push(ChurnEvent {
-                    fraction,
-                    at_tick,
-                    rejoin_tick,
-                });
-            }
-        }
         Ok(FaultSpec {
-            drop_rate,
-            stale_fraction,
-            churn,
+            drop_rate: faults.optional("drop-rate", number)?.unwrap_or(0.0),
+            stale_fraction: faults.optional("stale-fraction", number)?.unwrap_or(0.0),
+            churn: faults
+                .optional("churn", each(churn_event))?
+                .unwrap_or_default(),
         })
     }
 }

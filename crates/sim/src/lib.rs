@@ -75,6 +75,7 @@ pub mod field;
 pub mod metrics;
 pub mod rng;
 pub mod scenario;
+mod schema;
 pub mod transport;
 
 pub use batch::{BatchActivation, ParallelSpec, ResolvedPlan, TickPlan, DEFAULT_TICK_BATCH};

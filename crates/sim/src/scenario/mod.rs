@@ -30,9 +30,10 @@
 //! # Schema stability
 //!
 //! The JSON schema (`scenarios/*.json`) is part of the public API: unknown
-//! scenario keys, unknown protocol parameters, unknown field / surface tokens
-//! are **errors**, and new capabilities are added as new optional keys with
-//! defaults, never by repurposing existing ones.
+//! keys at every level of a scenario or sweep, unknown protocol parameters,
+//! unknown field / surface tokens are **errors** naming their spec path, and
+//! new capabilities are added as new optional keys with defaults, never by
+//! repurposing existing ones.
 //!
 //! # Example
 //!

@@ -1,12 +1,21 @@
 //! The declarative scenario description: topology × field × protocol × stop
 //! condition × trials, with hand-rendered JSON serde (the workspace's vendored
 //! `serde` is a marker stand-in; see `geogossip_analysis::json`).
+//!
+//! Every object of the document is decoded through the crate's one object
+//! reader (`schema::Fields`), which refuses a key outside that object's
+//! grammar and names the full spec path of a value of the wrong type
+//! (``unknown topology key `surfaces` ``, `` `stop.max-ticks` must be … ``).
+//! The sweep, fault and transport decoders read their objects through it
+//! too, and the placement, radius, protocol, field, surface, stop-cap and
+//! rendering helpers here are shared with the sweep schema.
 
-use crate::batch::{ParallelSpec, DEFAULT_TICK_BATCH};
+use crate::batch::ParallelSpec;
 use crate::error::ProtocolError;
 use crate::fault::FaultSpec;
 use crate::field::Field;
 use crate::rng::SeedStream;
+use crate::schema::{cap, each, number, one_of, text, whole, Fields};
 use crate::transport::TransportSpec;
 use crate::StopCondition;
 use geogossip_analysis::json::JsonValue;
@@ -30,6 +39,10 @@ pub const STANDARD_MAX_TICKS: u64 = 200_000_000;
 
 /// Default master seed (the standard seed of the experiment suite).
 pub const STANDARD_SEED: u64 = 20_070_612;
+
+/// Default transmission cap of a spec's `stop` (the scenario's and the
+/// sweep's).
+pub(crate) const STANDARD_MAX_TRANSMISSIONS: u64 = 1_000_000_000;
 
 /// How the sensors are placed in the unit square.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -446,7 +459,6 @@ impl ScenarioSpec {
     /// emitted only when non-default, so pre-fault specs keep their
     /// historical byte-exact rendering.
     pub fn to_json_value(&self) -> JsonValue {
-        let optional_cap = |cap: Option<u64>| cap.map_or(JsonValue::Null, JsonValue::from);
         let mut fields = vec![
             ("name", JsonValue::string(self.name.clone())),
             (
@@ -462,14 +474,11 @@ impl ScenarioSpec {
             ("protocol", protocol_to_json(&self.protocol)),
             (
                 "stop",
-                JsonValue::object(vec![
-                    ("epsilon", self.stop.epsilon.into()),
-                    ("max-ticks", optional_cap(self.stop.max_ticks)),
-                    (
-                        "max-transmissions",
-                        optional_cap(self.stop.max_transmissions),
-                    ),
-                ]),
+                stop_to_json(
+                    Some(self.stop.epsilon),
+                    self.stop.max_ticks,
+                    self.stop.max_transmissions,
+                ),
             ),
         ];
         if !self.faults.is_none() {
@@ -479,13 +488,7 @@ impl ScenarioSpec {
             fields.push(("transport", transport.to_json_value()));
         }
         if let Some(parallelism) = &self.parallelism {
-            fields.push((
-                "parallelism",
-                JsonValue::object(vec![
-                    ("threads", parallelism.threads.into()),
-                    ("batch", parallelism.batch.into()),
-                ]),
-            ));
+            fields.push(("parallelism", parallelism.to_json_value()));
         }
         fields.push(("trials", self.trials.into()));
         fields.push(("seed", self.seed.into()));
@@ -537,146 +540,65 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// [`ProtocolError::MalformedSpec`] when the text does not parse, holds
-    /// an empty or non-array `scenarios` key, or any member fails spec
-    /// validation; messages carry `path`.
+    /// an empty or non-array `scenarios` key or a key beside it, or any
+    /// member fails spec validation; messages carry `path`.
     pub fn from_file_text(path: &str, text: &str) -> Result<Vec<Self>, ProtocolError> {
         let doc =
             JsonValue::parse(text).map_err(|e| ProtocolError::malformed(format!("{path}: {e}")))?;
-        if let Some(list) = doc.get("scenarios") {
-            let items = list.as_array().ok_or_else(|| {
-                ProtocolError::malformed(format!("{path}: `scenarios` must be an array"))
-            })?;
-            if items.is_empty() {
-                return Err(ProtocolError::malformed(format!(
-                    "{path}: `scenarios` is empty"
-                )));
-            }
-            items.iter().map(Self::from_json_value).collect()
-        } else {
-            Ok(vec![Self::from_json_value(&doc)?])
+        let Some(list) = doc.get("scenarios") else {
+            return Ok(vec![Self::from_json_value(&doc)?]);
+        };
+        Fields::labelled(&doc, "bundle", "", &["scenarios"]).map_err(|e| e.within(path))?;
+        let items = list.as_array().ok_or_else(|| {
+            ProtocolError::malformed(format!("{path}: `scenarios` must be an array"))
+        })?;
+        if items.is_empty() {
+            return Err(ProtocolError::malformed(format!(
+                "{path}: `scenarios` is empty"
+            )));
         }
+        items.iter().map(Self::from_json_value).collect()
     }
 
     fn decode(doc: &JsonValue) -> Result<Self, ProtocolError> {
-        let obj = doc
-            .as_object()
-            .ok_or_else(|| ProtocolError::malformed("scenario must be a JSON object"))?;
-        for (key, _) in obj {
-            if !matches!(
-                key.as_str(),
-                "name"
-                    | "topology"
-                    | "field"
-                    | "protocol"
-                    | "stop"
-                    | "faults"
-                    | "transport"
-                    | "parallelism"
-                    | "trials"
-                    | "seed"
-            ) {
-                return Err(ProtocolError::malformed(format!(
-                    "unknown scenario key `{key}`"
-                )));
-            }
-        }
-        let topology = decode_topology(
-            doc.get("topology")
-                .ok_or_else(|| ProtocolError::malformed("missing `topology`"))?,
+        let doc = Fields::labelled(
+            doc,
+            "scenario",
+            "",
+            &[
+                "name",
+                "topology",
+                "field",
+                "protocol",
+                "stop",
+                "faults",
+                "transport",
+                "parallelism",
+                "trials",
+                "seed",
+            ],
         )?;
-        let field_token = doc
-            .get("field")
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| ProtocolError::malformed("`field` must be a string"))
-            })
-            .transpose()?
-            .unwrap_or_else(|| "spatial-gradient".to_string());
-        let field = Field::parse(&field_token).ok_or_else(|| {
-            ProtocolError::malformed(format!(
-                "unknown field `{field_token}` (known: spike, uniform, ramp, bimodal, spatial-gradient)"
-            ))
-        })?;
-        let protocol = decode_protocol(
-            doc.get("protocol")
-                .ok_or_else(|| ProtocolError::malformed("missing `protocol`"))?,
-        )?;
-        let stop = decode_stop(
-            doc.get("stop")
-                .ok_or_else(|| ProtocolError::malformed("missing `stop`"))?,
-        )?;
-        let faults = match doc.get("faults") {
-            None => FaultSpec::default(),
-            Some(value) => FaultSpec::decode(value)?,
-        };
-        let transport = match doc.get("transport") {
-            None => None,
-            Some(value) => Some(TransportSpec::decode(value)?),
-        };
-        let parallelism = match doc.get("parallelism") {
-            None => None,
-            Some(value) => Some(decode_parallelism(value)?),
-        };
-        let trials = match doc.get("trials") {
-            None => 1,
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| ProtocolError::malformed("`trials` must be a whole number"))?,
-        };
-        let seed = match doc.get("seed") {
-            None => STANDARD_SEED,
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| ProtocolError::malformed("`seed` must be a whole number"))?,
-        };
-        let name = doc
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("{}-n{}", protocol.name, topology.n));
+        let topology = doc.require("topology", decode_topology)?;
+        let protocol = doc.require("protocol", decode_protocol)?;
         Ok(ScenarioSpec {
-            name,
+            name: doc
+                .optional("name", text)?
+                .unwrap_or_else(|| format!("{}-n{}", protocol.name, topology.n)),
+            field: doc
+                .optional("field", decode_field)?
+                .unwrap_or(Field::SpatialGradient),
+            stop: doc.require("stop", decode_stop)?,
+            faults: doc
+                .optional("faults", |value, _| FaultSpec::decode(value))?
+                .unwrap_or_default(),
+            transport: doc.optional("transport", |value, _| TransportSpec::decode(value))?,
+            parallelism: doc.optional("parallelism", ParallelSpec::decode)?,
+            trials: doc.optional("trials", whole)?.unwrap_or(1),
+            seed: doc.optional("seed", whole)?.unwrap_or(STANDARD_SEED),
             topology,
-            field,
             protocol,
-            stop,
-            faults,
-            transport,
-            parallelism,
-            trials,
-            seed,
         })
     }
-}
-
-/// Decodes the optional `parallelism` key: `{"threads": t, "batch": b}`,
-/// where `batch` defaults to [`DEFAULT_TICK_BATCH`] when omitted (shared
-/// with the sweep schema, so the parallelism grammar cannot drift).
-pub(crate) fn decode_parallelism(doc: &JsonValue) -> Result<ParallelSpec, ProtocolError> {
-    let obj = doc
-        .as_object()
-        .ok_or_else(|| ProtocolError::malformed("`parallelism` must be an object"))?;
-    for (key, _) in obj {
-        if !matches!(key.as_str(), "threads" | "batch") {
-            return Err(ProtocolError::malformed(format!(
-                "unknown parallelism key `{key}` (known: threads, batch)"
-            )));
-        }
-    }
-    let threads = doc
-        .get("threads")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| ProtocolError::malformed("`parallelism.threads` must be a whole number"))?
-        as usize;
-    let batch = match doc.get("batch") {
-        None => DEFAULT_TICK_BATCH,
-        Some(value) => value
-            .as_u64()
-            .ok_or_else(|| ProtocolError::malformed("`parallelism.batch` must be a whole number"))?
-            as usize,
-    };
-    Ok(ParallelSpec { threads, batch })
 }
 
 /// Renders a [`PlacementSpec`] to its JSON form (shared with the sweep
@@ -739,163 +661,172 @@ pub(crate) fn protocol_to_json(protocol: &ProtocolSpec) -> JsonValue {
     ])
 }
 
+/// Renders a `stop` object (shared with the sweep schema): the scenario's
+/// `epsilon` when given, then the two caps, `null` for no cap.
+pub(crate) fn stop_to_json(
+    epsilon: Option<f64>,
+    max_ticks: Option<u64>,
+    max_transmissions: Option<u64>,
+) -> JsonValue {
+    let or_null = |cap: Option<u64>| cap.map_or(JsonValue::Null, JsonValue::from);
+    let caps = [
+        ("max-ticks", or_null(max_ticks)),
+        ("max-transmissions", or_null(max_transmissions)),
+    ];
+    JsonValue::object(
+        epsilon
+            .map(|e| ("epsilon", JsonValue::from(e)))
+            .into_iter()
+            .chain(caps)
+            .collect(),
+    )
+}
+
+/// Reads the tick and transmission caps of a `stop` object (shared with the
+/// sweep schema): an absent cap is the standard budget, `null` is no cap.
+pub(crate) fn decode_caps(stop: &Fields) -> Result<(Option<u64>, Option<u64>), ProtocolError> {
+    Ok((
+        stop.optional("max-ticks", cap)?
+            .unwrap_or(Some(STANDARD_MAX_TICKS)),
+        stop.optional("max-transmissions", cap)?
+            .unwrap_or(Some(STANDARD_MAX_TRANSMISSIONS)),
+    ))
+}
+
 /// Decodes a placement value (`"uniform-square"`, `{"clustered": …}` or
 /// `{"perforated": …}`).
-pub(crate) fn decode_placement(value: &JsonValue) -> Result<PlacementSpec, ProtocolError> {
-    match value {
-        JsonValue::String(s) if s == "uniform-square" => Ok(PlacementSpec::UniformSquare),
-        value => {
-            if let Some(clustered) = value.get("clustered") {
-                let clusters = clustered
-                    .get("clusters")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| {
-                        ProtocolError::malformed("`clustered.clusters` must be a whole number")
-                    })? as usize;
-                let spread = clustered
-                    .get("spread")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| {
-                        ProtocolError::malformed("`clustered.spread` must be a number")
-                    })?;
-                Ok(PlacementSpec::Clustered { clusters, spread })
-            } else if let Some(perforated) = value.get("perforated") {
-                let hole = perforated
-                    .get("hole")
-                    .and_then(JsonValue::as_array)
-                    .filter(|coords| coords.len() == 4)
-                    .ok_or_else(|| {
-                        ProtocolError::malformed(
-                            "`perforated.hole` must be an array [x0, y0, x1, y1]",
-                        )
-                    })?;
-                let coord = |i: usize| {
-                    hole[i].as_f64().ok_or_else(|| {
-                        ProtocolError::malformed("`perforated.hole` entries must be numbers")
-                    })
-                };
-                Ok(PlacementSpec::Perforated {
-                    hole: Rect::new(
-                        Point::new(coord(0)?, coord(1)?),
-                        Point::new(coord(2)?, coord(3)?),
-                    ),
-                })
-            } else {
-                Err(ProtocolError::malformed(
-                    "placement must be \"uniform-square\", {\"clustered\": …} or {\"perforated\": …}",
-                ))
-            }
+pub(crate) fn decode_placement(
+    value: &JsonValue,
+    path: &str,
+) -> Result<PlacementSpec, ProtocolError> {
+    let (name, inner, path) = one_of(
+        value,
+        path,
+        Some("uniform-square"),
+        &["clustered", "perforated"],
+    )?;
+    match name {
+        "clustered" => {
+            let clustered = Fields::new(inner, &path, &["clusters", "spread"])?;
+            Ok(PlacementSpec::Clustered {
+                clusters: clustered.require("clusters", whole)?,
+                spread: clustered.require("spread", number)?,
+            })
         }
+        "perforated" => {
+            let hole = Fields::new(inner, &path, &["hole"])?.require("hole", each(number))?;
+            let [x0, y0, x1, y1] = hole[..] else {
+                return Err(ProtocolError::malformed(format!(
+                    "`{path}.hole` must be an array [x0, y0, x1, y1]"
+                )));
+            };
+            Ok(PlacementSpec::Perforated {
+                hole: Rect::new(Point::new(x0, y0), Point::new(x1, y1)),
+            })
+        }
+        _ => Ok(PlacementSpec::UniformSquare),
     }
 }
 
 /// Decodes a radius value (`{"connectivity-constant": c}` or
 /// `{"absolute": r}`).
-pub(crate) fn decode_radius(value: &JsonValue) -> Result<RadiusSpec, ProtocolError> {
-    if let Some(c) = value
-        .get("connectivity-constant")
-        .and_then(JsonValue::as_f64)
-    {
-        Ok(RadiusSpec::ConnectivityConstant(c))
-    } else if let Some(r) = value.get("absolute").and_then(JsonValue::as_f64) {
-        Ok(RadiusSpec::Absolute(r))
+pub(crate) fn decode_radius(value: &JsonValue, path: &str) -> Result<RadiusSpec, ProtocolError> {
+    let (name, inner, path) = one_of(value, path, None, &["connectivity-constant", "absolute"])?;
+    let r = number(inner, &path)?;
+    Ok(if name == "absolute" {
+        RadiusSpec::Absolute(r)
     } else {
-        Err(ProtocolError::malformed(
-            "radius must be {\"connectivity-constant\": c} or {\"absolute\": r}",
-        ))
-    }
+        RadiusSpec::ConnectivityConstant(r)
+    })
 }
 
 /// Decodes a surface token (`"unit-square"` / `"torus"`).
-pub(crate) fn decode_surface(value: &JsonValue) -> Result<Topology, ProtocolError> {
-    let token = value
-        .as_str()
-        .ok_or_else(|| ProtocolError::malformed("surface must be a string"))?;
-    Topology::parse(token).ok_or_else(|| {
+pub(crate) fn decode_surface(value: &JsonValue, path: &str) -> Result<Topology, ProtocolError> {
+    let token = text(value, path)?;
+    Topology::parse(&token).ok_or_else(|| {
         ProtocolError::malformed(format!(
             "unknown surface `{token}` (known: unit-square, torus)"
         ))
     })
 }
 
-fn decode_topology(doc: &JsonValue) -> Result<TopologySpec, ProtocolError> {
-    let n = doc
-        .get("n")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| ProtocolError::malformed("`topology.n` must be a whole number"))?
-        as usize;
-    let placement = match doc.get("placement") {
-        None => PlacementSpec::UniformSquare,
-        Some(value) => decode_placement(value)?,
-    };
-    let radius = match doc.get("radius") {
-        None => RadiusSpec::ConnectivityConstant(STANDARD_RADIUS_CONSTANT),
-        Some(value) => decode_radius(value)?,
-    };
-    let surface = match doc.get("surface") {
-        None => Topology::UnitSquare,
-        Some(value) => decode_surface(value)?,
-    };
-    Ok(TopologySpec {
-        n,
-        placement,
-        radius,
-        surface,
+/// Decodes a field token (shared with the sweep schema).
+pub(crate) fn decode_field(value: &JsonValue, path: &str) -> Result<Field, ProtocolError> {
+    let token = text(value, path)?;
+    Field::parse(&token).ok_or_else(|| {
+        ProtocolError::malformed(format!(
+            "unknown field `{token}` (known: spike, uniform, ramp, bimodal, spatial-gradient)"
+        ))
     })
 }
 
-pub(crate) fn decode_protocol(doc: &JsonValue) -> Result<ProtocolSpec, ProtocolError> {
-    let name = doc
-        .get("name")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| ProtocolError::malformed("`protocol.name` must be a string"))?
-        .to_string();
-    let mut params = ParamMap::new();
-    if let Some(raw) = doc.get("params") {
-        let entries = raw
-            .as_object()
-            .ok_or_else(|| ProtocolError::malformed("`protocol.params` must be an object"))?;
-        for (key, value) in entries {
-            let decoded = match value {
+fn decode_topology(value: &JsonValue, path: &str) -> Result<TopologySpec, ProtocolError> {
+    let topology = Fields::new(value, path, &["n", "placement", "radius", "surface"])?;
+    Ok(TopologySpec {
+        n: topology.require("n", whole)?,
+        placement: topology
+            .optional("placement", decode_placement)?
+            .unwrap_or(PlacementSpec::UniformSquare),
+        radius: topology
+            .optional("radius", decode_radius)?
+            .unwrap_or(RadiusSpec::ConnectivityConstant(STANDARD_RADIUS_CONSTANT)),
+        surface: topology
+            .optional("surface", decode_surface)?
+            .unwrap_or(Topology::UnitSquare),
+    })
+}
+
+/// Decodes a protocol value (`{"name": …, "params": {…}}`); the params'
+/// keys are the registry's to check.
+pub(crate) fn decode_protocol(
+    value: &JsonValue,
+    path: &str,
+) -> Result<ProtocolSpec, ProtocolError> {
+    let protocol = Fields::new(value, path, &["name", "params"])?;
+    Ok(ProtocolSpec {
+        name: protocol.require("name", text)?,
+        params: protocol
+            .optional("params", decode_params)?
+            .unwrap_or_default(),
+    })
+}
+
+fn decode_params(value: &JsonValue, path: &str) -> Result<ParamMap, ProtocolError> {
+    let params = value
+        .as_object()
+        .ok_or_else(|| ProtocolError::malformed(format!("`{path}` must be an object")))?;
+    params
+        .iter()
+        .map(|(key, value)| {
+            let param = match value {
                 JsonValue::Number(v) => ParamValue::Number(*v),
                 JsonValue::String(s) => ParamValue::Text(s.clone()),
                 JsonValue::Bool(b) => ParamValue::Flag(*b),
                 other => {
                     return Err(ProtocolError::malformed(format!(
-                        "parameter `{key}` must be a number, string or bool, got {other:?}"
+                        "`{path}.{key}` must be a number, string or bool, got {other:?}"
                     )))
                 }
             };
-            params.insert(key.clone(), decoded);
-        }
-    }
-    Ok(ProtocolSpec { name, params })
+            Ok((key.clone(), param))
+        })
+        .collect()
 }
 
-fn decode_stop(doc: &JsonValue) -> Result<StopCondition, ProtocolError> {
-    let epsilon = doc
-        .get("epsilon")
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| ProtocolError::malformed("`stop.epsilon` must be a number"))?;
-    let cap = |key: &str, default: Option<u64>| -> Result<Option<u64>, ProtocolError> {
-        match doc.get(key) {
-            None => Ok(default),
-            Some(JsonValue::Null) => Ok(None),
-            Some(value) => value.as_u64().map(Some).ok_or_else(|| {
-                ProtocolError::malformed(format!("`stop.{key}` must be a whole number or null"))
-            }),
-        }
-    };
+fn decode_stop(value: &JsonValue, path: &str) -> Result<StopCondition, ProtocolError> {
+    let stop = Fields::new(value, path, &["epsilon", "max-ticks", "max-transmissions"])?;
+    let (max_ticks, max_transmissions) = decode_caps(&stop)?;
     Ok(StopCondition {
-        epsilon,
-        max_ticks: cap("max-ticks", Some(STANDARD_MAX_TICKS))?,
-        max_transmissions: cap("max-transmissions", Some(1_000_000_000))?,
+        epsilon: stop.require("epsilon", number)?,
+        max_ticks,
+        max_transmissions,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::DEFAULT_TICK_BATCH;
     use crate::field::InitialCondition;
 
     #[test]

@@ -48,8 +48,11 @@
 //! ```
 //!
 //! `n` and `protocol` are required; the other axes default to single-element
-//! standard values. Unknown keys — top level, inside `axes`, inside `stop` —
-//! are **hard errors**, mirroring the [`ScenarioSpec`] discipline. The
+//! standard values. Unknown keys are **hard errors** at every level — top
+//! level, `axes`, `stop` and every axis entry — through the same object
+//! reader as the [`ScenarioSpec`]; errors name the entry's path
+//! (`axes.placement[1].clustered.spread`), and entries of the `transport`
+//! and `faults` axes their scenario path (`transport.latency`). The
 //! top-level `"sweep"` key doubles as the document discriminator: loaders
 //! (`geogossip validate`) treat any document carrying it as a sweep.
 
@@ -58,18 +61,17 @@ use crate::error::ProtocolError;
 use crate::fault::FaultSpec;
 use crate::field::Field;
 use crate::scenario::spec::{
-    decode_parallelism, decode_placement, decode_protocol, decode_radius, decode_surface,
-    placement_to_json, protocol_to_json, radius_to_json, PlacementSpec, ProtocolSpec, RadiusSpec,
-    ScenarioSpec, TopologySpec, STANDARD_MAX_TICKS, STANDARD_RADIUS_CONSTANT, STANDARD_SEED,
+    decode_caps, decode_field, decode_placement, decode_protocol, decode_radius, decode_surface,
+    placement_to_json, protocol_to_json, radius_to_json, stop_to_json, PlacementSpec, ProtocolSpec,
+    RadiusSpec, ScenarioSpec, TopologySpec, STANDARD_MAX_TICKS, STANDARD_MAX_TRANSMISSIONS,
+    STANDARD_RADIUS_CONSTANT, STANDARD_SEED,
 };
+use crate::schema::{each, number, text, whole, Fields};
 use crate::transport::TransportSpec;
 use crate::StopCondition;
 use geogossip_analysis::json::JsonValue;
 use geogossip_geometry::Topology;
 use serde::{Deserialize, Serialize};
-
-/// Default transmission cap of sweep cells (matches the scenario default).
-const STANDARD_MAX_TRANSMISSIONS: u64 = 1_000_000_000;
 
 /// A declarative parameter-grid campaign: axes over network size, protocol,
 /// placement, radius regime, surface and accuracy target, expanded into a
@@ -311,7 +313,6 @@ impl SweepSpec {
     /// emitted only when it differs from the single no-fault default, so
     /// documents written before faults existed render byte-identically.
     pub fn to_json_value(&self) -> JsonValue {
-        let optional_cap = |cap: Option<u64>| cap.map_or(JsonValue::Null, JsonValue::from);
         let mut axes = vec![
             (
                 "n",
@@ -369,20 +370,11 @@ impl SweepSpec {
             ("field", JsonValue::string(self.field.token())),
             (
                 "stop",
-                JsonValue::object(vec![
-                    ("max-ticks", optional_cap(self.max_ticks)),
-                    ("max-transmissions", optional_cap(self.max_transmissions)),
-                ]),
+                stop_to_json(None, self.max_ticks, self.max_transmissions),
             ),
         ];
         if let Some(parallelism) = &self.parallelism {
-            fields.push((
-                "parallelism",
-                JsonValue::object(vec![
-                    ("threads", parallelism.threads.into()),
-                    ("batch", parallelism.batch.into()),
-                ]),
-            ));
+            fields.push(("parallelism", parallelism.to_json_value()));
         }
         fields.push(("trials", self.trials.into()));
         fields.push(("seed", self.seed.into()));
@@ -422,191 +414,90 @@ impl SweepSpec {
     }
 
     fn decode(doc: &JsonValue) -> Result<Self, ProtocolError> {
-        let obj = doc
-            .as_object()
-            .ok_or_else(|| ProtocolError::malformed("sweep must be a JSON object"))?;
-        for (key, _) in obj {
-            if !matches!(
-                key.as_str(),
-                "sweep" | "axes" | "field" | "stop" | "parallelism" | "trials" | "seed"
-            ) {
-                return Err(ProtocolError::malformed(format!(
-                    "unknown sweep key `{key}`"
-                )));
-            }
-        }
-        let name = doc
-            .get("sweep")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| {
-                ProtocolError::malformed("`sweep` must be a string (the campaign name)")
-            })?
-            .to_string();
-        let axes = doc
-            .get("axes")
-            .ok_or_else(|| ProtocolError::malformed("missing `axes`"))?;
-        let axes_obj = axes
-            .as_object()
-            .ok_or_else(|| ProtocolError::malformed("`axes` must be an object"))?;
-        for (key, _) in axes_obj {
-            if !matches!(
-                key.as_str(),
-                "n" | "protocol"
-                    | "placement"
-                    | "radius"
-                    | "surface"
-                    | "epsilon"
-                    | "transport"
-                    | "faults"
-            ) {
-                return Err(ProtocolError::malformed(format!(
-                    "unknown axis `{key}` (known: n, protocol, placement, radius, surface, epsilon, transport, faults)"
-                )));
-            }
-        }
-        let axis = |key: &str| -> Result<Option<&[JsonValue]>, ProtocolError> {
-            match axes.get(key) {
-                None => Ok(None),
-                Some(value) => value.as_array().map(Some).ok_or_else(|| {
-                    ProtocolError::malformed(format!("`axes.{key}` must be an array"))
-                }),
-            }
-        };
-        let sizes: Vec<usize> = axis("n")?
-            .ok_or_else(|| ProtocolError::malformed("missing `axes.n`"))?
-            .iter()
-            .map(|v| {
-                v.as_u64().map(|n| n as usize).ok_or_else(|| {
-                    ProtocolError::malformed("`axes.n` entries must be whole numbers")
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let protocols: Vec<ProtocolSpec> = axis("protocol")?
-            .ok_or_else(|| ProtocolError::malformed("missing `axes.protocol`"))?
-            .iter()
-            .map(decode_protocol)
-            .collect::<Result<_, _>>()?;
-        let placements: Vec<PlacementSpec> = match axis("placement")? {
-            None => vec![PlacementSpec::UniformSquare],
-            Some(items) => items
-                .iter()
-                .map(decode_placement)
-                .collect::<Result<_, _>>()?,
-        };
-        let radii: Vec<RadiusSpec> = match axis("radius")? {
-            None => vec![RadiusSpec::ConnectivityConstant(STANDARD_RADIUS_CONSTANT)],
-            Some(items) => items.iter().map(decode_radius).collect::<Result<_, _>>()?,
-        };
-        let surfaces: Vec<Topology> = match axis("surface")? {
-            None => vec![Topology::UnitSquare],
-            Some(items) => items.iter().map(decode_surface).collect::<Result<_, _>>()?,
-        };
-        let epsilons: Vec<f64> = match axis("epsilon")? {
-            None => vec![0.05],
-            Some(items) => items
-                .iter()
-                .map(|v| {
-                    v.as_f64().ok_or_else(|| {
-                        ProtocolError::malformed("`axes.epsilon` entries must be numbers")
-                    })
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        let transports: Vec<Option<TransportSpec>> = match axis("transport")? {
-            None => vec![None],
-            Some(items) => items
-                .iter()
-                .map(|v| match v {
-                    // `null` = the default shared-memory engine, so one axis
-                    // can compare it against net transports directly.
-                    JsonValue::Null => Ok(None),
-                    other => TransportSpec::decode(other).map(Some),
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        let faults: Vec<FaultSpec> = match axis("faults")? {
-            None => vec![FaultSpec::default()],
-            Some(items) => items
-                .iter()
-                .map(FaultSpec::decode)
-                .collect::<Result<_, _>>()?,
-        };
-        let field_token = doc
-            .get("field")
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| ProtocolError::malformed("`field` must be a string"))
-            })
-            .transpose()?
-            .unwrap_or_else(|| "spatial-gradient".to_string());
-        let field = Field::parse(&field_token).ok_or_else(|| {
-            ProtocolError::malformed(format!(
-                "unknown field `{field_token}` (known: spike, uniform, ramp, bimodal, spatial-gradient)"
-            ))
+        let doc = Fields::labelled(
+            doc,
+            "sweep",
+            "",
+            &[
+                "sweep",
+                "axes",
+                "field",
+                "stop",
+                "parallelism",
+                "trials",
+                "seed",
+            ],
+        )?;
+        let name = doc.require("sweep", text)?;
+        let axes = doc.require("axes", |value, path| {
+            Fields::labelled(
+                value,
+                "axis",
+                path,
+                &[
+                    "n",
+                    "protocol",
+                    "placement",
+                    "radius",
+                    "surface",
+                    "epsilon",
+                    "transport",
+                    "faults",
+                ],
+            )
         })?;
-        let (max_ticks, max_transmissions) = match doc.get("stop") {
-            None => (Some(STANDARD_MAX_TICKS), Some(STANDARD_MAX_TRANSMISSIONS)),
-            Some(stop) => {
-                let stop_obj = stop
-                    .as_object()
-                    .ok_or_else(|| ProtocolError::malformed("`stop` must be an object"))?;
-                for (key, _) in stop_obj {
-                    if !matches!(key.as_str(), "max-ticks" | "max-transmissions") {
-                        return Err(ProtocolError::malformed(format!(
-                            "unknown sweep stop key `{key}` (ε is an axis: `axes.epsilon`)"
-                        )));
-                    }
-                }
-                let cap = |key: &str, default: Option<u64>| -> Result<Option<u64>, ProtocolError> {
-                    match stop.get(key) {
-                        None => Ok(default),
-                        Some(JsonValue::Null) => Ok(None),
-                        Some(value) => value.as_u64().map(Some).ok_or_else(|| {
-                            ProtocolError::malformed(format!(
-                                "`stop.{key}` must be a whole number or null"
-                            ))
-                        }),
-                    }
-                };
-                (
-                    cap("max-ticks", Some(STANDARD_MAX_TICKS))?,
-                    cap("max-transmissions", Some(STANDARD_MAX_TRANSMISSIONS))?,
+        let stop = doc
+            .optional("stop", |value, path| {
+                Fields::labelled(
+                    value,
+                    "sweep stop",
+                    path,
+                    &["max-ticks", "max-transmissions"],
                 )
-            }
-        };
-        let parallelism = match doc.get("parallelism") {
-            None => None,
-            Some(value) => Some(decode_parallelism(value)?),
-        };
-        let trials = match doc.get("trials") {
-            None => 1,
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| ProtocolError::malformed("`trials` must be a whole number"))?,
-        };
-        let seed = match doc.get("seed") {
-            None => STANDARD_SEED,
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| ProtocolError::malformed("`seed` must be a whole number"))?,
-        };
-        Ok(SweepSpec {
+            })?
+            .unwrap_or_default();
+        let (max_ticks, max_transmissions) = decode_caps(&stop)?;
+        // Absent axes and keys take the defaults of `SweepSpec::new`.
+        let base = SweepSpec::new(
             name,
-            sizes,
-            protocols,
-            placements,
-            radii,
-            surfaces,
-            epsilons,
-            transports,
-            faults,
-            field,
-            parallelism,
+            axes.require("n", each(whole))?,
+            axes.require("protocol", each(decode_protocol))?,
+        );
+        Ok(SweepSpec {
+            placements: axes
+                .optional("placement", each(decode_placement))?
+                .unwrap_or(base.placements),
+            radii: axes
+                .optional("radius", each(decode_radius))?
+                .unwrap_or(base.radii),
+            surfaces: axes
+                .optional("surface", each(decode_surface))?
+                .unwrap_or(base.surfaces),
+            epsilons: axes
+                .optional("epsilon", each(number))?
+                .unwrap_or(base.epsilons),
+            // `null` = the default shared-memory engine, so one axis can
+            // compare it against net transports directly. Entries of the
+            // transport and faults axes name their scenario paths.
+            transports: axes
+                .optional(
+                    "transport",
+                    each(|value, _| match value {
+                        JsonValue::Null => Ok(None),
+                        other => TransportSpec::decode(other).map(Some),
+                    }),
+                )?
+                .unwrap_or(base.transports),
+            faults: axes
+                .optional("faults", each(|value, _| FaultSpec::decode(value)))?
+                .unwrap_or(base.faults),
+            field: doc.optional("field", decode_field)?.unwrap_or(base.field),
+            parallelism: doc.optional("parallelism", ParallelSpec::decode)?,
             max_ticks,
             max_transmissions,
-            trials,
-            seed,
+            trials: doc.optional("trials", whole)?.unwrap_or(base.trials),
+            seed: doc.optional("seed", whole)?.unwrap_or(base.seed),
+            ..base
         })
     }
 }

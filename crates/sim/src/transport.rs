@@ -34,6 +34,7 @@ use crate::engine::{EngineReport, StopCondition};
 use crate::error::ProtocolError;
 use crate::fault::FaultSpec;
 use crate::scenario::spec::ProtocolSpec;
+use crate::schema::{number, one_of, whole, Fields};
 use geogossip_analysis::json::JsonValue;
 use geogossip_graph::GeometricGraph;
 use geogossip_telemetry::Probe;
@@ -205,78 +206,30 @@ impl ReliabilitySpec {
 
     /// Decodes a `transport.reliability` object; unknown keys hard-error.
     pub fn decode(doc: &JsonValue) -> Result<Self, ProtocolError> {
-        let obj = doc
-            .as_object()
-            .ok_or_else(|| ProtocolError::malformed("`transport.reliability` must be an object"))?;
-        for (key, _) in obj {
-            if !matches!(key.as_str(), "drop" | "duplicate" | "retry") {
-                return Err(ProtocolError::malformed(format!(
-                    "unknown transport.reliability key `{key}` (known: drop, duplicate, retry)"
-                )));
-            }
-        }
-        let number = |key: &str, fallback: f64| -> Result<f64, ProtocolError> {
-            match doc.get(key) {
-                None => Ok(fallback),
-                Some(value) => value.as_f64().ok_or_else(|| {
-                    ProtocolError::malformed(format!(
-                        "`transport.reliability.{key}` must be a number"
-                    ))
-                }),
-            }
-        };
-        let drop = number("drop", 0.0)?;
-        let duplicate = number("duplicate", 0.0)?;
-        let retry = match doc.get("retry") {
-            None => RetryPolicy::default(),
-            Some(value) => {
-                let fields = value.as_object().ok_or_else(|| {
-                    ProtocolError::malformed("`transport.reliability.retry` must be an object")
-                })?;
-                for (key, _) in fields {
-                    if !matches!(key.as_str(), "timeout" | "backoff" | "max-retries") {
-                        return Err(ProtocolError::malformed(format!(
-                            "unknown transport.reliability.retry key `{key}` \
-                             (known: timeout, backoff, max-retries)"
-                        )));
-                    }
-                }
-                let default = RetryPolicy::default();
-                let field = |key: &str, fallback: f64| -> Result<f64, ProtocolError> {
-                    match value.get(key) {
-                        None => Ok(fallback),
-                        Some(v) => v.as_f64().ok_or_else(|| {
-                            ProtocolError::malformed(format!(
-                                "`transport.reliability.retry.{key}` must be a number"
-                            ))
-                        }),
-                    }
-                };
-                let timeout = field("timeout", default.timeout)?;
-                let backoff = field("backoff", default.backoff)?;
-                let max_retries = match value.get("max-retries") {
-                    None => default.max_retries,
-                    Some(v) => match v.as_f64() {
-                        Some(m) if m >= 0.0 && m.fract() == 0.0 && m <= u32::MAX as f64 => m as u32,
-                        _ => {
-                            return Err(ProtocolError::malformed(
-                                "`transport.reliability.retry.max-retries` must be a \
-                                 non-negative whole number",
-                            ))
-                        }
-                    },
-                };
-                RetryPolicy {
-                    timeout,
-                    backoff,
-                    max_retries,
-                }
-            }
+        let reliability = Fields::new(
+            doc,
+            "transport.reliability",
+            &["drop", "duplicate", "retry"],
+        )?;
+        let retry = |value: &JsonValue, path: &str| {
+            let retry = Fields::new(value, path, &["timeout", "backoff", "max-retries"])?;
+            let default = RetryPolicy::default();
+            Ok(RetryPolicy {
+                timeout: retry
+                    .optional("timeout", number)?
+                    .unwrap_or(default.timeout),
+                backoff: retry
+                    .optional("backoff", number)?
+                    .unwrap_or(default.backoff),
+                max_retries: retry
+                    .optional("max-retries", whole)?
+                    .unwrap_or(default.max_retries),
+            })
         };
         Ok(ReliabilitySpec {
-            drop,
-            duplicate,
-            retry,
+            drop: reliability.optional("drop", number)?.unwrap_or(0.0),
+            duplicate: reliability.optional("duplicate", number)?.unwrap_or(0.0),
+            retry: reliability.optional("retry", retry)?.unwrap_or_default(),
         })
     }
 }
@@ -351,76 +304,22 @@ impl TransportSpec {
     /// Decodes a `transport` object; unknown keys hard-error (the same
     /// typos-fail-loudly rule as every other schema object).
     pub fn decode(doc: &JsonValue) -> Result<Self, ProtocolError> {
-        let obj = doc
-            .as_object()
-            .ok_or_else(|| ProtocolError::malformed("`transport` must be an object"))?;
-        for (key, _) in obj {
-            if !matches!(key.as_str(), "latency" | "reliability") {
-                return Err(ProtocolError::malformed(format!(
-                    "unknown transport key `{key}` (known: latency, reliability)"
-                )));
-            }
-        }
-        let reliability = match doc.get("reliability") {
-            None => ReliabilitySpec::default(),
-            Some(value) => ReliabilitySpec::decode(value)?,
-        };
-        let latency = match doc.get("latency") {
-            None => LatencyModel::Instant,
-            Some(JsonValue::String(token)) if token == "instant" => LatencyModel::Instant,
-            Some(JsonValue::String(token)) => {
-                return Err(ProtocolError::malformed(format!(
-                    "unknown `transport.latency` model `{token}` (known: \"instant\", \
-                     {{\"fixed\": seconds}}, {{\"exp\": {{\"mean\": seconds}}}})"
-                )));
-            }
-            Some(value) => {
-                let fields = value.as_object().ok_or_else(|| {
-                    ProtocolError::malformed("`transport.latency` must be \"instant\" or an object")
-                })?;
-                for (key, _) in fields {
-                    if !matches!(key.as_str(), "fixed" | "exp") {
-                        return Err(ProtocolError::malformed(format!(
-                            "unknown transport.latency key `{key}` (known: fixed, exp)"
-                        )));
-                    }
-                }
-                match (value.get("fixed"), value.get("exp")) {
-                    (Some(delay), None) => {
-                        LatencyModel::Fixed(delay.as_f64().ok_or_else(|| {
-                            ProtocolError::malformed("`transport.latency.fixed` must be a number")
-                        })?)
-                    }
-                    (None, Some(exp)) => {
-                        let exp_obj = exp.as_object().ok_or_else(|| {
-                            ProtocolError::malformed("`transport.latency.exp` must be an object")
-                        })?;
-                        for (key, _) in exp_obj {
-                            if key.as_str() != "mean" {
-                                return Err(ProtocolError::malformed(format!(
-                                    "unknown transport.latency.exp key `{key}` (known: mean)"
-                                )));
-                            }
-                        }
-                        let mean =
-                            exp.get("mean").and_then(JsonValue::as_f64).ok_or_else(|| {
-                                ProtocolError::malformed(
-                                    "`transport.latency.exp.mean` must be a number",
-                                )
-                            })?;
-                        LatencyModel::Exponential { mean }
-                    }
-                    _ => {
-                        return Err(ProtocolError::malformed(
-                            "`transport.latency` must hold exactly one of `fixed` or `exp`",
-                        ));
-                    }
-                }
-            }
+        let transport = Fields::new(doc, "transport", &["latency", "reliability"])?;
+        let latency = |value: &JsonValue, path: &str| {
+            let (model, inner, path) = one_of(value, path, Some("instant"), &["fixed", "exp"])?;
+            Ok(match model {
+                "fixed" => LatencyModel::Fixed(number(inner, &path)?),
+                "exp" => LatencyModel::Exponential {
+                    mean: Fields::new(inner, &path, &["mean"])?.require("mean", number)?,
+                },
+                _ => LatencyModel::Instant,
+            })
         };
         Ok(TransportSpec {
-            latency,
-            reliability,
+            latency: transport.optional("latency", latency)?.unwrap_or_default(),
+            reliability: transport
+                .optional("reliability", |value, _| ReliabilitySpec::decode(value))?
+                .unwrap_or_default(),
         })
     }
 }

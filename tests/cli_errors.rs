@@ -62,7 +62,10 @@ fn a_rejected_sweep_names_its_file_and_kind_once() {
         assert_eq!(code, Some(1), "{command}: {stderr}");
         assert_eq!(
             stderr,
-            format!("error: malformed scenario spec: {path}: unknown sweep key `bogus`\n"),
+            format!(
+                "error: malformed scenario spec: {path}: unknown sweep key `bogus` \
+                 (known: sweep, axes, field, stop, parallelism, trials, seed)\n"
+            ),
             "{command}"
         );
     }
@@ -220,6 +223,25 @@ fn validate_rejects_the_params_run_rejects() {
             r#"{"name": "affine-idealized", "params": {"rounds-factor": -1}}"#,
             "error: invalid parameter `rounds-factor`: must be strictly positive\n",
         ),
+        // Ranges that only the params check enforces, each shared with the
+        // constructor.
+        (
+            r#"{"name": "affine-recursive", "params": {"max-top-rounds": -5}}"#,
+            "error: invalid parameter `max-top-rounds`: must be a whole number of at least 1, \
+             got -5\n",
+        ),
+        (
+            r#"{"name": "affine-idealized", "params": {"coefficient-fraction": -1}}"#,
+            "error: invalid parameter `coefficient-fraction`: must be strictly positive\n",
+        ),
+        (
+            r#"{"name": "affine-recursive", "params": {"max-exchanges-factor": -1}}"#,
+            "error: invalid parameter `max-exchanges-factor`: must be strictly positive\n",
+        ),
+        (
+            r#"{"name": "geographic", "params": {"selector": "rejection-sampled", "cap": -1}}"#,
+            "error: invalid parameter `cap`: must be a whole number of at least 1, got -1\n",
+        ),
     ] {
         std::fs::write(&spec, spec_with_protocol(protocol)).unwrap();
         let (validate_code, validate_err) = geogossip(&["validate", path]);
@@ -261,4 +283,47 @@ fn a_sweep_with_bad_params_stops_before_its_first_cell() {
         "{stderr}"
     );
     assert_eq!(logged, "", "a cell ran before the sweep was refused");
+}
+
+#[test]
+fn validate_and_run_refuse_an_unknown_nested_key_alike() {
+    let spec = scratch("nested-typo.json");
+    let path = spec.to_str().unwrap();
+    let scenario = spec_with_protocol(r#"{"name": "pairwise", "params": {}}"#)
+        .replace(r#""epsilon": 0.1"#, r#""epsilon": 0.1, "max-tick": 1000"#);
+    std::fs::write(&spec, scenario).unwrap();
+    let (validate_code, validate_err) = geogossip(&["validate", path]);
+    let (run_code, run_err) = geogossip(&["run", path]);
+    assert_eq!(run_code, Some(1), "{run_err}");
+    assert_eq!(
+        run_err,
+        "error: malformed scenario spec: unknown stop key `max-tick` \
+         (known: epsilon, max-ticks, max-transmissions)\n"
+    );
+    assert_eq!(validate_code, Some(1), "{validate_err}");
+    assert_eq!(validate_err, run_err);
+
+    // A sweep's protocol entry, through `validate` and `sweep`.
+    let text = std::fs::read_to_string("scenarios/sweeps/smoke_sweep.json").unwrap();
+    std::fs::write(
+        &spec,
+        text.replace(
+            r#"{"name": "geographic", "params": {}}"#,
+            r#"{"name": "geographic", "parms": {"bogus": 1}}"#,
+        ),
+    )
+    .unwrap();
+    let (validate_code, validate_err) = geogossip(&["validate", path]);
+    let (sweep_code, sweep_err) = geogossip(&["sweep", path]);
+    let _ = std::fs::remove_file(&spec);
+    assert_eq!(sweep_code, Some(1), "{sweep_err}");
+    assert_eq!(
+        sweep_err,
+        format!(
+            "error: malformed scenario spec: {path}: unknown axes.protocol[1] key `parms` \
+             (known: name, params)\n"
+        )
+    );
+    assert_eq!(validate_code, Some(1), "{validate_err}");
+    assert_eq!(validate_err, sweep_err);
 }
