@@ -160,20 +160,21 @@ impl RoundBasedConfig {
         self
     }
 
-    /// The ranges of the numeric settings: `rounds_factor`, a population
-    /// fraction coefficient and a gossip exchange cap factor finite and
-    /// strictly positive, `epsilon_decay` in `(0, 1]`, and at least one top
-    /// round. Needs no network, so the registry's params check calls it too,
-    /// and the errors name the spec keys (`rounds-factor`, …).
+    /// The ranges of the numeric settings: `rounds_factor`, the coefficient
+    /// (a population fraction or a fixed value) and a gossip exchange cap
+    /// factor finite and strictly positive, `epsilon_decay` in `(0, 1]`, and
+    /// at least one top round. Needs no network, so the registry's params
+    /// check calls it too, and the errors name the spec keys
+    /// (`rounds-factor`, …).
     ///
     /// # Errors
     ///
     /// [`ProtocolError::InvalidParameter`] for the first setting out of
     /// range.
     pub(crate) fn validate(&self) -> Result<(), ProtocolError> {
-        let fraction = match self.coefficient {
-            CoefficientRule::FractionOfPopulation(fraction) => Some(fraction),
-            CoefficientRule::Fixed(_) => None,
+        let (coefficient_key, coefficient) = match self.coefficient {
+            CoefficientRule::FractionOfPopulation(fraction) => ("coefficient-fraction", fraction),
+            CoefficientRule::Fixed(alpha) => ("coefficient-fixed", alpha),
         };
         let exchanges = match self.local_averaging {
             LocalAveraging::Gossip {
@@ -183,7 +184,7 @@ impl RoundBasedConfig {
         };
         for (key, factor) in [
             ("rounds-factor", Some(self.rounds_factor)),
-            ("coefficient-fraction", fraction),
+            (coefficient_key, Some(coefficient)),
             ("max-exchanges-factor", exchanges),
         ] {
             if factor.is_some_and(|f| !(f.is_finite() && f > 0.0)) {
@@ -285,7 +286,7 @@ impl<'a> RoundBasedAffineGossip<'a> {
     ///   than two populated top-level cells.
     /// * [`ProtocolError::InvalidParameter`] for a setting outside the
     ///   ranges [`RoundBasedConfig`] checks (`rounds_factor`, the coefficient
-    ///   fraction and the exchange cap factor strictly positive,
+    ///   and the exchange cap factor strictly positive,
     ///   `epsilon_decay` in `(0, 1]`, at least one top round).
     pub fn new(
         graph: &'a GeometricGraph,

@@ -53,7 +53,7 @@ pub mod scheduler;
 pub use message::Message;
 pub use protocols::{GeographicNet, PairwiseNet};
 pub use runtime::NetRuntime;
-pub use scheduler::{ChargeKind, Envelope, MessageLedger, NetContext, NetProtocol, NetScheduler};
+pub use scheduler::{MessageLedger, NetContext, NetProtocol, NetScheduler};
 
 #[cfg(test)]
 mod parity_smoke {

@@ -5,20 +5,21 @@
 //! known keys, same wording), builds the shared-memory engine's
 //! node-fault state ([`NodeFaults`]) from the dedicated `"faults"` trial
 //! stream when the spec asks for churn or stale nodes, runs the
-//! [`NetScheduler`], and returns the oracle-keyed metrics with the fault
-//! counters (when faulted) and the message ledger appended — the
-//! unreliable-wire counters only when the reliability block is lossy, so
-//! lossless runs keep the exact metric schema of a bare transport run.
+//! [`NetScheduler`] once over the boxed actors, and returns the oracle-keyed
+//! metrics with the fault counters ([`NodeFaults::metrics`], when faulted)
+//! and the message ledger appended — the unreliable-wire counters only when
+//! the reliability block is lossy, so lossless runs keep the exact metric
+//! schema of a bare transport run.
 
 use crate::protocols::{GeographicNet, PairwiseNet};
-use crate::scheduler::{MessageLedger, NetProtocol, NetScheduler};
+use crate::scheduler::{NetProtocol, NetScheduler};
 use geogossip_core::registry::{geographic_params, GeographicParams};
 use geogossip_graph::GeometricGraph;
 use geogossip_routing::TargetSelector;
-use geogossip_sim::engine::{EngineReport, StopCondition};
+use geogossip_sim::engine::StopCondition;
 use geogossip_sim::fault::{FaultSpec, NodeFaults};
 use geogossip_sim::scenario::ProtocolSpec;
-use geogossip_sim::transport::{ReliabilitySpec, TransportRuntime, TransportSpec, TransportTrial};
+use geogossip_sim::transport::{TransportRuntime, TransportSpec, TransportTrial};
 use geogossip_sim::ProtocolError;
 use geogossip_telemetry::Probe;
 use rand::RngCore;
@@ -87,37 +88,6 @@ impl NetPlan {
     }
 }
 
-fn finish(
-    protocol: &dyn NetProtocol,
-    report: EngineReport,
-    ledger: MessageLedger,
-    faults: Option<&NodeFaults>,
-    reliability: ReliabilitySpec,
-) -> TransportTrial {
-    let mut metrics = protocol.metrics();
-    if let Some(faults) = faults {
-        // Same keys, same order as the shared-memory orchestrator's metric
-        // tail. Activation loss has no wire form (the schema rejects the
-        // combination), so dropped_activations is always zero here.
-        metrics.push(("dropped_activations".to_string(), 0.0));
-        metrics.push((
-            "dead_activations".to_string(),
-            faults.dead_activations() as f64,
-        ));
-        metrics.push(("stale_nodes".to_string(), faults.stale_count() as f64));
-    }
-    metrics.extend(ledger.metrics());
-    if !reliability.is_lossless() {
-        metrics.extend(ledger.reliability_metrics());
-    }
-    TransportTrial {
-        label: protocol.name().to_string(),
-        report,
-        rounds: None,
-        metrics,
-    }
-}
-
 impl TransportRuntime for NetRuntime {
     fn check(&self, protocol: &ProtocolSpec) -> Result<(), ProtocolError> {
         NetPlan::for_spec(protocol).map(drop)
@@ -152,48 +122,37 @@ impl TransportRuntime for NetRuntime {
         // only here, exactly as the engine consumes it at a zero drop rate.
         let mut nodes =
             (!faults.is_none()).then(|| NodeFaults::new(faults, graph.len(), &mut fault_rng));
-        match plan {
-            NetPlan::Pairwise => {
-                let mut net = PairwiseNet::new(graph, values)?;
-                let (report, ledger) = NetScheduler::new(graph.len()).run_wire_probed(
-                    &mut net,
-                    stop,
-                    transport.latency,
-                    transport.reliability,
-                    nodes.as_mut(),
-                    rng,
-                    net_rng,
-                    probe,
-                );
-                Ok(finish(
-                    &net,
-                    report,
-                    ledger,
-                    nodes.as_ref(),
-                    transport.reliability,
-                ))
-            }
+        let mut net: Box<dyn NetProtocol + '_> = match plan {
+            NetPlan::Pairwise => Box::new(PairwiseNet::new(graph, values)?),
             NetPlan::Geographic(selector) => {
-                let mut net = GeographicNet::with_selector(graph, values, selector)?;
-                let (report, ledger) = NetScheduler::new(graph.len()).run_wire_probed(
-                    &mut net,
-                    stop,
-                    transport.latency,
-                    transport.reliability,
-                    nodes.as_mut(),
-                    rng,
-                    net_rng,
-                    probe,
-                );
-                Ok(finish(
-                    &net,
-                    report,
-                    ledger,
-                    nodes.as_ref(),
-                    transport.reliability,
-                ))
+                Box::new(GeographicNet::with_selector(graph, values, selector)?)
             }
+        };
+        let (report, ledger) = NetScheduler::new(graph.len()).run_wire_probed(
+            &mut *net,
+            stop,
+            transport.latency,
+            transport.reliability,
+            nodes.as_mut(),
+            rng,
+            net_rng,
+            probe,
+        );
+        let mut metrics = net.metrics();
+        if let Some(nodes) = &nodes {
+            // Activation loss is refused above, so no activation is dropped.
+            metrics.extend(nodes.metrics(0));
         }
+        metrics.extend(ledger.metrics());
+        if !transport.reliability.is_lossless() {
+            metrics.extend(ledger.reliability_metrics());
+        }
+        Ok(TransportTrial {
+            label: net.name().to_string(),
+            report,
+            rounds: None,
+            metrics,
+        })
     }
 }
 
@@ -201,7 +160,7 @@ impl TransportRuntime for NetRuntime {
 mod tests {
     use super::*;
     use geogossip_sim::fault::ChurnEvent;
-    use geogossip_sim::transport::{LatencyModel, RetryPolicy};
+    use geogossip_sim::transport::{LatencyModel, ReliabilitySpec, RetryPolicy};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -11,6 +11,13 @@
 //! next tick, so reports are **bit-identical** to the shared-memory oracle —
 //! pinned by `tests/net_parity.rs`.
 //!
+//! One run's medium is one private `Wire` value: the latency model, the
+//! reliability block and the `"net"` stream they draw from, the message
+//! queue, the [`MessageLedger`], the dedup id counter and the last handled
+//! id, and the telemetry probe. Every send, retransmission and delivery goes
+//! through its methods, and a [`NetContext`] is only a view of it at one
+//! moment.
+//!
 //! # Determinism contract
 //!
 //! * Activations (clock gaps, tick→node assignment, protocol partner draws)
@@ -31,10 +38,10 @@
 //! `"net"` stream in this order: the **latency** sample first (whatever the
 //! schedule draws — nothing for instant/fixed), then the **drop** draw *only
 //! if* `drop > 0`, then the **duplicate** draw *only if* `duplicate > 0` and
-//! the message survived the wire. A lossless reliability block
-//! (`drop == duplicate == 0`) therefore consumes exactly the draws a bare
-//! transport does and stays bit-identical to it — pinned by
-//! `tests/net_reliability.rs`.
+//! the message survived the wire. `Wire::dispatch` is the one place that
+//! draws them. A lossless reliability block (`drop == duplicate == 0`)
+//! therefore consumes exactly the draws a bare transport does and stays
+//! bit-identical to it — pinned by `tests/net_reliability.rs`.
 //!
 //! Dropped messages were already **charged** by their `send_*` call
 //! (charge-before-drop, like activation loss in the shared-memory engine);
@@ -69,44 +76,43 @@ use geogossip_sim::{EventQueue, GlobalPoissonClock};
 use geogossip_telemetry::{Event, Probe};
 use rand::{Rng, RngCore};
 
-/// How a message's transmission was charged, so a retransmission can charge
+/// How a message's transmission is charged, so a retransmission can charge
 /// the same kind again (charge-before-drop extends to every attempt).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChargeKind {
-    /// One local transmission per attempt (`charge_local(1)`).
+#[derive(Debug, Clone, Copy)]
+enum ChargeKind {
+    /// One local transmission per attempt.
     Local,
-    /// One routing transmission per attempt (`charge_routing(1)`).
+    /// One routing transmission per attempt.
     Routed,
     /// Uncharged (commit handshakes and dead-end handoffs).
     Free,
 }
 
-/// What a queued envelope does when its time arrives.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum EnvelopeKind {
-    /// Deliver the message to its recipient's actor.
-    Deliver,
-    /// A retransmission timer: re-charge `charge` and re-enter the wire as
-    /// attempt number `attempt` (same message id as the original).
-    Retry {
-        /// The attempt number this retransmission will be (original = 1).
-        attempt: u32,
-        /// The transmission kind the original send charged.
-        charge: ChargeKind,
-    },
+impl ChargeKind {
+    /// Charges one attempt to `tx`.
+    fn charge(self, tx: &mut TransmissionCounter) {
+        match self {
+            ChargeKind::Local => tx.charge_local(1),
+            ChargeKind::Routed => tx.charge_routing(1),
+            ChargeKind::Free => {}
+        }
+    }
 }
 
-/// An in-flight message: who it is addressed to and what it carries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Envelope {
+/// A queued message: who it is addressed to, what it carries, and whether
+/// its time brings a delivery or a retransmission.
+#[derive(Debug, Clone, Copy)]
+struct Envelope {
     /// The sensor the message is addressed to.
-    pub to: NodeId,
+    to: NodeId,
     /// The message payload.
-    pub message: Message,
+    message: Message,
     /// Deduplication id (0 on the lossless path, where ids are never needed).
-    pub(crate) id: u64,
-    /// Delivery vs. retransmission timer.
-    pub(crate) kind: EnvelopeKind,
+    id: u64,
+    /// `None` delivers the message. `Some((attempt, charge))` is a
+    /// retransmission timer: re-charge `charge` and re-enter the wire as
+    /// attempt number `attempt` (the original is 1), under the same id.
+    retry: Option<(u32, ChargeKind)>,
 }
 
 /// Message-economy accounting for one run: everything the transport layer
@@ -176,17 +182,11 @@ impl MessageLedger {
 /// message's own arrival time (for deliveries), so cascaded sends are
 /// scheduled relative to when the sender actually acted.
 pub struct NetContext<'a, 'p> {
-    pub(crate) now: f64,
-    pub(crate) latency: LatencyModel,
-    pub(crate) reliability: ReliabilitySpec,
-    pub(crate) net_rng: &'a mut dyn RngCore,
-    pub(crate) queue: &'a mut EventQueue<Envelope>,
-    pub(crate) tx: &'a mut TransmissionCounter,
-    pub(crate) ledger: &'a mut MessageLedger,
-    pub(crate) next_id: &'a mut u64,
-    pub(crate) alive: &'a [bool],
-    pub(crate) stale: &'a [bool],
-    pub(crate) probe: Option<&'a mut (dyn Probe + 'p)>,
+    now: f64,
+    wire: &'a mut Wire<'p>,
+    tx: &'a mut TransmissionCounter,
+    alive: &'a [bool],
+    stale: &'a [bool],
 }
 
 impl<'a, 'p> NetContext<'a, 'p> {
@@ -211,25 +211,21 @@ impl<'a, 'p> NetContext<'a, 'p> {
     /// derive only from simulation state (sim-time, ids, counters) — never
     /// the wall clock — so probed streams stay byte-identical across reruns.
     pub fn emit(&mut self, event: Event) {
-        if let Some(probe) = self.probe.as_deref_mut() {
-            probe.on_event(event);
-        }
+        self.wire.emit(event);
     }
 
     /// Sends a one-hop local message, charged as one local transmission.
     pub fn send_local(&mut self, to: NodeId, message: Message) {
-        self.tx.charge_local(1);
-        let id = self.fresh_id();
-        self.dispatch(to, message, ChargeKind::Local, id, 1);
+        self.wire
+            .send(self.now, self.tx, to, message, ChargeKind::Local);
     }
 
     /// Forwards a message one routing hop, charged as one routing
     /// transmission. Per-hop charges over a greedy round trip sum to exactly
     /// the lump `charge_routing(outbound + back)` of the shared-memory oracle.
     pub fn send_routed(&mut self, to: NodeId, message: Message) {
-        self.tx.charge_routing(1);
-        let id = self.fresh_id();
-        self.dispatch(to, message, ChargeKind::Routed, id, 1);
+        self.wire
+            .send(self.now, self.tx, to, message, ChargeKind::Routed);
     }
 
     /// Sends a message without charging any transmission: commit handshakes
@@ -237,112 +233,188 @@ impl<'a, 'p> NetContext<'a, 'p> {
     /// and dead-end handoffs (the oracle's shared-memory fallback read). The
     /// message still travels through the queue and the ledger counts it.
     pub fn send_free(&mut self, to: NodeId, message: Message) {
-        let id = self.fresh_id();
-        self.dispatch(to, message, ChargeKind::Free, id, 1);
+        self.wire
+            .send(self.now, self.tx, to, message, ChargeKind::Free);
     }
+}
 
-    /// A fresh dedup id on the lossy path; 0 (never checked) when lossless.
-    fn fresh_id(&mut self) -> u64 {
-        if self.reliability.is_lossless() {
-            0
-        } else {
-            *self.next_id += 1;
-            *self.next_id
+/// One run's medium: what carries messages between the actors, and what
+/// it has carried so far.
+struct Wire<'p> {
+    latency: LatencyModel,
+    reliability: ReliabilitySpec,
+    /// The `"net"` stream: latency samples, then drop and duplicate draws.
+    net_rng: &'p mut dyn RngCore,
+    queue: EventQueue<Envelope>,
+    ledger: MessageLedger,
+    /// The last dedup id handed out; lossy ids start at 1.
+    next_id: u64,
+    /// The id of the last envelope handed to a handler (see the module docs
+    /// for why one id suffices). Lossless ids are all 0 and never checked.
+    last_handled: u64,
+    /// Where the message events go. The kernel and the node faults emit
+    /// through it too.
+    probe: Option<&'p mut dyn Probe>,
+}
+
+impl<'p> Wire<'p> {
+    fn emit(&mut self, event: Event) {
+        if let Some(probe) = self.probe.as_deref_mut() {
+            probe.on_event(event);
         }
     }
 
-    /// Puts one attempt of a message on the wire. The draw order documented
-    /// on the module is frozen here: latency, then drop (only if `drop > 0`),
-    /// then duplicate (only if `duplicate > 0` and the message survived).
-    pub(crate) fn dispatch(
+    /// Charges the first attempt of `message`, gives it a fresh dedup id
+    /// (0, never checked, when lossless) and dispatches it at `now`.
+    fn send(
         &mut self,
+        now: f64,
+        tx: &mut TransmissionCounter,
         to: NodeId,
         message: Message,
         charge: ChargeKind,
-        id: u64,
-        attempt: u32,
     ) {
-        let delay = self.latency.sample(self.net_rng);
-        self.ledger.sent += 1;
-        self.ledger.in_flight_peak = self.ledger.in_flight_peak.max(self.ledger.in_flight());
-        self.emit(Event::MessageDispatched {
+        charge.charge(tx);
+        let id = if self.reliability.is_lossless() {
+            0
+        } else {
+            self.next_id += 1;
+            self.next_id
+        };
+        let delivery = Envelope {
+            to,
+            message,
             id,
-            to: to.index() as u32,
-            sim_time: self.now,
-        });
+            retry: None,
+        };
+        self.dispatch(now, delivery, 1, charge);
+    }
+
+    /// Puts attempt `attempt` of `delivery` on the wire at `now`. The draw
+    /// order documented on the module is frozen here: latency, then drop
+    /// (only if `drop > 0`), then duplicate (only if `duplicate > 0` and the
+    /// message survived).
+    fn dispatch(&mut self, now: f64, delivery: Envelope, attempt: u32, charge: ChargeKind) {
+        let delay = self.latency.sample(self.net_rng);
+        self.count_sent(now, delivery);
         let rel = self.reliability;
         if rel.is_lossless() {
-            self.queue.schedule(
-                self.now + delay,
-                Envelope {
-                    to,
-                    message,
-                    id,
-                    kind: EnvelopeKind::Deliver,
-                },
-            );
+            self.queue.schedule(now + delay, delivery);
             return;
         }
-        let dropped = rel.drop > 0.0 && self.net_rng.gen::<f64>() < rel.drop;
-        if dropped {
+        if rel.drop > 0.0 && self.net_rng.gen::<f64>() < rel.drop {
             self.ledger.dropped += 1;
             self.emit(Event::MessageDropped {
-                id,
-                to: to.index() as u32,
+                id: delivery.id,
+                to: delivery.to.index() as u32,
                 attempt,
-                sim_time: self.now,
+                sim_time: now,
             });
             if attempt <= rel.retry.max_retries {
                 // Exponential backoff: the k-th retransmission fires
                 // timeout·backoff^(k-1) after the attempt it replaces.
                 let pause = rel.retry.timeout * rel.retry.backoff.powi(attempt as i32 - 1);
-                self.queue.schedule(
-                    self.now + pause,
-                    Envelope {
-                        to,
-                        message,
-                        id,
-                        kind: EnvelopeKind::Retry {
-                            attempt: attempt + 1,
-                            charge,
-                        },
-                    },
-                );
+                let timer = Envelope {
+                    retry: Some((attempt + 1, charge)),
+                    ..delivery
+                };
+                self.queue.schedule(now + pause, timer);
             } else {
                 self.ledger.rounds_abandoned += 1;
             }
             return;
         }
-        self.queue.schedule(
-            self.now + delay,
-            Envelope {
-                to,
-                message,
-                id,
-                kind: EnvelopeKind::Deliver,
-            },
-        );
+        self.queue.schedule(now + delay, delivery);
         if rel.duplicate > 0.0 && self.net_rng.gen::<f64>() < rel.duplicate {
             // The copy shares the original's delivery time (no second
             // latency draw) and lands right behind it in FIFO order; the
             // receiver's dedup makes it a no-op.
             self.ledger.duplicated += 1;
-            self.ledger.sent += 1;
-            self.ledger.in_flight_peak = self.ledger.in_flight_peak.max(self.ledger.in_flight());
-            self.emit(Event::MessageDispatched {
+            self.count_sent(now, delivery);
+            self.queue.schedule(now + delay, delivery);
+        }
+    }
+
+    /// Counts one message onto the wire at `now`: `sent`, the in-flight
+    /// peak and the `message-dispatched` event.
+    fn count_sent(&mut self, now: f64, envelope: Envelope) {
+        self.ledger.sent += 1;
+        self.ledger.in_flight_peak = self.ledger.in_flight_peak.max(self.ledger.in_flight());
+        self.emit(Event::MessageDispatched {
+            id: envelope.id,
+            to: envelope.to.index() as u32,
+            sim_time: now,
+        });
+    }
+
+    /// Processes every queued event due at or before `horizon`, in (time,
+    /// send sequence) order. Deliveries run at the event's own time, so a
+    /// handler's cascaded sends schedule from that moment — an instant
+    /// cascade keeps landing inside the same drain. Retransmission timers
+    /// re-charge and re-dispatch; deliveries to dead sensors are discarded;
+    /// a delivery whose nonzero id equals the last handled id is a
+    /// redelivery and is suppressed (both still count as `delivered` — they
+    /// left the wire). The module docs show why a redelivery always directly
+    /// follows the delivery it repeats.
+    fn deliver_due(
+        &mut self,
+        protocol: &mut dyn NetProtocol,
+        horizon: f64,
+        tx: &mut TransmissionCounter,
+        alive: &[bool],
+        stale: &[bool],
+    ) {
+        while let Some(event) = self.queue.pop_due(horizon) {
+            let envelope = event.payload;
+            let Envelope { to, id, .. } = envelope;
+            if let Some((attempt, charge)) = envelope.retry {
+                self.ledger.retried += 1;
+                charge.charge(tx);
+                self.emit(Event::MessageRetried {
+                    id,
+                    to: to.index() as u32,
+                    attempt,
+                    sim_time: event.time,
+                });
+                let delivery = Envelope {
+                    retry: None,
+                    ..envelope
+                };
+                self.dispatch(event.time, delivery, attempt, charge);
+                continue;
+            }
+            self.ledger.delivered += 1;
+            // Discarded and suppressed deliveries still emit: like the
+            // ledger, the event records that the message left the wire, not
+            // that a handler ran.
+            self.emit(Event::MessageDelivered {
                 id,
                 to: to.index() as u32,
-                sim_time: self.now,
+                sim_time: event.time,
             });
-            self.queue.schedule(
-                self.now + delay,
-                Envelope {
-                    to,
-                    message,
-                    id,
-                    kind: EnvelopeKind::Deliver,
-                },
-            );
+            if !alive.get(to.index()).copied().unwrap_or(true) {
+                // The recipient died while the message was in flight: the
+                // delivery is discarded (a dead sensor cannot act), and —
+                // deliberately — not retried: the ARQ covers wire loss, not
+                // crashed endpoints, which churn may later revive.
+                continue;
+            }
+            if id != 0 {
+                if id == self.last_handled {
+                    // The wire's copy of the message just handled:
+                    // exactly-once handlers, at-least-once wire.
+                    continue;
+                }
+                self.last_handled = id;
+            }
+            let mut ctx = NetContext {
+                now: event.time,
+                wire: self,
+                tx,
+                alive,
+                stale,
+            };
+            protocol.on_message(to, envelope.message, &mut ctx);
         }
     }
 }
@@ -434,7 +506,7 @@ impl NetScheduler {
     /// acting.
     ///
     /// The stop check, the trace, and the report come from the engine's
-    /// [`RunKernel`]; the scheduler adds only the two `deliver_due` drains
+    /// [`RunKernel`]; the scheduler adds only the two drains of the wire
     /// around each activation. Pending messages (and retransmission timers)
     /// due by the tick's exact time are processed *before* the tick's
     /// activation (network catches up to the clock), and the activation's
@@ -478,16 +550,21 @@ impl NetScheduler {
         mut faults: Option<&mut NodeFaults>,
         rng: &mut dyn RngCore,
         net_rng: &mut dyn RngCore,
-        mut probe: Option<&mut (dyn Probe + '_)>,
+        probe: Option<&mut (dyn Probe + '_)>,
     ) -> (EngineReport, MessageLedger) {
         let mut clock = GlobalPoissonClock::new(self.n);
-        let mut queue: EventQueue<Envelope> = EventQueue::new();
-        let mut ledger = MessageLedger::default();
-        let mut next_id: u64 = 0;
-        // The id of the last envelope handed to a handler (see the module
-        // docs for why one id suffices). Lossy ids start at 1, and lossless
-        // ids are all 0 and never checked.
-        let mut last_handled: u64 = 0;
+        let mut wire = Wire {
+            latency,
+            reliability,
+            net_rng,
+            queue: EventQueue::new(),
+            ledger: MessageLedger::default(),
+            next_id: 0,
+            last_handled: 0,
+            // The map shortens the probe's object lifetime to the borrow's,
+            // which an `Option` does not do by itself.
+            probe: probe.map(|probe| -> &mut dyn Probe { probe }),
+        };
         let mut kernel = RunKernel::new(
             stop,
             self.n as u64,
@@ -503,7 +580,7 @@ impl NetScheduler {
                 protocol.squared_error(),
                 || protocol.relative_error(),
                 false,
-                &mut probe,
+                &mut wire.probe,
             ) {
                 break reason;
             }
@@ -511,180 +588,34 @@ impl NetScheduler {
             let tick = clock.next_tick(&mut *rng);
             let node_alive = faults
                 .as_deref_mut()
-                .is_none_or(|faults| faults.begin_tick(tick, &mut probe));
+                .is_none_or(|faults| faults.begin_tick(tick, &mut wire.probe));
             let (alive, stale): (&[bool], &[bool]) = faults
                 .as_deref()
                 .map_or((&[][..], &[][..]), NodeFaults::masks);
 
-            deliver_due(
-                protocol,
-                &mut queue,
-                tick.time,
-                latency,
-                reliability,
-                net_rng,
-                kernel.tx(),
-                &mut ledger,
-                &mut next_id,
-                &mut last_handled,
-                alive,
-                stale,
-                probe.as_deref_mut(),
-            );
+            wire.deliver_due(protocol, tick.time, kernel.tx(), alive, stale);
             if node_alive {
                 if stale.get(tick.node.index()).copied().unwrap_or(false) {
-                    if let Some(probe) = probe.as_deref_mut() {
-                        probe.on_event(Event::ActivationStale {
-                            tick: tick.index,
-                            node: tick.node.index() as u32,
-                        });
-                    }
+                    wire.emit(Event::ActivationStale {
+                        tick: tick.index,
+                        node: tick.node.index() as u32,
+                    });
                 }
                 let mut ctx = NetContext {
                     now: tick.time,
-                    latency,
-                    reliability,
-                    net_rng: &mut *net_rng,
-                    queue: &mut queue,
+                    wire: &mut wire,
                     tx: kernel.tx(),
-                    ledger: &mut ledger,
-                    next_id: &mut next_id,
                     alive,
                     stale,
-                    probe: probe.as_deref_mut(),
                 };
                 protocol.on_activation(tick.node, &mut ctx, rng);
             }
-            deliver_due(
-                protocol,
-                &mut queue,
-                tick.time,
-                latency,
-                reliability,
-                net_rng,
-                kernel.tx(),
-                &mut ledger,
-                &mut next_id,
-                &mut last_handled,
-                alive,
-                stale,
-                probe.as_deref_mut(),
-            );
-            kernel.commit(tick, || protocol.relative_error(), &mut probe);
+            wire.deliver_due(protocol, tick.time, kernel.tx(), alive, stale);
+            kernel.commit(tick, || protocol.relative_error(), &mut wire.probe);
         };
 
         let final_error = protocol.relative_error();
-        (kernel.finish(reason, clock.now(), final_error), ledger)
-    }
-}
-
-/// Processes every queued event due at or before `horizon`, in (time, send
-/// sequence) order. Deliveries run at the event's own time, so a handler's
-/// cascaded sends schedule from that moment — an instant cascade keeps
-/// landing inside the same drain. Retransmission timers re-charge and
-/// re-dispatch; deliveries to dead sensors are discarded; a delivery whose
-/// nonzero id equals `last_handled`, the id of the last envelope handed to a
-/// handler, is a redelivery and is suppressed (both still count as
-/// `delivered` — they left the wire). The module docs show why a redelivery
-/// always directly follows the delivery it repeats.
-#[allow(clippy::too_many_arguments)]
-fn deliver_due(
-    protocol: &mut dyn NetProtocol,
-    queue: &mut EventQueue<Envelope>,
-    horizon: f64,
-    latency: LatencyModel,
-    reliability: ReliabilitySpec,
-    net_rng: &mut dyn RngCore,
-    tx: &mut TransmissionCounter,
-    ledger: &mut MessageLedger,
-    next_id: &mut u64,
-    last_handled: &mut u64,
-    alive: &[bool],
-    stale: &[bool],
-    mut probe: Option<&mut (dyn Probe + '_)>,
-) {
-    while queue.peek_time().is_some_and(|t| t <= horizon) {
-        let event = queue.pop().expect("peek_time saw a due event");
-        let Envelope {
-            to,
-            message,
-            id,
-            kind,
-        } = event.payload;
-        match kind {
-            EnvelopeKind::Retry { attempt, charge } => {
-                ledger.retried += 1;
-                match charge {
-                    ChargeKind::Local => tx.charge_local(1),
-                    ChargeKind::Routed => tx.charge_routing(1),
-                    ChargeKind::Free => {}
-                }
-                if let Some(probe) = probe.as_deref_mut() {
-                    probe.on_event(Event::MessageRetried {
-                        id,
-                        to: to.index() as u32,
-                        attempt,
-                        sim_time: event.time,
-                    });
-                }
-                let mut ctx = NetContext {
-                    now: event.time,
-                    latency,
-                    reliability,
-                    net_rng: &mut *net_rng,
-                    queue,
-                    tx,
-                    ledger,
-                    next_id,
-                    alive,
-                    stale,
-                    probe: probe.as_deref_mut(),
-                };
-                ctx.dispatch(to, message, charge, id, attempt);
-            }
-            EnvelopeKind::Deliver => {
-                ledger.delivered += 1;
-                if let Some(probe) = probe.as_deref_mut() {
-                    // Discarded and suppressed deliveries still emit: like the
-                    // ledger, the event records that the message left the
-                    // wire, not that a handler ran.
-                    probe.on_event(Event::MessageDelivered {
-                        id,
-                        to: to.index() as u32,
-                        sim_time: event.time,
-                    });
-                }
-                if !alive.get(to.index()).copied().unwrap_or(true) {
-                    // The recipient died while the message was in flight: the
-                    // delivery is discarded (a dead sensor cannot act), and —
-                    // deliberately — not retried: the ARQ covers wire loss,
-                    // not crashed endpoints, which churn may later revive.
-                    continue;
-                }
-                if id != 0 {
-                    if id == *last_handled {
-                        // The wire's copy of the message just handled:
-                        // exactly-once handlers, at-least-once wire.
-                        continue;
-                    }
-                    *last_handled = id;
-                }
-                let mut ctx = NetContext {
-                    now: event.time,
-                    latency,
-                    reliability,
-                    net_rng: &mut *net_rng,
-                    queue,
-                    tx,
-                    ledger,
-                    next_id,
-                    alive,
-                    stale,
-                    probe: probe.as_deref_mut(),
-                };
-                protocol.on_message(to, message, &mut ctx);
-            }
-        }
+        (kernel.finish(reason, clock.now(), final_error), wire.ledger)
     }
 }
 

@@ -567,22 +567,6 @@ pub fn route_terminus_reference(
     }
 }
 
-/// [`route_terminus_to_node`] through the preserved scalar reference walk —
-/// see [`route_terminus_reference`].
-///
-/// # Panics
-///
-/// Panics if `source` or `destination` is out of range for the graph.
-pub fn route_terminus_to_node_reference(
-    graph: &GeometricGraph,
-    source: NodeId,
-    destination: NodeId,
-) -> (FastRoute, bool) {
-    let route = route_terminus_reference(graph, source, graph.position(destination));
-    let delivered = route.terminus == destination;
-    (route, delivered)
-}
-
 /// Allocation-free variant of [`route_to_node`]: greedy-routes from `source`
 /// towards `destination`'s position, returning the walk plus whether it
 /// actually reached `destination`.

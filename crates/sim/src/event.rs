@@ -1,10 +1,10 @@
 //! Time-ordered event queue.
 //!
-//! Most of the gossip protocols are driven purely by clock ticks, but the
-//! faithful state-machine version of the paper's protocol also needs to
-//! schedule deferred work (e.g. "deactivate this square once its latency
-//! budget has elapsed"). `EventQueue` is a minimal binary-heap priority queue
-//! keyed by `f64` simulation time with deterministic FIFO tie-breaking.
+//! The gossip protocols are driven by clock ticks; the message-passing
+//! runtime's wire (`geogossip_net`) is what schedules deferred work here:
+//! every in-flight message and every retransmission timer. `EventQueue` is a
+//! minimal binary-heap priority queue keyed by `f64` simulation time with
+//! deterministic FIFO tie-breaking.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -121,14 +121,15 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.time)
     }
 
-    /// Removes and returns every event scheduled at or before `time`, in
-    /// firing order.
-    pub fn drain_until(&mut self, time: f64) -> Vec<ScheduledEvent<E>> {
-        let mut fired = Vec::new();
-        while self.peek_time().is_some_and(|t| t <= time) {
-            fired.push(self.pop().expect("peeked event must pop"));
+    /// Removes and returns the earliest pending event if it fires at or
+    /// before `horizon`, so `while let Some(e) = q.pop_due(t)` drains every
+    /// due event in firing order.
+    pub fn pop_due(&mut self, horizon: f64) -> Option<ScheduledEvent<E>> {
+        if self.peek_time()? <= horizon {
+            self.pop()
+        } else {
+            None
         }
-        fired
     }
 }
 
@@ -163,13 +164,14 @@ mod tests {
     }
 
     #[test]
-    fn drain_until_returns_only_due_events() {
+    fn pop_due_returns_only_due_events() {
         let mut q = EventQueue::new();
         q.schedule(0.5, "early");
         q.schedule(1.5, "late");
         q.schedule(1.0, "boundary");
-        let fired = q.drain_until(1.0);
-        let names: Vec<&str> = fired.iter().map(|e| e.payload).collect();
+        let names: Vec<&str> = std::iter::from_fn(|| q.pop_due(1.0))
+            .map(|e| e.payload)
+            .collect();
         assert_eq!(names, vec!["early", "boundary"]);
         assert_eq!(q.len(), 1);
     }
@@ -180,7 +182,7 @@ mod tests {
         assert!(q.is_empty());
         assert!(q.pop().is_none());
         assert!(q.peek_time().is_none());
-        assert!(q.drain_until(10.0).is_empty());
+        assert!(q.pop_due(10.0).is_none());
     }
 
     #[test]

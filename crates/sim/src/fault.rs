@@ -434,6 +434,17 @@ impl NodeFaults {
         self.stale.iter().filter(|&&stale| stale).count()
     }
 
+    /// The fault counters both runtimes append to a faulted trial's metrics,
+    /// in this order: `dropped_activations` (the caller's count; activation
+    /// loss is the engine's alone), `dead_activations` and `stale_nodes`.
+    pub fn metrics(&self, dropped_activations: u64) -> Vec<(String, f64)> {
+        vec![
+            ("dropped_activations".into(), dropped_activations as f64),
+            ("dead_activations".into(), self.dead_activations as f64),
+            ("stale_nodes".into(), self.stale_count() as f64),
+        ]
+    }
+
     /// The current liveness mask (for tests and diagnostics).
     pub fn mask(&self) -> &LivenessMask {
         &self.mask
@@ -570,15 +581,7 @@ impl Activation for FaultyActivation<'_> {
 
     fn metrics(&self) -> Vec<(String, f64)> {
         let mut metrics = self.inner.metrics();
-        metrics.push((
-            "dropped_activations".into(),
-            self.dropped_activations as f64,
-        ));
-        metrics.push((
-            "dead_activations".into(),
-            self.nodes.dead_activations() as f64,
-        ));
-        metrics.push(("stale_nodes".into(), self.nodes.stale_count() as f64));
+        metrics.extend(self.nodes.metrics(self.dropped_activations));
         metrics
     }
 

@@ -242,6 +242,18 @@ fn validate_rejects_the_params_run_rejects() {
             r#"{"name": "geographic", "params": {"selector": "rejection-sampled", "cap": -1}}"#,
             "error: invalid parameter `cap`: must be a whole number of at least 1, got -1\n",
         ),
+        (
+            r#"{"name": "affine-idealized", "params": {"coefficient-fixed": 1e999}}"#,
+            "error: invalid parameter `coefficient-fixed`: must be strictly positive\n",
+        ),
+        (
+            r#"{"name": "affine-idealized", "params": {"coefficient-fixed": -1}}"#,
+            "error: invalid parameter `coefficient-fixed`: must be strictly positive\n",
+        ),
+        (
+            r#"{"name": "affine-idealized", "params": {"coefficient-fixed": 0}}"#,
+            "error: invalid parameter `coefficient-fixed`: must be strictly positive\n",
+        ),
     ] {
         std::fs::write(&spec, spec_with_protocol(protocol)).unwrap();
         let (validate_code, validate_err) = geogossip(&["validate", path]);
