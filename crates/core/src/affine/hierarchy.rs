@@ -1,4 +1,5 @@
-//! The hierarchical partition coupled to a concrete geometric graph.
+//! The hierarchical partition coupled to a concrete geometric graph, and the
+//! parts of the affine mechanism both implementations share.
 //!
 //! [`geogossip_geometry::SquarePartition`] knows about cells, members and
 //! leaders purely from positions; [`Hierarchy`] couples it to the
@@ -6,12 +7,20 @@
 //! partition is usable (at least two populated top-level cells, every
 //! populated cell has a leader), and provides the cell-level queries the
 //! protocols need (siblings, populated children, leader lookups, level of a
-//! node).
+//! node). The round-based recursion and the state machine also share the
+//! one leader exchange (`leader_exchange`) and the one in-cell partner table
+//! (`CellRows`) from here.
 
+use crate::affine::round_based::CoefficientRule;
 use crate::error::ProtocolError;
+use crate::state::GossipState;
+use crate::update::affine_exchange;
 use geogossip_geometry::point::NodeId;
 use geogossip_geometry::{PartitionConfig, SquarePartition};
-use geogossip_graph::GeometricGraph;
+use geogossip_graph::{CsrAdjacency, GeometricGraph};
+use geogossip_routing::greedy::route_terminus_to_node;
+use geogossip_sim::fault::FaultContext;
+use geogossip_sim::metrics::TransmissionCounter;
 use serde::{Deserialize, Serialize};
 
 /// The hierarchical square partition bound to a geometric graph.
@@ -36,6 +45,8 @@ pub struct Hierarchy {
     partition: SquarePartition,
     /// Arena indices of populated (non-empty) cells per depth.
     populated_by_depth: Vec<Vec<usize>>,
+    /// Arena indices of each cell's populated children, in child order.
+    populated_children: Vec<Vec<usize>>,
 }
 
 impl Hierarchy {
@@ -45,24 +56,32 @@ impl Hierarchy {
     /// # Errors
     ///
     /// * [`ProtocolError::EmptyNetwork`] when the graph has no nodes.
-    /// * [`ProtocolError::DegeneratePartition`] when the top level has fewer
-    ///   than two populated cells (the protocol needs someone to exchange
-    ///   with). This happens only for very small `n` or pathological
-    ///   configurations.
+    /// * [`ProtocolError::DegeneratePartition`] when the root splits but
+    ///   fewer than two of its cells are populated (the protocol needs
+    ///   someone to exchange with). This happens only for pathological
+    ///   placements; a partition that never splits (very small `n`) is one
+    ///   cell and is accepted.
     pub fn build(graph: &GeometricGraph, config: PartitionConfig) -> Result<Self, ProtocolError> {
         if graph.is_empty() {
             return Err(ProtocolError::EmptyNetwork);
         }
         let partition = SquarePartition::build(graph.positions(), config);
         let mut populated_by_depth = vec![Vec::new(); partition.levels()];
+        let mut populated_children = vec![Vec::new(); partition.num_cells()];
+        // A parent's children have increasing arena indices, so this visits
+        // them in child order.
         for (idx, cell) in partition.cells().iter().enumerate() {
             if !cell.members().is_empty() {
                 populated_by_depth[cell.depth()].push(idx);
+                if let Some(parent) = cell.parent() {
+                    populated_children[parent].push(idx);
+                }
             }
         }
         let hierarchy = Hierarchy {
             partition,
             populated_by_depth,
+            populated_children,
         };
         if hierarchy.levels() >= 2 && hierarchy.populated_cells_at_depth(1).len() < 2 {
             return Err(ProtocolError::DegeneratePartition);
@@ -88,15 +107,10 @@ impl Hierarchy {
             .unwrap_or(&[])
     }
 
-    /// Arena indices of the populated children of cell `cell_idx`.
-    pub fn populated_children(&self, cell_idx: usize) -> Vec<usize> {
-        self.partition
-            .cell(cell_idx)
-            .children()
-            .iter()
-            .copied()
-            .filter(|&c| !self.partition.cell(c).members().is_empty())
-            .collect()
+    /// Arena indices of the populated children of cell `cell_idx`, in the
+    /// partition's child order.
+    pub fn populated_children(&self, cell_idx: usize) -> &[usize] {
+        &self.populated_children[cell_idx]
     }
 
     /// The leader of cell `cell_idx`, if the cell is populated.
@@ -150,6 +164,87 @@ impl Hierarchy {
     }
 }
 
+/// One leader-to-leader affine exchange between the populated cells `a`
+/// and `b`: route out and back, charge both walks as routing, then apply
+/// `x ← x + α(x' − x)` with `α` from `rule` at the smaller realized
+/// population of the two cells (README.md, "Paper substitutions", item 2).
+/// A dropped exchange pays for the round trip and applies nothing; a stale
+/// leader keeps its value. Returns how many walks dead-ended and whether
+/// the update landed.
+pub(crate) fn leader_exchange(
+    graph: &GeometricGraph,
+    hierarchy: &Hierarchy,
+    state: &mut GossipState,
+    rule: CoefficientRule,
+    [a, b]: [usize; 2],
+    tx: &mut TransmissionCounter,
+    faults: &FaultContext<'_>,
+) -> (u64, bool) {
+    let (Some(la), Some(lb)) = (hierarchy.leader(a), hierarchy.leader(b)) else {
+        return (0, false);
+    };
+    let (out, out_delivered) = route_terminus_to_node(graph, la, lb);
+    let (back, back_delivered) = route_terminus_to_node(graph, lb, la);
+    let failed = u64::from(!out_delivered) + u64::from(!back_delivered);
+    tx.charge_routing((out.hops + back.hops) as u64);
+    if faults.dropped {
+        return (failed, false);
+    }
+    let population = hierarchy.members(a).len().min(hierarchy.members(b).len()) as f64;
+    let alpha = rule.coefficient(population);
+    let (na, nb) = affine_exchange(state.value(la.index()), state.value(lb.index()), alpha);
+    for (leader, value) in [(la, na), (lb, nb)] {
+        if !faults.is_stale(leader.index()) {
+            state.set(leader.index(), value);
+        }
+    }
+    (failed, true)
+}
+
+/// The in-cell partner table, by arena cell index: row `k` of cell `c`
+/// lists the graph neighbours of `members(c)[k]` that are members of `c`, in
+/// graph row order, so a draw from it picks the partner a filter over the
+/// graph row would. A cell's rows are built on its first use.
+#[derive(Debug, Clone)]
+pub(crate) struct CellRows(Vec<Option<CsrAdjacency>>);
+
+impl CellRows {
+    /// An empty table for `hierarchy`'s cells.
+    pub(crate) fn new(hierarchy: &Hierarchy) -> Self {
+        CellRows(vec![None; hierarchy.partition().num_cells()])
+    }
+
+    /// The rows of `cell`. Members are listed in ascending index order, so
+    /// membership is a binary search.
+    pub(crate) fn of(
+        &mut self,
+        graph: &GeometricGraph,
+        hierarchy: &Hierarchy,
+        cell: usize,
+    ) -> &CsrAdjacency {
+        self.0[cell].get_or_insert_with(|| {
+            let members = hierarchy.members(cell);
+            debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
+            let mut offsets = Vec::with_capacity(members.len() + 1);
+            let mut neighbors = Vec::new();
+            offsets.push(0);
+            for &u in members {
+                let row = graph.neighbors(NodeId(u)).iter();
+                neighbors.extend(row.filter(|&&v| members.binary_search(&(v as usize)).is_ok()));
+                offsets.push(neighbors.len() as u32);
+            }
+            neighbors.shrink_to_fit();
+            CsrAdjacency::from_raw_parts(offsets, neighbors)
+        })
+    }
+
+    /// Every cell's rows, `None` until the cell's first use.
+    #[cfg(test)]
+    pub(crate) fn cells(&self) -> &[Option<CsrAdjacency>] {
+        &self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,7 +287,7 @@ mod tests {
         let (_, h) = build(900, 2);
         let kids = h.populated_children(0);
         assert!(kids.len() >= 2);
-        for k in kids {
+        for &k in kids {
             assert!(!h.members(k).is_empty());
             assert_eq!(h.partition().cell(k).parent(), Some(0));
         }

@@ -28,6 +28,11 @@
 //!   with `local.state` / `global.state` / `counter`), runnable with practical
 //!   schedule parameters and, for small instances, with the paper's own
 //!   constants.
+//!
+//! Both share, from [`hierarchy`], one leader exchange (the recursion's
+//! rounds and the state machine's `Far`) and one in-cell partner table (the
+//! recursion's leaf gossip and the state machine's `Near`), so they route,
+//! charge, update and draw partners alike.
 
 pub mod hierarchy;
 pub mod round_based;

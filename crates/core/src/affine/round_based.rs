@@ -5,34 +5,39 @@
 //! asynchronous state machine:
 //!
 //! * a **round of a cell** picks two of its populated child cells uniformly at
-//!   random, routes a packet between their leaders (greedy geographic
-//!   routing, both directions), applies the affine exchange
-//!   `x ← x + α(x' − x)` with `α = (2/5)·E#(child)` to the two leader values,
-//!   and then re-averages both children internally;
+//!   random, runs the leader exchange the state machine's `Far` runs too
+//!   (greedy geographic routing, both directions, then `x ← x + α(x' − x)`
+//!   with `α = (2/5)·#(child)` at the smaller realized child population),
+//!   and then re-averages both children internally; the top level and every
+//!   inner level run this one round;
 //! * **re-averaging a child** either recurses (rounds of the child's own
 //!   children, then pairwise gossip inside leaves) or, in the idealised
 //!   [`LocalAveraging::Exact`] mode, sets every member to the child's mean at
 //!   a cost of `2·|child|` transmissions (an aggregation/broadcast flood —
 //!   the cheapest physically implementable stand-in).
 //!
-//! The top level runs rounds until the measured global relative error drops
-//! below the target, which is what the experiments actually need; inner levels
-//! use the paper's `O(ñ·log(ñ/ε_r))` round counts with a configurable
-//! constant. The paper's accuracy cascade `ε_{r+1} = ε_r/(25·n^{7/2+a})`
-//! (Section 4.1) is replaced by a configurable per-level decay factor —
-//! README.md, "Paper substitutions", item 3 — because the literal cascade is
-//! unreachable in floating point for any interesting `n`.
+//! The top level is one schedule of steps: the first pre-averages every
+//! top-level cell, each later one is a round of the root, until the measured
+//! global relative error drops below the target, which is what the
+//! experiments actually need. [`RoundBasedAffineGossip::run_until`] loops the
+//! step and [`RoundBasedActivation`] takes one per engine tick. A partition
+//! that never splits is one leaf cell: the first step averages it, and the
+//! schedule halts. Inner levels use the paper's `O(ñ·log(ñ/ε_r))` round
+//! counts with a configurable constant. The paper's accuracy cascade
+//! `ε_{r+1} = ε_r/(25·n^{7/2+a})` (Section 4.1) is replaced by a
+//! configurable per-level decay factor — README.md, "Paper substitutions",
+//! item 3 — because the literal cascade is unreachable in floating point for
+//! any interesting `n`.
 
-use crate::affine::hierarchy::Hierarchy;
+use crate::affine::hierarchy::{leader_exchange, CellRows, Hierarchy};
 use crate::error::ProtocolError;
 use crate::state::GossipState;
-use crate::update::{affine_exchange, convex_average, AffineCoefficient};
-use geogossip_geometry::point::NodeId;
+use crate::update::{convex_average, AffineCoefficient};
 use geogossip_geometry::PartitionConfig;
-use geogossip_graph::{CsrAdjacency, GeometricGraph};
-use geogossip_routing::greedy::route_terminus_to_node;
+use geogossip_graph::GeometricGraph;
 use geogossip_sim::clock::Tick;
 use geogossip_sim::engine::{Activation, Clocking, SquaredError};
+use geogossip_sim::fault::FaultContext;
 use geogossip_sim::metrics::{ConvergenceTrace, TracePoint, TransmissionCounter};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
@@ -269,9 +274,8 @@ pub struct RoundBasedAffineGossip<'a> {
     config: RoundBasedConfig,
     stats: RoundStats,
     /// Leaf-gossip partner rows by arena cell index, built on the cell's
-    /// first exchange: row `k` of cell `c` is the graph row of
-    /// `members(c)[k]` restricted to `c`'s members, in graph row order.
-    in_cell_rows: Vec<Option<CsrAdjacency>>,
+    /// first exchange.
+    cell_rows: CellRows,
 }
 
 impl<'a> RoundBasedAffineGossip<'a> {
@@ -282,8 +286,8 @@ impl<'a> RoundBasedAffineGossip<'a> {
     ///
     /// * [`ProtocolError::EmptyNetwork`] / [`ProtocolError::ValueLengthMismatch`]
     ///   for malformed inputs.
-    /// * [`ProtocolError::DegeneratePartition`] when the partition has fewer
-    ///   than two populated top-level cells.
+    /// * [`ProtocolError::DegeneratePartition`] when the partition splits
+    ///   into fewer than two populated top-level cells.
     /// * [`ProtocolError::InvalidParameter`] for a setting outside the
     ///   ranges [`RoundBasedConfig`] checks (`rounds_factor`, the coefficient
     ///   and the exchange cap factor strictly positive,
@@ -304,14 +308,13 @@ impl<'a> RoundBasedAffineGossip<'a> {
         }
         config.validate()?;
         let hierarchy = Hierarchy::build(graph, config.partition)?;
-        let in_cell_rows = vec![None; hierarchy.partition().num_cells()];
         Ok(RoundBasedAffineGossip {
             graph,
+            cell_rows: CellRows::new(&hierarchy),
             hierarchy,
             state: GossipState::new(initial_values),
             config,
             stats: RoundStats::default(),
-            in_cell_rows,
         })
     }
 
@@ -345,58 +348,22 @@ impl<'a> RoundBasedAffineGossip<'a> {
             ticks: 0,
             relative_error: self.state.relative_error(),
         });
-
-        let child_epsilon = (epsilon * self.config.epsilon_decay).max(f64::MIN_POSITIVE);
-        let top_children = self.hierarchy.populated_children(0);
-
-        // Pre-averaging pass: the Section-3 argument starts from "A has been
-        // run on each subsquare", i.e. every top-level cell is internally
-        // averaged before leaders start exchanging.
-        if top_children.len() >= 2 {
-            self.pre_average_pass(&top_children, child_epsilon, &mut tx, rng);
-        }
-        trace.push(TracePoint {
-            transmissions: tx.total(),
-            ticks: self.stats.top_rounds,
-            relative_error: self.state.relative_error(),
-        });
-
-        // Stall detection: if the error has not improved by at least 1% over a
-        // full window of rounds (several complete passes over the top cells),
-        // the run has hit the floor imposed by imperfect local averaging and
-        // is reported as non-converged rather than looping to the cap.
-        let stall_window = (20 * top_children.len().max(2)) as u64;
-        let mut best_error = self.state.relative_error();
-        let mut rounds_since_improvement = 0u64;
-
-        let mut converged = self.state.relative_error() <= epsilon;
-        while !converged && self.stats.top_rounds < self.config.max_top_rounds {
-            if top_children.len() < 2 {
-                // Nothing to exchange with: local averaging is all we can do,
-                // and the pre-averaging pass already did it.
-                break;
-            }
-            self.top_level_round(&top_children, child_epsilon, &mut tx, rng);
+        let mut run = self.start(epsilon);
+        loop {
+            self.advance(&mut run, &mut tx, rng);
             let error = self.state.relative_error();
-            converged = error <= epsilon;
             trace.push(TracePoint {
                 transmissions: tx.total(),
                 ticks: self.stats.top_rounds,
                 relative_error: error,
             });
-            if error < best_error * 0.99 {
-                best_error = error;
-                rounds_since_improvement = 0;
-            } else {
-                rounds_since_improvement += 1;
-                if rounds_since_improvement >= stall_window {
-                    break;
-                }
+            if error <= epsilon || run.halted {
+                break;
             }
         }
 
         RoundBasedReport {
-            converged,
+            converged: self.state.relative_error() <= epsilon,
             final_error: self.state.relative_error(),
             transmissions: tx,
             trace,
@@ -404,87 +371,103 @@ impl<'a> RoundBasedAffineGossip<'a> {
         }
     }
 
-    /// The Section-3 pre-averaging pass: internally averages every populated
-    /// top-level cell. Shared verbatim by [`Self::run_until`] and
-    /// [`RoundBasedActivation`], so the two paths consume the RNG in exactly
-    /// the same order.
-    fn pre_average_pass<R: Rng + ?Sized>(
-        &mut self,
-        top_children: &[usize],
-        child_epsilon: f64,
-        tx: &mut TransmissionCounter,
-        rng: &mut R,
-    ) {
-        for &child in top_children {
-            self.average_cell(child, child_epsilon, tx, rng);
+    /// A fresh top-level schedule for a run targeting `epsilon`.
+    fn start(&self, epsilon: f64) -> TopLevel {
+        let child_epsilon = (epsilon * self.config.epsilon_decay).max(f64::MIN_POSITIVE);
+        TopLevel {
+            child_epsilon,
+            ..TopLevel::default()
         }
     }
 
-    /// One top-level round: pick two distinct populated top cells uniformly
-    /// at random, exchange their leaders, re-average both, and count the
-    /// round. Shared verbatim by [`Self::run_until`] and
-    /// [`RoundBasedActivation`] — keeping the draw order in one place is what
-    /// holds the two execution paths bit-identical.
-    fn top_level_round<R: Rng + ?Sized>(
+    /// One step of the top-level schedule, the unit both [`Self::run_until`]
+    /// and [`RoundBasedActivation`] advance by, so the two consume the RNG
+    /// in the same order.
+    ///
+    /// The first step is the Section-3 pre-averaging pass: "Suppose that A
+    /// has been run on each subsquare", so every top-level cell is averaged
+    /// internally before leaders start exchanging. A root with fewer than
+    /// two populated children has nobody to exchange with: the first step
+    /// averages it as a leaf instead, and the schedule halts. Every later
+    /// step is one round of the root. If the error has not improved by at
+    /// least 1% over a full window of rounds (several complete passes over
+    /// the top cells), the run has hit the floor imposed by imperfect local
+    /// averaging and halts rather than looping to the `max_top_rounds` cap,
+    /// where it halts too.
+    fn advance<R: Rng + ?Sized>(
         &mut self,
-        top_children: &[usize],
+        run: &mut TopLevel,
+        tx: &mut TransmissionCounter,
+        rng: &mut R,
+    ) {
+        if run.halted {
+            return;
+        }
+        let top_cells = self.hierarchy.populated_children(0).len();
+        if run.pre_averaged {
+            self.cell_round(0, run.child_epsilon, tx, rng);
+            self.stats.top_rounds += 1;
+        } else if top_cells < 2 {
+            self.average_cell(0, run.child_epsilon, tx, rng);
+            run.halted = true;
+        } else {
+            self.average_children(0, run.child_epsilon, tx, rng);
+        }
+        let (error, rounds) = (self.state.relative_error(), self.stats.top_rounds);
+        if !run.pre_averaged || error < run.best_error * 0.99 {
+            run.best_error = error;
+            run.stall_at = rounds + (20 * top_cells.max(2)) as u64;
+        }
+        run.pre_averaged = true;
+        run.halted |= rounds >= run.stall_at || rounds >= self.config.max_top_rounds;
+    }
+
+    /// One round of cell `cell`: pick two distinct populated children
+    /// uniformly at random, exchange their leaders, and re-average both to
+    /// `child_epsilon`. The top level and every inner level run it.
+    fn cell_round<R: Rng + ?Sized>(
+        &mut self,
+        cell: usize,
         child_epsilon: f64,
         tx: &mut TransmissionCounter,
         rng: &mut R,
     ) {
-        let m = top_children.len();
-        let i = top_children[rng.gen_range(0..m)];
+        let children = self.hierarchy.populated_children(cell);
+        let m = children.len();
+        let i = children[rng.gen_range(0..m)];
         let j = loop {
-            let cand = top_children[rng.gen_range(0..m)];
+            let cand = children[rng.gen_range(0..m)];
             if cand != i {
                 break cand;
             }
         };
-        self.leader_exchange(i, j, tx, rng);
+        let (failed, landed) = leader_exchange(
+            self.graph,
+            &self.hierarchy,
+            &mut self.state,
+            self.config.coefficient,
+            [i, j],
+            tx,
+            &FaultContext::new(false, &[], &[]),
+        );
+        self.stats.failed_routes += failed;
+        self.stats.long_range_exchanges += u64::from(landed);
         self.average_cell(i, child_epsilon, tx, rng);
         self.average_cell(j, child_epsilon, tx, rng);
-        self.stats.top_rounds += 1;
     }
 
-    /// One leader-to-leader affine exchange between cells `a` and `b`
-    /// (which must be populated).
-    fn leader_exchange<R: Rng + ?Sized>(
+    /// Re-averages every populated child of `cell` to `child_epsilon`.
+    fn average_children<R: Rng + ?Sized>(
         &mut self,
-        a: usize,
-        b: usize,
+        cell: usize,
+        child_epsilon: f64,
         tx: &mut TransmissionCounter,
         rng: &mut R,
     ) {
-        let _ = rng;
-        let (Some(la), Some(lb)) = (self.hierarchy.leader(a), self.hierarchy.leader(b)) else {
-            return;
-        };
-        // Route the caller's packet to the callee and the callee's reply back
-        // (allocation-free: only hop counts and delivery flags are needed).
-        let (out, out_delivered) = route_terminus_to_node(self.graph, la, lb);
-        let (back, back_delivered) = route_terminus_to_node(self.graph, lb, la);
-        if !out_delivered {
-            self.stats.failed_routes += 1;
+        for k in 0..self.hierarchy.populated_children(cell).len() {
+            let child = self.hierarchy.populated_children(cell)[k];
+            self.average_cell(child, child_epsilon, tx, rng);
         }
-        if !back_delivered {
-            self.stats.failed_routes += 1;
-        }
-        tx.charge_routing((out.hops + back.hops) as u64);
-
-        // The coefficient is based on the smaller of the two realized cell
-        // populations so the effective mixing weight stays below 1 even for
-        // under-populated cells (see `CoefficientRule`).
-        let population = self
-            .hierarchy
-            .members(a)
-            .len()
-            .min(self.hierarchy.members(b).len()) as f64;
-        let alpha = self.config.coefficient.coefficient(population);
-        let (xa, xb) = (self.state.value(la.index()), self.state.value(lb.index()));
-        let (na, nb) = affine_exchange(xa, xb, alpha);
-        self.state.set(la.index(), na);
-        self.state.set(lb.index(), nb);
-        self.stats.long_range_exchanges += 1;
     }
 
     /// Re-averages cell `cell_idx` internally to accuracy `epsilon_r`.
@@ -495,16 +478,17 @@ impl<'a> RoundBasedAffineGossip<'a> {
         tx: &mut TransmissionCounter,
         rng: &mut R,
     ) {
-        let member_count = self.hierarchy.members(cell_idx).len();
-        if member_count <= 1 {
+        if self.hierarchy.members(cell_idx).len() <= 1 {
             return;
         }
         match self.config.local_averaging {
             LocalAveraging::Exact => self.exact_average(cell_idx, tx),
-            LocalAveraging::Gossip { .. } => {
-                let children = self.hierarchy.populated_children(cell_idx);
-                if children.len() < 2 {
-                    self.leaf_gossip(cell_idx, epsilon_r, tx, rng);
+            LocalAveraging::Gossip {
+                max_exchanges_factor,
+            } => {
+                let m = self.hierarchy.populated_children(cell_idx).len();
+                if m < 2 {
+                    self.leaf_gossip(cell_idx, epsilon_r, max_exchanges_factor, tx, rng);
                 } else {
                     // The affine exchanges are only stable when every child is
                     // already internally averaged ("Suppose that A has been
@@ -515,32 +499,23 @@ impl<'a> RoundBasedAffineGossip<'a> {
                     // child-leader exchanges until the cell's internal spread
                     // is below the accuracy target, capped at the paper's
                     // O(m·log(m/ε)) round count times a safety factor.
-                    let m = children.len();
                     let child_epsilon =
                         (epsilon_r * self.config.epsilon_decay).max(f64::MIN_POSITIVE);
-                    for &child in &children {
-                        self.average_cell(child, child_epsilon, tx, rng);
-                    }
+                    self.average_children(cell_idx, child_epsilon, tx, rng);
                     let planned = (self.config.rounds_factor
                         * m as f64
                         * (m as f64 / epsilon_r).max(std::f64::consts::E).ln())
                     .ceil() as u64;
                     let cap = planned.saturating_mul(4).max(8);
                     let mut rounds = 0u64;
-                    while self.cell_spread(cell_idx) > epsilon_r && rounds < cap {
-                        let i = children[rng.gen_range(0..m)];
-                        let j = loop {
-                            let cand = children[rng.gen_range(0..m)];
-                            if cand != i {
-                                break cand;
-                            }
-                        };
-                        self.leader_exchange(i, j, tx, rng);
-                        self.average_cell(i, child_epsilon, tx, rng);
-                        self.average_cell(j, child_epsilon, tx, rng);
+                    let spread = |gossip: &Self| {
+                        cell_spread(gossip.hierarchy.members(cell_idx), &gossip.state)
+                    };
+                    while spread(self) > epsilon_r && rounds < cap {
+                        self.cell_round(cell_idx, child_epsilon, tx, rng);
                         rounds += 1;
                     }
-                    if rounds >= cap && self.cell_spread(cell_idx) > epsilon_r {
+                    if rounds >= cap && spread(self) > epsilon_r {
                         self.stats.stalled_local_passes += 1;
                     }
                 }
@@ -548,73 +523,37 @@ impl<'a> RoundBasedAffineGossip<'a> {
         }
     }
 
-    /// Relative spread of the values inside a cell: the ℓ₂ deviation of the
-    /// members' values around the cell mean, normalised by `max(|mean|, 1)`.
-    /// This is the quantity the accuracy cascade `ε_r` of Section 4.1 bounds.
-    fn cell_spread(&self, cell_idx: usize) -> f64 {
-        let members = self.hierarchy.members(cell_idx);
-        if members.len() <= 1 {
-            return 0.0;
-        }
-        let mean = members.iter().map(|&i| self.state.value(i)).sum::<f64>() / members.len() as f64;
-        let dev: f64 = members
-            .iter()
-            .map(|&i| {
-                let d = self.state.value(i) - mean;
-                d * d
-            })
-            .sum::<f64>()
-            .sqrt();
-        dev / mean.abs().max(1.0)
-    }
-
     /// Idealised local averaging: every member takes the cell mean; cost is
     /// one convergecast plus one broadcast over the cell (2 transmissions per
     /// member), charged as control traffic.
     fn exact_average(&mut self, cell_idx: usize, tx: &mut TransmissionCounter) {
         let members = self.hierarchy.members(cell_idx);
-        if members.is_empty() {
-            return;
-        }
         let sum: f64 = members.iter().map(|&m| self.state.value(m)).sum();
         let mean = sum / members.len() as f64;
-        let member_list: Vec<usize> = members.to_vec();
-        for m in member_list {
+        for &m in members {
             self.state.set(m, mean);
         }
         tx.charge_control(2 * members.len() as u64);
     }
 
     /// Pairwise gossip restricted to the members of a leaf cell, run until the
-    /// within-cell relative deviation drops below `epsilon_r` or the exchange
-    /// cap is hit.
+    /// within-cell relative deviation drops below `epsilon_r` or
+    /// `max_exchanges_factor · m²` exchanges were attempted.
     fn leaf_gossip<R: Rng + ?Sized>(
         &mut self,
         cell_idx: usize,
         epsilon_r: f64,
+        max_exchanges_factor: f64,
         tx: &mut TransmissionCounter,
         rng: &mut R,
     ) {
-        let m = self.hierarchy.members(cell_idx).len();
-        if m <= 1 {
-            return;
-        }
-        let cap = match self.config.local_averaging {
-            LocalAveraging::Gossip {
-                max_exchanges_factor,
-            } => ((max_exchanges_factor * (m * m) as f64).ceil() as u64).max(16),
-            LocalAveraging::Exact => unreachable!("leaf_gossip is only called in Gossip mode"),
-        };
-
-        if self.cell_spread(cell_idx) <= epsilon_r {
-            return;
-        }
-        if self.in_cell_rows[cell_idx].is_none() {
-            self.in_cell_rows[cell_idx] =
-                Some(in_cell_rows(self.graph, self.hierarchy.members(cell_idx)));
-        }
-        let rows = self.in_cell_rows[cell_idx].as_ref().expect("built above");
         let members = self.hierarchy.members(cell_idx);
+        let m = members.len();
+        let cap = ((max_exchanges_factor * (m * m) as f64).ceil() as u64).max(16);
+        if cell_spread(members, &self.state) <= epsilon_r {
+            return;
+        }
+        let rows = self.cell_rows.of(self.graph, &self.hierarchy, cell_idx);
         let mut attempts = 0u64;
         loop {
             // A batch of exchanges between error checks keeps the check cost
@@ -636,7 +575,7 @@ impl<'a> RoundBasedAffineGossip<'a> {
                 tx.charge_local(2);
                 self.stats.local_exchanges += 1;
             }
-            if self.cell_spread(cell_idx) <= epsilon_r {
+            if cell_spread(members, &self.state) <= epsilon_r {
                 return;
             }
             if attempts >= cap {
@@ -647,51 +586,57 @@ impl<'a> RoundBasedAffineGossip<'a> {
     }
 }
 
-/// The in-cell neighbour rows of a cell: row `k` holds the graph neighbours
-/// of `members[k]` that are themselves members, in graph row order. Cell
-/// members are listed in ascending index order, so membership is a binary
-/// search.
-fn in_cell_rows(graph: &GeometricGraph, members: &[usize]) -> CsrAdjacency {
-    debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
-    let mut offsets = Vec::with_capacity(members.len() + 1);
-    let mut neighbors = Vec::new();
-    offsets.push(0);
-    for &u in members {
-        neighbors.extend(
-            graph
-                .neighbors(NodeId(u))
-                .iter()
-                .filter(|&&v| members.binary_search(&(v as usize)).is_ok()),
-        );
-        offsets.push(neighbors.len() as u32);
+/// Relative spread of the values inside a cell: the ℓ₂ deviation of the
+/// members' values around the cell mean, normalised by `max(|mean|, 1)`.
+/// This is the quantity the accuracy cascade `ε_r` of Section 4.1 bounds.
+fn cell_spread(members: &[usize], state: &GossipState) -> f64 {
+    if members.len() <= 1 {
+        return 0.0;
     }
-    neighbors.shrink_to_fit();
-    CsrAdjacency::from_raw_parts(offsets, neighbors)
+    let mean = members.iter().map(|&i| state.value(i)).sum::<f64>() / members.len() as f64;
+    let dev: f64 = members
+        .iter()
+        .map(|&i| {
+            let d = state.value(i) - mean;
+            d * d
+        })
+        .sum::<f64>()
+        .sqrt();
+    dev / mean.abs().max(1.0)
+}
+
+/// Where a run stands in the top-level schedule that
+/// [`RoundBasedAffineGossip::advance`] steps.
+#[derive(Debug, Clone, Default)]
+struct TopLevel {
+    /// The accuracy every top-level cell is re-averaged to.
+    child_epsilon: f64,
+    /// The lowest error so far that improved on the one before by 1%.
+    best_error: f64,
+    /// The round count at which the run halts unless the error improves.
+    stall_at: u64,
+    pre_averaged: bool,
+    halted: bool,
 }
 
 /// The round-based protocol as a **self-paced [`Activation`]**, so it can be
 /// boxed, registered, and driven by the engine like the tick-driven
 /// protocols.
 ///
-/// One engine tick maps to one unit of the protocol's own schedule: the first
-/// tick runs the Section-3 pre-averaging pass over the top-level cells, every
-/// later tick runs one top-level round. Because the adapter reports
+/// One engine tick is one step of the top-level schedule
+/// [`RoundBasedAffineGossip::run_until`] loops: the first tick runs the
+/// Section-3 pre-averaging pass over the top-level cells, every later tick
+/// runs one top-level round. Because the adapter reports
 /// [`Clocking::SelfPaced`], the engine draws **no** Poisson clock randomness,
 /// so a run through the engine consumes the RNG in exactly the order
-/// [`RoundBasedAffineGossip::run_until`] does — the scenario determinism test
+/// `run_until` does — the scenario determinism test
 /// (`tests/scenario_api.rs`) pins the two paths to bit-identical results.
 /// Stalls (no ≥1% improvement over a full window of rounds, or the
 /// `max_top_rounds` cap) surface through [`Activation::halted`].
 #[derive(Debug, Clone)]
 pub struct RoundBasedActivation<'a> {
     inner: RoundBasedAffineGossip<'a>,
-    child_epsilon: f64,
-    top_children: Vec<usize>,
-    stall_window: u64,
-    pre_averaged: bool,
-    halted: bool,
-    best_error: f64,
-    rounds_since_improvement: u64,
+    run: TopLevel,
     effective_alpha_top: f64,
 }
 
@@ -717,26 +662,18 @@ impl<'a> RoundBasedActivation<'a> {
             ));
         }
         let inner = RoundBasedAffineGossip::new(graph, initial_values, config)?;
-        let child_epsilon = (epsilon * config.epsilon_decay).max(f64::MIN_POSITIVE);
-        let top_children = inner.hierarchy.populated_children(0);
-        let stall_window = (20 * top_children.len().max(2)) as u64;
-        let effective_alpha_top = top_children
+        let effective_alpha_top = inner
+            .hierarchy
+            .populated_children(0)
             .first()
             .map(|&c| {
                 let population = inner.hierarchy.members(c).len() as f64;
                 config.coefficient.coefficient(population).value()
             })
             .unwrap_or(0.0);
-        let best_error = inner.state.relative_error();
         Ok(RoundBasedActivation {
+            run: inner.start(epsilon),
             inner,
-            child_epsilon,
-            top_children,
-            stall_window,
-            pre_averaged: false,
-            halted: false,
-            best_error,
-            rounds_since_improvement: 0,
             effective_alpha_top,
         })
     }
@@ -749,56 +686,7 @@ impl<'a> RoundBasedActivation<'a> {
 
 impl Activation for RoundBasedActivation<'_> {
     fn on_tick(&mut self, _tick: Tick, tx: &mut TransmissionCounter, rng: &mut dyn RngCore) {
-        if self.halted {
-            return;
-        }
-        if !self.pre_averaged {
-            // "Suppose that A has been run on each subsquare" (Section 3):
-            // every top-level cell is internally averaged before leaders
-            // start exchanging.
-            if self.top_children.len() >= 2 {
-                let top_children = std::mem::take(&mut self.top_children);
-                self.inner
-                    .pre_average_pass(&top_children, self.child_epsilon, tx, rng);
-                self.top_children = top_children;
-            } else {
-                // Nothing to exchange with: local averaging is all there is,
-                // and without it the pre-averaging pass cannot even run.
-                self.halted = true;
-            }
-            self.pre_averaged = true;
-            self.best_error = self.inner.state.relative_error();
-            self.rounds_since_improvement = 0;
-            return;
-        }
-        if self.inner.stats.top_rounds >= self.inner.config.max_top_rounds {
-            self.halted = true;
-            return;
-        }
-        // Borrow-splitting: the cell list is lent to the inner protocol for
-        // the duration of the round (no allocation; `top_children` is never
-        // empty here, so the placeholder cannot be observed).
-        let top_children = std::mem::take(&mut self.top_children);
-        self.inner
-            .top_level_round(&top_children, self.child_epsilon, tx, rng);
-        self.top_children = top_children;
-
-        // Stall detection, exactly as in `run_until`: no ≥1% improvement over
-        // a full window of rounds means the run has hit the floor imposed by
-        // imperfect local averaging.
-        let error = self.inner.state.relative_error();
-        if error < self.best_error * 0.99 {
-            self.best_error = error;
-            self.rounds_since_improvement = 0;
-        } else {
-            self.rounds_since_improvement += 1;
-            if self.rounds_since_improvement >= self.stall_window {
-                self.halted = true;
-            }
-        }
-        if self.inner.stats.top_rounds >= self.inner.config.max_top_rounds {
-            self.halted = true;
-        }
+        self.inner.advance(&mut self.run, tx, rng);
     }
 
     fn relative_error(&self) -> f64 {
@@ -859,7 +747,7 @@ impl Activation for RoundBasedActivation<'_> {
     }
 
     fn halted(&self) -> bool {
-        self.halted
+        self.run.halted
     }
 
     fn clocking(&self) -> Clocking {
@@ -878,6 +766,7 @@ impl Activation for RoundBasedActivation<'_> {
 mod tests {
     use super::*;
     use crate::state::InitialCondition;
+    use geogossip_geometry::point::NodeId;
     use geogossip_geometry::sampling::sample_unit_square;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -1059,6 +948,45 @@ mod tests {
     }
 
     #[test]
+    fn a_partition_that_never_splits_is_averaged_as_one_leaf_cell() {
+        // At n = 16 the practical partition does not split: the root is the
+        // only populated cell, so there is no leader to exchange with. The
+        // first step averages the root as a leaf (leaf gossip or the exact
+        // flood), on both execution paths, and the schedule halts.
+        use geogossip_sim::{AsyncEngine, StopCondition};
+        let g = graph(16, 31);
+        let values = InitialCondition::Spike.generate(g.len(), &mut ChaCha8Rng::seed_from_u64(32));
+        let epsilon = 0.05;
+        for config in [
+            RoundBasedConfig::idealized(g.len()),
+            RoundBasedConfig::practical(g.len()),
+        ] {
+            let mut direct = RoundBasedAffineGossip::new(&g, values.clone(), config).unwrap();
+            assert!(direct.hierarchy().populated_children(0).len() < 2);
+            let report = direct.run_until(epsilon, &mut ChaCha8Rng::seed_from_u64(33));
+            assert!(
+                report.converged,
+                "{config:?}: stuck at {}",
+                report.final_error
+            );
+            assert!(report.transmissions.total() > 0, "{config:?}");
+
+            let mut adapter =
+                RoundBasedActivation::new(&g, values.clone(), config, epsilon).unwrap();
+            let engine_report = AsyncEngine::new(g.len()).run(
+                &mut adapter,
+                StopCondition::at_epsilon(epsilon).with_max_ticks(1_000),
+                &mut ChaCha8Rng::seed_from_u64(33),
+            );
+            assert!(engine_report.converged(), "{config:?}: engine path");
+            assert_eq!(
+                engine_report.transmissions.total(),
+                report.transmissions.total()
+            );
+        }
+    }
+
+    #[test]
     fn activation_adapter_rejects_bad_epsilon() {
         let g = graph(128, 23);
         let values = vec![0.0; g.len()];
@@ -1119,17 +1047,17 @@ mod tests {
                     ..RoundBasedConfig::practical(n)
                 };
                 let mut gossip = RoundBasedAffineGossip::new(&g, values, config).unwrap();
-                let top_children = gossip.hierarchy.populated_children(0);
-                gossip.pre_average_pass(
-                    &top_children,
-                    0.01,
+                // The first step is the pre-averaging pass, at ε·decay = 0.01.
+                let mut run = gossip.start(0.1);
+                gossip.advance(
+                    &mut run,
                     &mut TransmissionCounter::new(),
                     &mut ChaCha8Rng::seed_from_u64(5),
                 );
 
                 let h = &gossip.hierarchy;
                 let mut cached = 0;
-                for (cell, rows) in gossip.in_cell_rows.iter().enumerate() {
+                for (cell, rows) in gossip.cell_rows.cells().iter().enumerate() {
                     let Some(rows) = rows else { continue };
                     cached += 1;
                     let members = h.members(cell);

@@ -26,12 +26,12 @@
 //! the literal — astronomically conservative — formulas of Section 4.1 for
 //! small demonstrations. See README.md, "Paper substitutions", item 4.
 
-use crate::affine::hierarchy::Hierarchy;
+use crate::affine::hierarchy::{leader_exchange, CellRows, Hierarchy};
 use crate::affine::round_based::CoefficientRule;
 use crate::affine::schedule::PaperSchedule;
 use crate::error::ProtocolError;
 use crate::state::GossipState;
-use crate::update::{affine_exchange, convex_average};
+use crate::update::convex_average;
 use geogossip_geometry::point::NodeId;
 use geogossip_geometry::PartitionConfig;
 use geogossip_graph::GeometricGraph;
@@ -225,6 +225,8 @@ pub struct AffineStateMachine<'a> {
     led_cells: Vec<Vec<usize>>,
     /// Sibling (same parent, populated, excluding self) cells per cell.
     siblings: Vec<Vec<usize>>,
+    /// `Near`'s partner rows by leaf cell, built on the leaf's first use.
+    cell_rows: CellRows,
     stats: StateMachineStats,
 }
 
@@ -272,6 +274,7 @@ impl<'a> AffineStateMachine<'a> {
 
         let mut machine = AffineStateMachine {
             graph,
+            cell_rows: CellRows::new(&hierarchy),
             hierarchy,
             state: GossipState::new(initial_values),
             schedule,
@@ -340,18 +343,13 @@ impl<'a> AffineStateMachine<'a> {
         faults: &FaultContext<'_>,
     ) {
         let leaf = self.hierarchy.leaf_of(NodeId(s));
-        // Candidate partners: graph neighbors that share the leaf square.
-        let candidates: Vec<usize> = self
-            .graph
-            .neighbors(NodeId(s))
-            .iter()
-            .map(|&v| v as usize)
-            .filter(|&v| self.hierarchy.leaf_of(NodeId(v)) == leaf)
-            .collect();
-        if candidates.is_empty() {
+        let row = self.hierarchy.members(leaf).binary_search(&s);
+        let rows = self.cell_rows.of(self.graph, &self.hierarchy, leaf);
+        let partners = rows.neighbors(row.expect("a sensor is a member of its leaf"));
+        if partners.is_empty() {
             return;
         }
-        let v = candidates[rng.gen_range(0..candidates.len())];
+        let v = partners[rng.gen_range(0..partners.len())] as usize;
         tx.charge_local(2);
         if faults.dropped {
             return;
@@ -369,7 +367,8 @@ impl<'a> AffineStateMachine<'a> {
     /// `Far(s)` for the square at arena index `cell`: affine exchange with the
     /// leader of a uniformly random sibling square (Section 4.2). A dropped
     /// exchange pays the full round trip but applies no affine update and
-    /// resets no counter; stale leaders keep their own value.
+    /// resets no counter — the squares just keep averaging; stale leaders
+    /// keep their own value.
     fn far<R: Rng + ?Sized>(
         &mut self,
         cell: usize,
@@ -377,119 +376,58 @@ impl<'a> AffineStateMachine<'a> {
         rng: &mut R,
         faults: &FaultContext<'_>,
     ) {
-        if self.siblings[cell].is_empty() {
-            return;
-        }
         let target_cell = self.siblings[cell][rng.gen_range(0..self.siblings[cell].len())];
-        let (Some(s), Some(s_prime)) = (
-            self.hierarchy.leader(cell),
-            self.hierarchy.leader(target_cell),
-        ) else {
-            return;
-        };
-        let (out, out_delivered) = route_terminus_to_node(self.graph, s, s_prime);
-        let (back, back_delivered) = route_terminus_to_node(self.graph, s_prime, s);
-        if !out_delivered {
-            self.stats.failed_routes += 1;
-        }
-        if !back_delivered {
-            self.stats.failed_routes += 1;
-        }
-        tx.charge_routing((out.hops + back.hops) as u64);
-        if faults.dropped {
-            // The packet was lost in flight: no affine update lands, and
-            // neither counter resets — the squares just keep averaging.
-            return;
-        }
-
-        // Scale the coefficient by the smaller realized population of the two
-        // squares (see `CoefficientRule` for why the paper's E#-based value is
-        // replaced by the realized count at simulation scale).
-        let population = self
-            .hierarchy
-            .members(cell)
-            .len()
-            .min(self.hierarchy.members(target_cell).len()) as f64;
-        let alpha = self.coefficient.coefficient(population);
-        let (xs, xp) = (
-            self.state.value(s.index()),
-            self.state.value(s_prime.index()),
+        let (failed, landed) = leader_exchange(
+            self.graph,
+            &self.hierarchy,
+            &mut self.state,
+            self.coefficient,
+            [cell, target_cell],
+            tx,
+            faults,
         );
-        let (ns, np) = affine_exchange(xs, xp, alpha);
-        if !faults.is_stale(s.index()) {
-            self.state.set(s.index(), ns);
+        self.stats.failed_routes += failed;
+        if landed {
+            self.stats.far_exchanges += 1;
+            // Both squares must re-average: reset both counters so the next
+            // tick of each leader re-activates its square (paper step 5 of
+            // the round, and `counter ← 0` in Far).
+            self.counter[cell] = 0;
+            self.counter[target_cell] = 0;
         }
-        if !faults.is_stale(s_prime.index()) {
-            self.state.set(s_prime.index(), np);
-        }
-        self.stats.far_exchanges += 1;
-
-        // Both squares must re-average: reset both counters so the next tick
-        // of each leader re-activates its square (paper step 5 of the round,
-        // and `counter ← 0` in Far).
-        self.counter[cell] = 0;
-        self.counter[target_cell] = 0;
     }
 
-    /// `Activate.square(s)` (Section 4.2): switch the square's interior on.
-    fn activate_square(&mut self, cell: usize, tx: &mut TransmissionCounter) {
-        let children = self.hierarchy.populated_children(cell);
-        if children.len() < 2 {
-            // Leaf square (level-1 leader): flood local.state := on.
-            let members: Vec<usize> = self.hierarchy.members(cell).to_vec();
-            if let Some(leader) = self.hierarchy.leader(cell) {
-                let outcome = flood_cell(self.graph, &members, leader);
+    /// `Activate.square(s)` when `on`, `Deactivate.square(s)` otherwise
+    /// (Section 4.2): switch the square's interior on or off. A leaf square
+    /// (fewer than two populated children) floods `local.state` over its
+    /// members; a higher square routes a control packet to each child leader
+    /// and sets that child's `global.state`.
+    fn switch_square(&mut self, cell: usize, on: bool, tx: &mut TransmissionCounter) {
+        if let Some(leader) = self.hierarchy.leader(cell) {
+            let children = self.hierarchy.populated_children(cell);
+            if children.len() < 2 {
+                let outcome = flood_cell(self.graph, self.hierarchy.members(cell), leader);
                 tx.charge_control(outcome.transmissions as u64);
                 for node in outcome.reached {
-                    self.local_state[node.index()] = true;
+                    self.local_state[node.index()] = on;
                 }
-            }
-        } else {
-            // Higher square: switch the child leaders' global.state on by
-            // routing a control packet to each of them.
-            if let Some(leader) = self.hierarchy.leader(cell) {
-                for child in children {
+            } else {
+                for &child in children {
                     if let Some(child_leader) = self.hierarchy.leader(child) {
                         let (route, delivered) =
                             route_terminus_to_node(self.graph, leader, child_leader);
-                        if !delivered {
-                            self.stats.failed_routes += 1;
-                        }
+                        self.stats.failed_routes += u64::from(!delivered);
                         tx.charge_control(route.hops as u64);
-                        self.global_state[child] = true;
+                        self.global_state[child] = on;
                     }
                 }
             }
         }
-        self.stats.activations += 1;
-    }
-
-    /// `Deactivate.square(s)` (Section 4.2): switch the square's interior off.
-    fn deactivate_square(&mut self, cell: usize, tx: &mut TransmissionCounter) {
-        let children = self.hierarchy.populated_children(cell);
-        if children.len() < 2 {
-            let members: Vec<usize> = self.hierarchy.members(cell).to_vec();
-            if let Some(leader) = self.hierarchy.leader(cell) {
-                let outcome = flood_cell(self.graph, &members, leader);
-                tx.charge_control(outcome.transmissions as u64);
-                for node in outcome.reached {
-                    self.local_state[node.index()] = false;
-                }
-            }
-        } else if let Some(leader) = self.hierarchy.leader(cell) {
-            for child in children {
-                if let Some(child_leader) = self.hierarchy.leader(child) {
-                    let (route, delivered) =
-                        route_terminus_to_node(self.graph, leader, child_leader);
-                    if !delivered {
-                        self.stats.failed_routes += 1;
-                    }
-                    tx.charge_control(route.hops as u64);
-                    self.global_state[child] = false;
-                }
-            }
+        if on {
+            self.stats.activations += 1;
+        } else {
+            self.stats.deactivations += 1;
         }
-        self.stats.deactivations += 1;
     }
 
     /// The leader-side protocol for one square on one clock tick of its leader
@@ -516,7 +454,7 @@ impl<'a> AffineStateMachine<'a> {
             return;
         }
         if self.counter[cell] == 0 {
-            self.activate_square(cell, tx);
+            self.switch_square(cell, true, tx);
         }
         let latency = self.schedule.latency(depth);
         if self.counter[cell] < latency {
@@ -524,7 +462,7 @@ impl<'a> AffineStateMachine<'a> {
             // exactly once when the window ends.
             self.counter[cell] += 1;
             if self.counter[cell] == latency {
-                self.deactivate_square(cell, tx);
+                self.switch_square(cell, false, tx);
             }
         } else {
             // Quiescent: the square is deactivated, so a long-range exchange
@@ -563,9 +501,8 @@ impl AffineStateMachine<'_> {
         let s = tick.node.index();
         // Leader duties for every square this sensor leads (usually at most
         // one; ties at small n are handled by iterating).
-        let led = self.led_cells[s].clone();
-        for cell in led {
-            self.square_tick(cell, tx, rng, faults);
+        for k in 0..self.led_cells[s].len() {
+            self.square_tick(self.led_cells[s][k], tx, rng, faults);
         }
         // Everyone — leaders included — participates in local averaging while
         // their leaf square is active.

@@ -257,23 +257,37 @@ pub enum GeographicParams {
     },
 }
 
+/// The most probes a `rejection-sampled` selector may draw: 1000× the
+/// default. Each probe is one nearest-sensor query while the protocol is
+/// built, so a count past this spends the run's set-up on probing.
+const MAX_PROBES: u64 = 10_000_000;
+
 /// Decodes a `geographic` spec's params. The registry's check and builder
 /// and the message-passing runtime all read them through this one list of
 /// keys.
 ///
 /// # Errors
 ///
-/// An unknown key or selector, a value of the wrong type, or a probe count
-/// or cap that is not a whole number of at least 1.
+/// An unknown key or selector, a value of the wrong type, a probe count or
+/// cap that is not a whole number of at least 1, or more than 10⁷ probes.
 pub fn geographic_params(spec: &ProtocolSpec) -> Result<GeographicParams, ProtocolError> {
     spec.reject_unknown(&["selector", "probes", "cap"])?;
     match spec.text("selector", "nearest-position")?.as_str() {
         "nearest-position" => Ok(GeographicParams::NearestPosition),
         "uniform-index" => Ok(GeographicParams::UniformIndex),
-        "rejection-sampled" => Ok(GeographicParams::RejectionSampled {
-            probes: count(spec, "probes", 10_000)? as usize,
-            cap: count(spec, "cap", 20)? as usize,
-        }),
+        "rejection-sampled" => {
+            let probes = count(spec, "probes", 10_000)?;
+            if probes > MAX_PROBES {
+                return Err(ProtocolError::invalid(
+                    "probes",
+                    format!("must be at most {MAX_PROBES}, got {probes}"),
+                ));
+            }
+            Ok(GeographicParams::RejectionSampled {
+                probes: probes as usize,
+                cap: count(spec, "cap", 20)? as usize,
+            })
+        }
         other => Err(ProtocolError::invalid(
             "selector",
             format!(

@@ -204,6 +204,10 @@ fn validate_rejects_the_params_run_rejects() {
             r#"{"name": "geographic", "params": {"selector": "rejection-sampled", "probes": 0}}"#,
             "error: invalid parameter `probes`: must be a whole number of at least 1, got 0\n",
         ),
+        (
+            r#"{"name": "geographic", "params": {"selector": "rejection-sampled", "probes": 1e13}}"#,
+            "error: invalid parameter `probes`: must be at most 10000000, got 10000000000000\n",
+        ),
         // Value ranges the protocol constructors enforce.
         (
             r#"{"name": "affine-complete", "params": {"alpha": 5.0}}"#,
