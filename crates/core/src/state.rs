@@ -195,12 +195,21 @@ impl GossipState {
     /// engine's squared-domain stop check observes the identical cache
     /// trajectory as the sqrt-based path and per-tick convergence checks cost
     /// no sqrt at all.
+    ///
+    /// A NaN norm (a value that is NaN, or an overflow that left `∞ − ∞` in
+    /// the cache) reads `+∞`, so a run that blew up never counts as
+    /// converged.
     pub fn deviation_sq(&self) -> f64 {
         let sum = self.sum_sq.get();
         if self.stale.get() || sum < self.drift_bound.get() * DRIFT_GUARD {
             self.refresh_deviation();
         }
-        self.sum_sq.get().max(0.0)
+        let sum = self.sum_sq.get();
+        if sum.is_nan() {
+            f64::INFINITY
+        } else {
+            sum.max(0.0)
+        }
     }
 
     /// Recomputes the cached centered squared norm from scratch and resets the
@@ -457,6 +466,22 @@ mod tests {
         s.values_mut().copy_from_slice(&[0.5, 0.5]);
         assert!(s.relative_error() < 1e-12);
         assert!(s.deviation() < 1e-12);
+    }
+
+    /// An overflow leaves `∞ − ∞` (NaN) in the cached norm, and a NaN value
+    /// does too: both read as an infinite error, never as 0.
+    #[test]
+    fn a_nan_norm_reads_as_an_infinite_error() {
+        let mut overflowed = GossipState::new(vec![1.0, 0.0]);
+        overflowed.set(0, f64::INFINITY);
+        overflowed.set(0, 0.0);
+        assert_eq!(overflowed.relative_error(), f64::INFINITY);
+        assert_eq!(overflowed.deviation_sq(), f64::INFINITY);
+
+        let mut nan = GossipState::new(vec![1.0, 0.0]);
+        nan.set(0, f64::NAN);
+        assert_eq!(nan.relative_error(), f64::INFINITY);
+        assert_eq!(nan.deviation_sq(), f64::INFINITY);
     }
 
     #[test]

@@ -10,12 +10,19 @@
 //! ([`fit_power_law_detailed`]) and derives the verdicts: the headline
 //! exponent claims the paper's comparison is about, then the degradation
 //! claims, each a row checked along every ladder of its axis.
+//!
+//! This is the repo's one fit of the scaling law and its one judge of the
+//! paper's ordering. The sweep reports read it, and so does experiment E4:
+//! it pushes its same-instance reports through [`SweepAggregator`] and
+//! prints each fit's [`GroupFit::exponent_text`] and each [`Verdict`] as
+//! `report.md` does.
 
 use crate::log::{nonzero_parts, CellCoords, CellRecord, FaultLevel};
 use geogossip_analysis::{
     fit_power_law_detailed, ConfidenceInterval, P2Quantile, PowerLawFitDetail, Summary,
 };
 use std::cmp::Ordering;
+use std::fmt;
 
 /// z-score of the reports' 95% confidence intervals.
 pub const REPORT_Z: f64 = 1.96;
@@ -157,6 +164,17 @@ impl GroupFit {
             self.interval.lower, self.interval.upper
         )
     }
+
+    /// The exponent as verdicts and E4 print it, with its interval and R²:
+    /// `k = 1.328 (95% CI [1.244, 1.411], R² = 0.998)`.
+    pub fn exponent_text(&self) -> String {
+        format!(
+            "k = {:.3} ({}, R² = {:.3})",
+            self.detail.fit.exponent,
+            self.interval_text("95% CI "),
+            self.detail.fit.r_squared
+        )
+    }
 }
 
 /// One machine-checked claim about the fitted exponents.
@@ -168,6 +186,14 @@ pub struct Verdict {
     pub holds: bool,
     /// The numbers behind the call.
     pub details: String,
+}
+
+/// The verdict line of `report.md` and E4: `PASS **claim** — details`.
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let call = if self.holds { "PASS" } else { "FAIL" };
+        write!(f, "{call} **{}** — {}", self.claim, self.details)
+    }
 }
 
 /// The paper's predicted exponent window for plain geographic gossip
@@ -288,18 +314,13 @@ fn derive_verdicts(fits: &[GroupFit]) -> Vec<Verdict> {
     let mut verdicts = Vec::new();
     for fit in &geographic {
         let (lo, hi) = GEOGRAPHIC_EXPONENT_RANGE;
-        let k = fit.detail.fit.exponent;
         verdicts.push(Verdict {
             claim: format!(
                 "{} gossip exponent within [{lo}, {hi}] ({})",
                 fit.protocol, fit.coords
             ),
-            holds: (lo..=hi).contains(&k),
-            details: format!(
-                "fitted k = {k:.3} ({}, R² = {:.3})",
-                fit.interval_text("95% CI "),
-                fit.detail.fit.r_squared
-            ),
+            holds: (lo..=hi).contains(&fit.detail.fit.exponent),
+            details: format!("fitted {}", fit.exponent_text()),
         });
     }
     // The claim that `lower`, named `lower_name`, scales below `upper`.
@@ -778,6 +799,58 @@ mod tests {
             .verdicts
             .iter()
             .any(|v| v.claim.contains("strictly below pairwise")));
+    }
+
+    /// Each affine variant is judged against geographic gossip on its own, in
+    /// fit order: one that breaks the ordering fails while the other passes.
+    /// The verdict line and a two-size exponent read as the reports print
+    /// them.
+    #[test]
+    fn every_affine_variant_gets_its_own_verdict() {
+        let mut agg = SweepAggregator::new();
+        let planted = [
+            ("geographic", 1.5),
+            ("affine-idealized", 1.05),
+            ("affine-recursive", 2.2),
+        ];
+        for (i, (protocol, k)) in planted.into_iter().enumerate() {
+            for r in power_law_records(protocol, k, 4 * i as u64) {
+                agg.push(&r);
+            }
+        }
+        let result = agg.finish();
+        let below: Vec<&Verdict> = result
+            .verdicts
+            .iter()
+            .filter(|v| v.claim.contains("scales strictly below geographic gossip"))
+            .collect();
+        assert_eq!(below.len(), 2, "{:#?}", result.verdicts);
+        assert!(below[0].holds, "{}", below[0]);
+        assert!(
+            below[0].claim.starts_with("affine-idealized "),
+            "{}",
+            below[0]
+        );
+        let line = below[1].to_string();
+        assert!(
+            line.starts_with("FAIL **affine-recursive scales strictly below"),
+            "{line}"
+        );
+        assert!(
+            line.contains("k[affine-recursive] = 2.200 (95% CI ["),
+            "{line}"
+        );
+
+        let mut two_sizes = SweepAggregator::new();
+        for (index, n) in [64u64, 128].into_iter().enumerate() {
+            let cost = (3.0 * (n as f64).powf(1.5)).round() as u64;
+            two_sizes.push(&record(index as u64, "geographic", n as usize, cost));
+        }
+        let fits = two_sizes.finish().fits;
+        assert_eq!(
+            fits[0].exponent_text(),
+            "k = 1.500 (no CI: 2 points, R² = 1.000)"
+        );
     }
 
     #[test]

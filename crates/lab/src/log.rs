@@ -397,7 +397,13 @@ impl CellRecord {
                 control: u("control")?,
                 rounds: u("rounds")?,
                 ticks: u("ticks")?,
-                final_error: f("final-error")?,
+                // JSON has no ∞: the writer prints a diverged trial's
+                // infinite error as `null`.
+                final_error: if t.get("final-error").is_some_and(JsonValue::is_null) {
+                    f64::INFINITY
+                } else {
+                    f("final-error")?
+                },
                 seconds: f("seconds")?,
                 engine_seconds: f("engine-seconds")?,
             });
@@ -695,6 +701,19 @@ mod tests {
         let r = record(3);
         let line = r.to_json_value().render();
         assert!(!line.contains('\n'), "records must be single-line");
+        let parsed = CellRecord::from_json_value(&JsonValue::parse(&line).unwrap()).unwrap();
+        assert_eq!(parsed, r);
+    }
+
+    /// A trial that diverged ends at an infinite error, which the log writes
+    /// as `null` and reads back as +∞, so a sweep that holds one resumes.
+    #[test]
+    fn an_infinite_final_error_round_trips() {
+        let mut r = record(4);
+        r.trials[0].converged = false;
+        r.trials[0].final_error = f64::INFINITY;
+        let line = r.to_json_value().render();
+        assert!(line.contains(r#""final-error":null"#), "{line}");
         let parsed = CellRecord::from_json_value(&JsonValue::parse(&line).unwrap()).unwrap();
         assert_eq!(parsed, r);
     }

@@ -206,12 +206,7 @@ impl SweepReport {
             out.push_str("No scaling claims applicable to this sweep's protocols.\n\n");
         } else {
             for verdict in &self.aggregate.verdicts {
-                out.push_str(&format!(
-                    "- {} **{}** — {}\n",
-                    if verdict.holds { "PASS" } else { "FAIL" },
-                    verdict.claim,
-                    verdict.details
-                ));
+                out.push_str(&format!("- {verdict}\n"));
             }
             out.push('\n');
         }
@@ -485,6 +480,10 @@ mod tests {
             assert!(!verdict.details.contains("95% CI"), "{}", verdict.details);
         }
         let md = report.markdown();
+        assert!(
+            md.contains("— fitted k = 1.500 (no CI: 2 points, R² = 1.000)\n"),
+            "{md}"
+        );
         assert_eq!(md.matches("| no CI: 2 points |").count(), 2, "{md}");
         assert!(!md.contains("95% CI ["), "{md}");
         assert!(!report.fits_table().to_csv().contains("no CI"));

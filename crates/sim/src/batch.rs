@@ -60,6 +60,11 @@ use serde::{Deserialize, Serialize};
 /// Default number of ticks pre-drawn per batch by the parallel engine path.
 pub const DEFAULT_TICK_BATCH: usize = 1024;
 
+/// The largest batch a spec may ask for, 2^20 ticks (1024× the default): the
+/// engine allocates its plan buffer up front, so a batch of 10⁹ would ask for
+/// tens of gigabytes before the first tick.
+const MAX_TICK_BATCH: usize = 1 << 20;
+
 /// Worker threads of the global pool — what a `threads: 0`-style "auto"
 /// setting should resolve to (honours `RAYON_NUM_THREADS`).
 pub fn available_threads() -> usize {
@@ -77,7 +82,7 @@ pub struct ParallelSpec {
     /// Maximum worker threads for one trial's tick loop (≥ 1; 1 keeps the
     /// batched structure but resolves inline on the calling thread).
     pub threads: usize,
-    /// Ticks pre-drawn per batch (≥ 1). Larger batches amortise the
+    /// Ticks pre-drawn per batch (1 to 2^20). Larger batches amortise the
     /// per-batch snapshot and pool overhead; smaller ones waste fewer
     /// pre-drawn ticks when a run stops mid-batch. Defaults to
     /// [`DEFAULT_TICK_BATCH`].
@@ -120,7 +125,8 @@ impl ParallelSpec {
         ])
     }
 
-    /// Checks both knobs are usable (strictly positive).
+    /// Checks both knobs are usable: strictly positive, and a batch of at
+    /// most 2^20 ticks.
     pub fn validate(&self) -> Result<(), ProtocolError> {
         if self.threads == 0 {
             return Err(ProtocolError::invalid(
@@ -132,6 +138,15 @@ impl ParallelSpec {
             return Err(ProtocolError::invalid(
                 "parallelism.batch",
                 "tick batch size must be at least 1",
+            ));
+        }
+        if self.batch > MAX_TICK_BATCH {
+            return Err(ProtocolError::invalid(
+                "parallelism.batch",
+                format!(
+                    "tick batch size must be at most {MAX_TICK_BATCH}, got {}",
+                    self.batch
+                ),
             ));
         }
         Ok(())

@@ -99,6 +99,12 @@ fn read_text(path: &str) -> Result<String, CliError> {
 
 /// Runs one command line (without the program name).
 fn dispatch(args: &[String]) -> Result<(), CliError> {
+    // Help, before or after a command, asks for the usage: it is never a
+    // flag of the command or the name of a file.
+    if args.iter().any(|arg| arg == "--help" || arg == "-h") {
+        print_usage();
+        return Ok(());
+    }
     match args.first().map(String::as_str) {
         Some("run") => run(&args[1..]),
         Some("sweep") => sweep(&args[1..]),
@@ -115,7 +121,7 @@ fn dispatch(args: &[String]) -> Result<(), CliError> {
             eprintln!("{TEMPLATE_HINT}");
             Ok(())
         }
-        Some("--help" | "-h" | "help") | None => {
+        Some("help") | None => {
             print_usage();
             Ok(())
         }

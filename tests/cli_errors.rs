@@ -343,3 +343,45 @@ fn validate_and_run_refuse_an_unknown_nested_key_alike() {
     assert_eq!(validate_code, Some(1), "{validate_err}");
     assert_eq!(validate_err, sweep_err);
 }
+
+/// `--help` and `-h` after a command print the usage and exit 0, instead of
+/// reading as an unknown flag or as a spec file's name.
+#[test]
+fn every_command_prints_the_usage_on_help() {
+    for command in ["run", "sweep", "validate", "experiment"] {
+        for flag in ["--help", "-h"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_geogossip"))
+                .args([command, flag])
+                .output()
+                .expect("the geogossip binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "{command} {flag}: {stderr}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(stdout.contains("USAGE:"), "{command} {flag}: {stdout}");
+        }
+    }
+}
+
+/// A tick batch above 2^20 is refused by `validate` and `run` alike, before
+/// the engine allocates its plan buffer.
+#[test]
+fn validate_and_run_refuse_an_oversized_tick_batch() {
+    let spec = scratch("oversized-batch.json");
+    let path = spec.to_str().unwrap();
+    let scenario = spec_with_protocol(r#"{"name": "pairwise", "params": {}}"#).replace(
+        r#""seed": 7"#,
+        r#""seed": 7, "parallelism": {"threads": 1, "batch": 1048577}"#,
+    );
+    std::fs::write(&spec, scenario).unwrap();
+    let (validate_code, validate_err) = geogossip(&["validate", path]);
+    assert_eq!(validate_code, Some(1), "{validate_err}");
+    let (run_code, run_err) = geogossip(&["run", path]);
+    let _ = std::fs::remove_file(&spec);
+    assert_eq!(run_code, Some(1), "{run_err}");
+    assert_eq!(
+        run_err,
+        "error: invalid parameter `parallelism.batch`: tick batch size must be at most \
+         1048576, got 1048577\n"
+    );
+    assert_eq!(validate_err, run_err);
+}
