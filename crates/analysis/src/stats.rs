@@ -60,10 +60,17 @@ impl Summary {
         self.count == 0
     }
 
-    /// Sample mean (0 for an empty summary).
+    /// Sample mean (0 for an empty summary). An infinite observation makes
+    /// the mean infinite, as a plain sum would (NaN if both signs occur);
+    /// Welford's update alone reads `∞ − ∞ = NaN` once a finite observation
+    /// follows an infinite one.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
+        } else if self.min.is_infinite() || self.max.is_infinite() {
+            // Every observation lies in [min, max], so the sum is infinite,
+            // with the sign(s) of min + max.
+            self.min + self.max
         } else {
             self.mean
         }
@@ -372,6 +379,18 @@ mod tests {
         let ci = s.confidence_interval(1.96);
         assert!(ci.contains(7.0));
         assert!(ci.width() < 1e-12);
+    }
+
+    #[test]
+    fn an_infinite_observation_makes_the_mean_infinite() {
+        for values in [[f64::INFINITY, 0.01], [0.01, f64::INFINITY]] {
+            let s: Summary = values.iter().copied().collect();
+            assert_eq!(s.mean(), f64::INFINITY, "{values:?}");
+        }
+        let s: Summary = [f64::NEG_INFINITY, 1.0].iter().copied().collect();
+        assert_eq!(s.mean(), f64::NEG_INFINITY);
+        let s: Summary = [f64::INFINITY, f64::NEG_INFINITY].iter().copied().collect();
+        assert!(s.mean().is_nan());
     }
 
     #[test]

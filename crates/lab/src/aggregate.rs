@@ -67,7 +67,7 @@ pub struct CellSummary {
     pub median_ticks: f64,
     /// Mean protocol rounds.
     pub mean_rounds: f64,
-    /// Mean final relative error.
+    /// Mean final relative error; +∞ when any trial diverged.
     pub mean_final_error: f64,
     /// Mean whole-trial wall-clock seconds (timing — kept out of the
     /// equality-checked report files).
@@ -494,7 +494,8 @@ impl Metric {
 #[derive(Debug, Clone, Copy)]
 enum Check {
     /// Climbing a rung never lowers the metric by more than
-    /// [`DEGRADATION_SLACK`]: degradation can only hurt.
+    /// [`DEGRADATION_SLACK`]: degradation can only hurt. A rung whose value
+    /// is not finite (a diverged trial) fails the check outright.
     Monotone(Metric),
     /// Every rung converged on all of its trials: every rung whose pure loss
     /// rate is at most the ceiling, or every rung at all.
@@ -519,7 +520,7 @@ impl Check {
                 for pair in rungs.windows(2) {
                     let (lo, lo_text) = metric.of(axis, pair[0]);
                     let (hi, hi_text) = metric.of(axis, pair[1]);
-                    if hi * DEGRADATION_SLACK < lo {
+                    if hi * DEGRADATION_SLACK < lo || !lo.is_finite() || !hi.is_finite() {
                         holds = false;
                     }
                     details.push(format!("{lo_text} → {hi_text}"));
@@ -973,6 +974,49 @@ mod tests {
             "{:#?}",
             result.verdicts
         );
+    }
+
+    #[test]
+    fn a_diverged_trial_fails_its_ladders_error_floor() {
+        // A fault ladder whose floor falls from 0.048 to 0.02 behind a rung
+        // holding a diverged trial, and one whose last rung holds one.
+        let ladders: [[&[f64]; 3]; 2] = [
+            [&[0.048], &[f64::INFINITY, 0.06], &[0.02]],
+            [&[0.048], &[0.05], &[0.06, f64::INFINITY]],
+        ];
+        for (errors, diverged) in ladders.iter().zip(["drop=0.1", "drop=0.3"]) {
+            let mut agg = SweepAggregator::new();
+            for (index, (tail, errors)) in
+                ["", "drop=0.1", "drop=0.3"].iter().zip(errors).enumerate()
+            {
+                let mut record = rung_record(index as u64, tail, 1000, 0.0, true);
+                record.trials = errors
+                    .iter()
+                    .map(|&final_error| TrialOutcome {
+                        final_error,
+                        converged: final_error <= 0.05,
+                        ..trial(1000, 100)
+                    })
+                    .collect();
+                agg.push(&record);
+            }
+            let result = agg.finish();
+            let cell = result
+                .cells
+                .iter()
+                .find(|c| c.coords.faults.to_string() == diverged);
+            assert_eq!(cell.map(|c| c.mean_final_error), Some(f64::INFINITY));
+            let floor = result
+                .verdicts
+                .iter()
+                .find(|v| v.claim.contains("error floor monotone"))
+                .expect("the ladder gets an error-floor verdict");
+            assert!(!floor.holds, "{floor:#?}");
+            assert!(
+                floor.details.contains(&format!("err({diverged}) = inf")),
+                "{floor:#?}"
+            );
+        }
     }
 
     #[test]

@@ -63,6 +63,23 @@
 //! therefore always directly follows its first delivery, and comparing
 //! against the last handled id suppresses exactly what a set of every seen
 //! id would, in O(1) time and memory.
+//!
+//! # Queue lanes
+//!
+//! The queue pops one `(time, sequence)` order whether an event rides its
+//! heap or one of its FIFO lanes ([`EventQueue::schedule_in_lane`]); a lane
+//! only spares the heap's ordering work, and it must receive its times in
+//! non-decreasing order. `Wire::dispatch` puts the timer of the `k`-th
+//! retransmission, which waits `timeout·backoff^(k−1)`, into lane `k − 1`.
+//! Every delivery goes to the heap.
+//!
+//! Each lane receives non-decreasing times because `now` never decreases
+//! from one dispatch to the next: `deliver_due` drains in time order up to
+//! the tick's time, the activation runs at that time, and the clock never
+//! goes back. Each lane adds one constant pause to `now`, and floating-point
+//! addition is monotone. `retry.max-retries` is at most
+//! [`MAX_RETRIES`](geogossip_sim::transport::MAX_RETRIES), which bounds the
+//! number of lanes.
 
 use crate::message::Message;
 use geogossip_geometry::point::NodeId;
@@ -312,13 +329,16 @@ impl<'p> Wire<'p> {
             });
             if attempt <= rel.retry.max_retries {
                 // Exponential backoff: the k-th retransmission fires
-                // timeout·backoff^(k-1) after the attempt it replaces.
+                // timeout·backoff^(k-1) after the attempt it replaces. That
+                // pause is one constant per k, so the k-th retransmissions'
+                // timers ride lane k − 1 in time order.
                 let pause = rel.retry.timeout * rel.retry.backoff.powi(attempt as i32 - 1);
                 let timer = Envelope {
                     retry: Some((attempt + 1, charge)),
                     ..delivery
                 };
-                self.queue.schedule(now + pause, timer);
+                self.queue
+                    .schedule_in_lane(attempt as usize - 1, now + pause, timer);
             } else {
                 self.ledger.rounds_abandoned += 1;
             }

@@ -293,6 +293,9 @@ pub enum StopReason {
     /// The protocol reported ([`Activation::halted`]) that it can make no
     /// further progress (stall detector or internal round cap).
     ProtocolStalled,
+    /// The error stopped being finite: the values blew up, and the run can
+    /// no longer reach its target.
+    Diverged,
 }
 
 impl StopReason {
@@ -303,6 +306,7 @@ impl StopReason {
             StopReason::TickBudgetExhausted => "tick-budget-exhausted",
             StopReason::TransmissionBudgetExhausted => "transmission-budget-exhausted",
             StopReason::ProtocolStalled => "protocol-stalled",
+            StopReason::Diverged => "diverged",
         }
     }
 }
@@ -432,9 +436,12 @@ impl RunKernel {
     /// Whether the run stops before the next tick, and why.
     ///
     /// Checks, in order: the squared-domain pre-filter on `squared`, the
-    /// exact confirmation `relative_error() ≤ ε`, `halted`, the tick budget,
-    /// and the transmission budget. [`Event::ConvergenceCrossed`] is emitted
-    /// only on a confirmed crossing.
+    /// exact confirmation `relative_error() ≤ ε`, divergence, `halted`, the
+    /// tick budget, and the transmission budget. [`Event::ConvergenceCrossed`]
+    /// is emitted only on a confirmed crossing. A run has diverged once its
+    /// squared error is +∞ or NaN or, for a protocol without a squared
+    /// error, once its exact error is not finite: such an error never comes
+    /// back down, so the run stops at once instead of ticking on to a budget.
     #[inline]
     pub fn stop_reason<Pr: Probe + ?Sized>(
         &self,
@@ -449,15 +456,24 @@ impl RunKernel {
             (Some(hi), Some(sq)) => sq.current_sq > hi,
             _ => false,
         };
-        if !clearly_above && relative_error() <= self.stop.epsilon {
-            if probe.enabled() {
-                probe.on_event(Event::ConvergenceCrossed {
-                    tick: self.ticks,
-                    transmissions: self.tx.total(),
-                    relative_error: relative_error(),
-                });
+        if !clearly_above {
+            let error = relative_error();
+            if error <= self.stop.epsilon {
+                if probe.enabled() {
+                    probe.on_event(Event::ConvergenceCrossed {
+                        tick: self.ticks,
+                        transmissions: self.tx.total(),
+                        relative_error: relative_error(),
+                    });
+                }
+                return Some(StopReason::Converged);
             }
-            return Some(StopReason::Converged);
+            if squared.is_none() && !error.is_finite() {
+                return Some(StopReason::Diverged);
+            }
+        }
+        if squared.is_some_and(|sq| !sq.current_sq.is_finite()) {
+            return Some(StopReason::Diverged);
         }
         if halted {
             return Some(StopReason::ProtocolStalled);
@@ -1004,6 +1020,47 @@ mod tests {
         let report = engine.run(&mut Stuck, stop, &mut rng);
         assert_eq!(report.reason, StopReason::TickBudgetExhausted);
         assert_eq!(report.ticks, 100);
+    }
+
+    #[test]
+    fn a_diverged_run_stops_at_its_first_non_finite_error() {
+        /// Error 1 until tick 5, +∞ from then on; `blown` is the squared
+        /// view it reports from tick 5, and `None` means it has none.
+        struct BlowsUp {
+            ticks: u64,
+            blown: Option<f64>,
+        }
+        impl Activation for BlowsUp {
+            fn on_tick(&mut self, tick: Tick, tx: &mut TransmissionCounter, _r: &mut dyn RngCore) {
+                tx.charge_local(1);
+                self.ticks = tick.index;
+            }
+            fn relative_error(&self) -> f64 {
+                if self.ticks >= 5 {
+                    f64::INFINITY
+                } else {
+                    1.0
+                }
+            }
+            fn squared_error(&self) -> Option<SquaredError> {
+                let current_sq = if self.ticks >= 5 { self.blown? } else { 1.0 };
+                self.blown.map(|_| SquaredError {
+                    current_sq,
+                    initial: 1.0,
+                })
+            }
+        }
+        for blown in [None, Some(f64::INFINITY), Some(f64::NAN)] {
+            let mut engine = AsyncEngine::new(5);
+            let mut rng = ChaCha8Rng::seed_from_u64(6);
+            let stop = StopCondition::at_epsilon(1e-9).with_max_ticks(1000);
+            let mut proto = BlowsUp { ticks: 0, blown };
+            let report = engine.run(&mut proto, stop, &mut rng);
+            assert_eq!(report.reason, StopReason::Diverged, "{blown:?}");
+            assert_eq!(report.ticks, 5, "{blown:?}");
+            assert_eq!(report.final_error, f64::INFINITY);
+            assert_eq!(report.reason.token(), "diverged");
+        }
     }
 
     #[test]

@@ -344,6 +344,24 @@ mod tests {
     }
 
     #[test]
+    fn a_diverged_trial_makes_the_mean_error_infinite() {
+        let spec = ScenarioSpec::standard("pairwise", 64, 0.1);
+        let report = ScenarioReport::new(
+            spec,
+            "pairwise".into(),
+            vec![
+                cost(false, 100, 10, f64::INFINITY),
+                cost(true, 300, 30, 0.01),
+            ],
+        );
+        assert_eq!(report.summary.mean_final_error, f64::INFINITY);
+        assert!(
+            reports_table(&[report]).to_markdown().contains("| inf |"),
+            "the table prints the mean as inf"
+        );
+    }
+
+    #[test]
     fn trial_equality_ignores_wall_clock_timings() {
         let mut a = cost(true, 100, 10, 0.05);
         let mut b = a.clone();

@@ -99,6 +99,12 @@ impl LatencyModel {
     }
 }
 
+/// The largest retransmission budget a spec may ask for, 64 (21× the
+/// default of 3). A larger budget lets one message retry on and on inside a
+/// single drain, where no budget is checked, and the wire keeps one queue
+/// lane per attempt number.
+pub const MAX_RETRIES: u32 = 64;
+
 /// Timeout/retry policy of the unreliable wire: how a sender reacts to a
 /// message the wire dropped. The first retransmission fires `timeout` after
 /// the drop, the `k`-th after `timeout · backoff^(k-1)`, up to `max_retries`
@@ -111,7 +117,8 @@ pub struct RetryPolicy {
     /// Exponential backoff multiplier applied per retransmission (finite,
     /// ≥ 1; `1.0` = constant timeout).
     pub backoff: f64,
-    /// Retransmission budget per message; `0` disables retries entirely.
+    /// Retransmission budget per message (at most [`MAX_RETRIES`]); `0`
+    /// disables retries entirely.
     pub max_retries: u32,
 }
 
@@ -171,6 +178,15 @@ impl ReliabilitySpec {
             return Err(ProtocolError::invalid(
                 "transport.reliability.retry.backoff",
                 "must be a finite multiplier >= 1",
+            ));
+        }
+        if self.retry.max_retries > MAX_RETRIES {
+            return Err(ProtocolError::invalid(
+                "transport.reliability.retry.max-retries",
+                format!(
+                    "must be at most {MAX_RETRIES}, got {}",
+                    self.retry.max_retries
+                ),
             ));
         }
         Ok(())

@@ -385,3 +385,30 @@ fn validate_and_run_refuse_an_oversized_tick_batch() {
     );
     assert_eq!(validate_err, run_err);
 }
+
+/// A retry budget above 64 is refused by `validate` and `run` alike. With no
+/// bound, a spec whose wire drops nearly every message and retries at once
+/// kept retrying one message inside a single drain, where no budget is
+/// checked, and `run` never ended.
+#[test]
+fn validate_and_run_refuse_an_oversized_retry_budget() {
+    let spec = scratch("oversized-retries.json");
+    let path = spec.to_str().unwrap();
+    let scenario = spec_with_protocol(r#"{"name": "pairwise", "params": {}}"#).replace(
+        r#""seed": 7"#,
+        r#""seed": 7, "transport": {"latency": "instant",
+           "reliability": {"drop": 0.5, "retry": {"max-retries": 65}}}"#,
+    );
+    std::fs::write(&spec, scenario).unwrap();
+    let (validate_code, validate_err) = geogossip(&["validate", path]);
+    assert_eq!(validate_code, Some(1), "{validate_err}");
+    let (run_code, run_err) = geogossip(&["run", path]);
+    let _ = std::fs::remove_file(&spec);
+    assert_eq!(run_code, Some(1), "{run_err}");
+    assert_eq!(
+        run_err,
+        "error: invalid parameter `transport.reliability.retry.max-retries`: must be at \
+         most 64, got 65\n"
+    );
+    assert_eq!(validate_err, run_err);
+}
