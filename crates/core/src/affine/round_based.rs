@@ -97,14 +97,19 @@ pub enum LocalAveraging {
     Exact,
     /// Faithful: recurse through the hierarchy and run pairwise gossip inside
     /// leaf cells until the within-cell relative error drops below the
-    /// current level's accuracy target. `max_exchanges_factor` caps the
-    /// number of pairwise exchanges at `factor · m²` for a leaf of `m`
-    /// members (a safety net for internally disconnected leaves).
-    Gossip {
-        /// Cap on leaf exchanges as a multiple of `m²`.
-        max_exchanges_factor: f64,
-    },
+    /// current level's accuracy target. `LEAF_EXCHANGE_FACTOR` caps the
+    /// number of pairwise exchanges at `8 · m²` for a leaf of `m` members (a
+    /// safety net for internally disconnected leaves).
+    Gossip,
 }
+
+/// Per-level accuracy decay: a level that must reach `ε_r` asks each child
+/// cell for `ε_{r+1} = ε_r · EPSILON_DECAY`.
+const EPSILON_DECAY: f64 = 0.1;
+
+/// Cap on a leaf's pairwise exchanges, as a multiple of `m²` for a leaf of
+/// `m` members.
+const LEAF_EXCHANGE_FACTOR: f64 = 8.0;
 
 /// Configuration of the round-based protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -115,10 +120,6 @@ pub struct RoundBasedConfig {
     pub coefficient: CoefficientRule,
     /// Local re-averaging mode.
     pub local_averaging: LocalAveraging,
-    /// Multiplier on the `m·ln(m/ε)` inner-round count.
-    pub rounds_factor: f64,
-    /// Per-level accuracy decay: `ε_{r+1} = ε_r · epsilon_decay`.
-    pub epsilon_decay: f64,
     /// Safety cap on the number of top-level rounds.
     pub max_top_rounds: u64,
 }
@@ -130,11 +131,7 @@ impl RoundBasedConfig {
         RoundBasedConfig {
             partition: PartitionConfig::practical(n),
             coefficient: CoefficientRule::paper(),
-            local_averaging: LocalAveraging::Gossip {
-                max_exchanges_factor: 8.0,
-            },
-            rounds_factor: 1.0,
-            epsilon_decay: 0.1,
+            local_averaging: LocalAveraging::Gossip,
             max_top_rounds: 100_000,
         }
     }
@@ -165,12 +162,10 @@ impl RoundBasedConfig {
         self
     }
 
-    /// The ranges of the numeric settings: `rounds_factor`, the coefficient
-    /// (a population fraction or a fixed value) and a gossip exchange cap
-    /// factor finite and strictly positive, `epsilon_decay` in `(0, 1]`, and
-    /// at least one top round. Needs no network, so the registry's params
-    /// check calls it too, and the errors name the spec keys
-    /// (`rounds-factor`, …).
+    /// The ranges of the numeric settings: the coefficient (a population
+    /// fraction or a fixed value) finite and strictly positive, and at least
+    /// one top round. Needs no network, so the registry's params check calls
+    /// it too, and the errors name the spec keys (`coefficient-fraction`, …).
     ///
     /// # Errors
     ///
@@ -181,26 +176,10 @@ impl RoundBasedConfig {
             CoefficientRule::FractionOfPopulation(fraction) => ("coefficient-fraction", fraction),
             CoefficientRule::Fixed(alpha) => ("coefficient-fixed", alpha),
         };
-        let exchanges = match self.local_averaging {
-            LocalAveraging::Gossip {
-                max_exchanges_factor,
-            } => Some(max_exchanges_factor),
-            LocalAveraging::Exact => None,
-        };
-        for (key, factor) in [
-            ("rounds-factor", Some(self.rounds_factor)),
-            (coefficient_key, Some(coefficient)),
-            ("max-exchanges-factor", exchanges),
-        ] {
-            if factor.is_some_and(|f| !(f.is_finite() && f > 0.0)) {
-                return Err(ProtocolError::invalid(key, "must be strictly positive"));
-            }
-        }
-        let decay = self.epsilon_decay;
-        if !(decay > 0.0 && decay <= 1.0) {
+        if !(coefficient.is_finite() && coefficient > 0.0) {
             return Err(ProtocolError::invalid(
-                "epsilon-decay",
-                "must lie in (0, 1]",
+                coefficient_key,
+                "must be strictly positive",
             ));
         }
         if self.max_top_rounds == 0 {
@@ -289,9 +268,8 @@ impl<'a> RoundBasedAffineGossip<'a> {
     /// * [`ProtocolError::DegeneratePartition`] when the partition splits
     ///   into fewer than two populated top-level cells.
     /// * [`ProtocolError::InvalidParameter`] for a setting outside the
-    ///   ranges [`RoundBasedConfig`] checks (`rounds_factor`, the coefficient
-    ///   and the exchange cap factor strictly positive,
-    ///   `epsilon_decay` in `(0, 1]`, at least one top round).
+    ///   ranges [`RoundBasedConfig`] checks (the coefficient strictly
+    ///   positive, at least one top round).
     pub fn new(
         graph: &'a GeometricGraph,
         initial_values: Vec<f64>,
@@ -373,7 +351,7 @@ impl<'a> RoundBasedAffineGossip<'a> {
 
     /// A fresh top-level schedule for a run targeting `epsilon`.
     fn start(&self, epsilon: f64) -> TopLevel {
-        let child_epsilon = (epsilon * self.config.epsilon_decay).max(f64::MIN_POSITIVE);
+        let child_epsilon = (epsilon * EPSILON_DECAY).max(f64::MIN_POSITIVE);
         TopLevel {
             child_epsilon,
             ..TopLevel::default()
@@ -483,12 +461,10 @@ impl<'a> RoundBasedAffineGossip<'a> {
         }
         match self.config.local_averaging {
             LocalAveraging::Exact => self.exact_average(cell_idx, tx),
-            LocalAveraging::Gossip {
-                max_exchanges_factor,
-            } => {
+            LocalAveraging::Gossip => {
                 let m = self.hierarchy.populated_children(cell_idx).len();
                 if m < 2 {
-                    self.leaf_gossip(cell_idx, epsilon_r, max_exchanges_factor, tx, rng);
+                    self.leaf_gossip(cell_idx, epsilon_r, tx, rng);
                 } else {
                     // The affine exchanges are only stable when every child is
                     // already internally averaged ("Suppose that A has been
@@ -499,13 +475,10 @@ impl<'a> RoundBasedAffineGossip<'a> {
                     // child-leader exchanges until the cell's internal spread
                     // is below the accuracy target, capped at the paper's
                     // O(m·log(m/ε)) round count times a safety factor.
-                    let child_epsilon =
-                        (epsilon_r * self.config.epsilon_decay).max(f64::MIN_POSITIVE);
+                    let child_epsilon = (epsilon_r * EPSILON_DECAY).max(f64::MIN_POSITIVE);
                     self.average_children(cell_idx, child_epsilon, tx, rng);
-                    let planned = (self.config.rounds_factor
-                        * m as f64
-                        * (m as f64 / epsilon_r).max(std::f64::consts::E).ln())
-                    .ceil() as u64;
+                    let planned = (m as f64 * (m as f64 / epsilon_r).max(std::f64::consts::E).ln())
+                        .ceil() as u64;
                     let cap = planned.saturating_mul(4).max(8);
                     let mut rounds = 0u64;
                     let spread = |gossip: &Self| {
@@ -538,18 +511,17 @@ impl<'a> RoundBasedAffineGossip<'a> {
 
     /// Pairwise gossip restricted to the members of a leaf cell, run until the
     /// within-cell relative deviation drops below `epsilon_r` or
-    /// `max_exchanges_factor · m²` exchanges were attempted.
+    /// `LEAF_EXCHANGE_FACTOR · m²` exchanges were attempted.
     fn leaf_gossip<R: Rng + ?Sized>(
         &mut self,
         cell_idx: usize,
         epsilon_r: f64,
-        max_exchanges_factor: f64,
         tx: &mut TransmissionCounter,
         rng: &mut R,
     ) {
         let members = self.hierarchy.members(cell_idx);
         let m = members.len();
-        let cap = ((max_exchanges_factor * (m * m) as f64).ceil() as u64).max(16);
+        let cap = ((LEAF_EXCHANGE_FACTOR * (m * m) as f64).ceil() as u64).max(16);
         if cell_spread(members, &self.state) <= epsilon_r {
             return;
         }
@@ -703,7 +675,7 @@ impl Activation for RoundBasedActivation<'_> {
     fn name(&self) -> &str {
         match self.inner.config.local_averaging {
             LocalAveraging::Exact => "affine (idealized local avg)",
-            LocalAveraging::Gossip { .. } => "affine (recursive local avg)",
+            LocalAveraging::Gossip => "affine (recursive local avg)",
         }
     }
 
@@ -715,8 +687,6 @@ impl Activation for RoundBasedActivation<'_> {
                 "local_averaging".into(),
                 format!("{:?}", config.local_averaging),
             ),
-            ("rounds_factor".into(), format!("{}", config.rounds_factor)),
-            ("epsilon_decay".into(), format!("{}", config.epsilon_decay)),
             (
                 "max_top_rounds".into(),
                 format!("{}", config.max_top_rounds),
@@ -787,11 +757,10 @@ mod tests {
             RoundBasedAffineGossip::new(&g, vec![0.0; 99], RoundBasedConfig::practical(100))
                 .is_err()
         );
-        let mut bad = RoundBasedConfig::practical(100);
-        bad.rounds_factor = 0.0;
+        let bad = RoundBasedConfig::practical(100).with_coefficient(CoefficientRule::Fixed(0.0));
         assert!(RoundBasedAffineGossip::new(&g, vec![0.0; 100], bad).is_err());
         let mut bad = RoundBasedConfig::practical(100);
-        bad.epsilon_decay = 0.0;
+        bad.max_top_rounds = 0;
         assert!(RoundBasedAffineGossip::new(&g, vec![0.0; 100], bad).is_err());
     }
 

@@ -6,8 +6,6 @@
 //! trajectories into per-step contraction estimates so experiments E1 and E8
 //! can compare measurement against prediction.
 
-use serde::{Deserialize, Serialize};
-
 /// Estimates the average per-step contraction factor of a squared-norm
 /// trajectory: the geometric mean of `‖x(t+1)‖²/‖x(t)‖²` over the trajectory.
 ///
@@ -39,68 +37,6 @@ pub fn contraction_rate(squared_norms: &[f64]) -> Option<f64> {
     }
 }
 
-/// Aggregated contraction estimate over several independent trials.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ConvergenceEstimate {
-    /// Number of trials aggregated.
-    pub trials: usize,
-    /// Mean per-step contraction factor of `E‖x‖²` across trials.
-    pub mean_rate: f64,
-    /// Minimum observed per-trial rate.
-    pub min_rate: f64,
-    /// Maximum observed per-trial rate.
-    pub max_rate: f64,
-    /// The theoretical bound being compared against (e.g. `1 − 1/2n`).
-    pub theoretical_bound: f64,
-}
-
-impl ConvergenceEstimate {
-    /// Builds the estimate from per-trial contraction rates and a theoretical
-    /// bound. Trials that produced no usable rate (`None`) are ignored.
-    ///
-    /// Returns `None` when no trial produced a rate.
-    pub fn from_rates<I>(rates: I, theoretical_bound: f64) -> Option<Self>
-    where
-        I: IntoIterator<Item = Option<f64>>,
-    {
-        let usable: Vec<f64> = rates.into_iter().flatten().collect();
-        if usable.is_empty() {
-            return None;
-        }
-        let mean_rate = usable.iter().sum::<f64>() / usable.len() as f64;
-        Some(ConvergenceEstimate {
-            trials: usable.len(),
-            mean_rate,
-            min_rate: usable.iter().copied().fold(f64::INFINITY, f64::min),
-            max_rate: usable.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            theoretical_bound,
-        })
-    }
-
-    /// Whether the measured mean contraction is at least as fast as the
-    /// theoretical bound (smaller factor = faster contraction), within a
-    /// multiplicative `tolerance` (e.g. `0.02` allows the measured rate to be
-    /// up to 2% slower than the bound before failing).
-    pub fn satisfies_bound(&self, tolerance: f64) -> bool {
-        self.mean_rate <= self.theoretical_bound * (1.0 + tolerance)
-    }
-}
-
-/// Predicted number of clock ticks for the Lemma-1 dynamics on `n` nodes to
-/// reduce `‖x‖` by a factor `epsilon`: the smallest `t` with
-/// `(1 − 1/2n)^{t/2} ≤ epsilon` (Corollary 1 combined with Markov).
-///
-/// # Panics
-///
-/// Panics if `epsilon` is not in `(0, 1]` or `n == 0`.
-pub fn predicted_ticks_to_epsilon(n: usize, epsilon: f64) -> u64 {
-    assert!(n > 0, "need at least one node");
-    assert!(epsilon > 0.0 && epsilon <= 1.0, "epsilon must be in (0, 1]");
-    let rate = 1.0 - 1.0 / (2.0 * n as f64);
-    // (rate)^{t/2} <= eps  ⇔  t >= 2 ln(eps) / ln(rate)
-    (2.0 * epsilon.ln() / rate.ln()).ceil().max(0.0) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,38 +59,5 @@ mod tests {
         assert!(contraction_rate(&[]).is_none());
         assert!(contraction_rate(&[1.0]).is_none());
         assert!(contraction_rate(&[0.0, 0.0]).is_none());
-    }
-
-    #[test]
-    fn estimate_aggregates_rates() {
-        let est =
-            ConvergenceEstimate::from_rates(vec![Some(0.9), Some(0.8), None, Some(1.0)], 0.95)
-                .unwrap();
-        assert_eq!(est.trials, 3);
-        assert!((est.mean_rate - 0.9).abs() < 1e-12);
-        assert_eq!(est.min_rate, 0.8);
-        assert_eq!(est.max_rate, 1.0);
-        assert!(est.satisfies_bound(0.0));
-        assert!(ConvergenceEstimate::from_rates(vec![None, None], 0.9).is_none());
-    }
-
-    #[test]
-    fn satisfies_bound_respects_tolerance() {
-        let est = ConvergenceEstimate::from_rates(vec![Some(0.97)], 0.95).unwrap();
-        assert!(!est.satisfies_bound(0.0));
-        assert!(est.satisfies_bound(0.05));
-    }
-
-    #[test]
-    fn predicted_ticks_grow_with_n_and_precision() {
-        assert!(predicted_ticks_to_epsilon(100, 0.01) > predicted_ticks_to_epsilon(10, 0.01));
-        assert!(predicted_ticks_to_epsilon(100, 0.001) > predicted_ticks_to_epsilon(100, 0.01));
-        assert_eq!(predicted_ticks_to_epsilon(10, 1.0), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "epsilon must be in")]
-    fn predicted_ticks_rejects_bad_epsilon() {
-        let _ = predicted_ticks_to_epsilon(10, 0.0);
     }
 }

@@ -69,7 +69,7 @@ pub mod prelude {
         LocalAveraging, RoundBasedActivation, RoundBasedAffineGossip, RoundBasedConfig,
     };
     pub use crate::affine::state_machine::{AffineStateMachine, ScheduleParams};
-    pub use crate::convergence::{contraction_rate, ConvergenceEstimate};
+    pub use crate::convergence::contraction_rate;
     pub use crate::error::ProtocolError;
     pub use crate::field::Field;
     pub use crate::geographic::GeographicGossip;

@@ -15,9 +15,7 @@
 //! fresh tags so protocols compared on one instance stay statistically
 //! independent.
 
-use crate::affine::round_based::{
-    CoefficientRule, LocalAveraging, RoundBasedActivation, RoundBasedConfig,
-};
+use crate::affine::round_based::{CoefficientRule, RoundBasedActivation, RoundBasedConfig};
 use crate::affine::state_machine::AffineStateMachine;
 use crate::error::ProtocolError;
 use crate::geographic::GeographicGossip;
@@ -104,14 +102,16 @@ impl ProtocolRegistry {
         // check decodes onto any size.
         registry.register(
             "affine-idealized",
-            "affine hierarchy, round-based, exact local averaging (params: coefficient-fraction, …)",
+            "affine hierarchy, round-based, exact local averaging \
+             (params: coefficient-fraction, coefficient-fixed, max-top-rounds)",
             2,
             |spec| round_based_config(spec, RoundBasedConfig::idealized(0)).map(drop),
             build_affine_idealized,
         );
         registry.register(
             "affine-recursive",
-            "affine hierarchy, round-based, recursive gossip local averaging",
+            "affine hierarchy, round-based, recursive gossip local averaging \
+             (params: coefficient-fraction, coefficient-fixed, max-top-rounds)",
             3,
             |spec| round_based_config(spec, RoundBasedConfig::practical(0)).map(drop),
             build_affine_recursive,
@@ -125,9 +125,9 @@ impl ProtocolRegistry {
         );
         registry.register(
             "affine-complete",
-            "Lemma-1 affine dynamics on the complete graph (params: alpha)",
+            "Lemma-1 affine dynamics on the complete graph, random per-node alphas",
             5,
-            |spec| uniform_alpha(spec).map(drop),
+            no_params,
             build_affine_complete,
         );
         registry.register(
@@ -223,7 +223,8 @@ pub fn builtin_runner() -> Runner {
 // Built-in factories.
 // ---------------------------------------------------------------------------
 
-/// The params check of `pairwise` and `affine-state-machine`: they take none.
+/// The params check of `pairwise`, `affine-state-machine` and
+/// `affine-complete`: they take none.
 fn no_params(spec: &ProtocolSpec) -> Result<(), ProtocolError> {
     spec.reject_unknown(&[])
 }
@@ -325,10 +326,7 @@ fn round_based_config(
     spec.reject_unknown(&[
         "coefficient-fraction",
         "coefficient-fixed",
-        "rounds-factor",
-        "epsilon-decay",
         "max-top-rounds",
-        "max-exchanges-factor",
     ])?;
     let mut config = base;
     if let Some(fixed) = optional_number(spec, "coefficient-fixed")? {
@@ -342,22 +340,7 @@ fn round_based_config(
     } else if let Some(fraction) = optional_number(spec, "coefficient-fraction")? {
         config.coefficient = CoefficientRule::FractionOfPopulation(fraction);
     }
-    config.rounds_factor = spec.number("rounds-factor", config.rounds_factor)?;
-    config.epsilon_decay = spec.number("epsilon-decay", config.epsilon_decay)?;
     config.max_top_rounds = count(spec, "max-top-rounds", config.max_top_rounds)?;
-    if let Some(factor) = optional_number(spec, "max-exchanges-factor")? {
-        config.local_averaging = match config.local_averaging {
-            LocalAveraging::Gossip { .. } => LocalAveraging::Gossip {
-                max_exchanges_factor: factor,
-            },
-            LocalAveraging::Exact => {
-                return Err(ProtocolError::invalid(
-                    "max-exchanges-factor",
-                    "only applies to the recursive (gossip) local-averaging mode",
-                ))
-            }
-        };
-    }
     config.validate()?;
     Ok(config)
 }
@@ -422,17 +405,6 @@ fn build_state_machine<'a>(
     Ok(Box::new(AffineStateMachine::practical(graph, values)?))
 }
 
-/// Decodes `affine-complete`'s params: one `alpha` for every node, in
-/// range, or `None` for random per-node coefficients.
-fn uniform_alpha(spec: &ProtocolSpec) -> Result<Option<f64>, ProtocolError> {
-    spec.reject_unknown(&["alpha"])?;
-    let alpha = optional_number(spec, "alpha")?;
-    if let Some(alpha) = alpha {
-        AffineCompleteGraph::validate_alpha(alpha)?;
-    }
-    Ok(alpha)
-}
-
 fn build_affine_complete<'a>(
     spec: &ProtocolSpec,
     graph: &'a GeometricGraph,
@@ -440,10 +412,8 @@ fn build_affine_complete<'a>(
     _epsilon: f64,
     rng: &mut dyn RngCore,
 ) -> Result<Box<dyn Activation + 'a>, ProtocolError> {
-    let mut model = match uniform_alpha(spec)? {
-        None => AffineCompleteGraph::with_random_alphas(graph.len(), rng)?,
-        Some(alpha) => AffineCompleteGraph::with_uniform_alpha(graph.len(), alpha)?,
-    };
+    no_params(spec)?;
+    let mut model = AffineCompleteGraph::with_random_alphas(graph.len(), rng)?;
     model.set_centered_values(values)?;
     Ok(Box::new(CompleteGraphActivation::new(model)))
 }

@@ -61,8 +61,8 @@ pub struct GossipState {
     /// Running upper bound on the rounding error accumulated in `sum_sq`
     /// since the last exact recomputation.
     drift_bound: std::cell::Cell<f64>,
-    /// Set when the cache must be rebuilt before the next read (bulk mutation
-    /// through [`GossipState::values_mut`], or the periodic refresh tripping).
+    /// Set when the periodic refresh trips: the cache is rebuilt exactly
+    /// before the next read.
     stale: std::cell::Cell<bool>,
     /// Incremental updates applied since the last exact recomputation.
     updates_since_refresh: std::cell::Cell<u32>,
@@ -154,15 +154,6 @@ impl GossipState {
         if updates >= REFRESH_EVERY {
             self.stale.set(true);
         }
-    }
-
-    /// Mutable access to the underlying vector, for protocols that update many
-    /// entries at once. The caller is responsible for conserving the sum; the
-    /// cached deviation norm is marked stale and rebuilt exactly on the next
-    /// read.
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        self.stale.set(true);
-        &mut self.values
     }
 
     /// The average of the initial values (which every sensor should converge
@@ -457,15 +448,6 @@ mod tests {
             (incremental - exact).abs() <= 1e-9 * exact.max(1e-30) + 1e-15,
             "incremental {incremental} vs exact {exact}"
         );
-    }
-
-    #[test]
-    fn values_mut_invalidates_the_cached_norm() {
-        let mut s = GossipState::new(vec![1.0, 0.0]);
-        assert!((s.relative_error() - 1.0).abs() < 1e-12);
-        s.values_mut().copy_from_slice(&[0.5, 0.5]);
-        assert!(s.relative_error() < 1e-12);
-        assert!(s.deviation() < 1e-12);
     }
 
     /// An overflow leaves `∞ − ∞` (NaN) in the cached norm, and a NaN value

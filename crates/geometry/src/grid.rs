@@ -262,9 +262,9 @@ impl UniformGrid {
         self.torus_runs(query, radius).for_each(f);
     }
 
-    /// The slot ranges behind [`UniformGrid::for_each_candidate_range_torus`]
-    /// and [`UniformGrid::neighbors_within_torus`]: per wrapped window row,
-    /// one range per wrapped column run ([`wrapped_runs`]).
+    /// The slot ranges behind [`UniformGrid::for_each_candidate_range_torus`]:
+    /// per wrapped window row, one range per wrapped column run
+    /// ([`wrapped_runs`]).
     #[inline]
     fn torus_runs(
         &self,
@@ -334,33 +334,6 @@ impl UniformGrid {
             })
             .map(|i| i as usize)
             .filter(move |&i| points[i].distance_squared(query) <= r2)
-    }
-
-    /// Iterates over the indices of all points within *wrapped* (torus)
-    /// distance `radius` of `query`, each reported exactly once.
-    ///
-    /// `points` must be the same slice the grid was built from, and the grid
-    /// must span the unit square.
-    pub fn neighbors_within_torus<'a>(
-        &'a self,
-        points: &'a [Point],
-        query: Point,
-        radius: f64,
-    ) -> impl Iterator<Item = usize> + 'a {
-        debug_assert_eq!(
-            points.len(),
-            self.len,
-            "grid built over a different point set"
-        );
-        let r2 = radius * radius;
-        self.torus_runs(query, radius)
-            .flat_map(move |run| self.entries[run].iter().copied())
-            .map(|i| i as usize)
-            .filter(move |&i| {
-                let dx = wrap_delta(points[i].x - query.x);
-                let dy = wrap_delta(points[i].y - query.y);
-                dx * dx + dy * dy <= r2
-            })
     }
 
     /// Returns the index of the point nearest to `query` under the Euclidean
@@ -609,7 +582,18 @@ mod tests {
         for radius in [0.03, 0.11, 0.3, 0.49] {
             let grid = UniformGrid::build(unit_square(), &pts, radius);
             for &q in pts.iter().step_by(29) {
-                let got: Vec<usize> = grid.neighbors_within_torus(&pts, q, radius).collect();
+                // The graph build's query: the candidate ranges, then the
+                // wrapped-distance filter.
+                let mut got = Vec::new();
+                grid.for_each_candidate_range_torus(q, radius, |run| {
+                    for &i in &grid.entries()[run] {
+                        let p = pts[i as usize];
+                        let (dx, dy) = (wrap_delta(p.x - q.x), wrap_delta(p.y - q.y));
+                        if dx * dx + dy * dy <= radius * radius {
+                            got.push(i as usize);
+                        }
+                    }
+                });
                 let mut sorted = got.clone();
                 sorted.sort_unstable();
                 sorted.dedup();

@@ -21,7 +21,9 @@
 //! in one contiguous block) and carries only scalars. The path-recording API
 //! ([`route_to_position`], [`route_to_node`], and the scratch-buffer variant
 //! [`route_to_position_into`]) wraps the same walk for experiments that
-//! inspect the actual path.
+//! inspect the actual path. The liveness-masked variants
+//! ([`route_terminus_masked`], [`greedy_step_masked`]) that route around
+//! crashed sensors run the same walk and the same per-hop scan too.
 //!
 //! The per-hop argmin is a two-pass filtered scan: pass 1 streams the
 //! graph's half-width `f32` scan mirror (8 bytes/neighbor — the walk is
@@ -35,7 +37,7 @@
 //! to the first occurrence).
 
 use geogossip_geometry::point::NodeId;
-use geogossip_geometry::topology::wrap_delta;
+use geogossip_geometry::topology::wrap_unit_delta;
 use geogossip_geometry::{Point, Topology};
 use geogossip_graph::GeometricGraph;
 use serde::{Deserialize, Serialize};
@@ -87,8 +89,8 @@ impl FastRoute {
 /// Squared distance-to-target from raw coordinate deltas. Implementations are
 /// zero-sized tokens, so the walk monomorphises into one tight loop per
 /// metric: the unit-square loop is exactly the historical branch-free scan,
-/// and the torus loop folds each delta through [`wrap_delta`] inline. The
-/// `f32` companion backs the half-width approximate scan pass
+/// and the torus loop folds each delta through [`wrap_unit_delta`] inline.
+/// The `f32` companion backs the half-width approximate scan pass
 /// ([`min_d2_scan`]); its torus fold is branch-free (`min`-of-two) so the
 /// pass vectorizes on both metrics.
 trait RouteMetric: Copy {
@@ -118,24 +120,24 @@ impl RouteMetric for EuclideanMetric {
 }
 
 /// Wrapped (torus) metric: per-axis deltas fold onto `[0, 1/2]` before
-/// squaring, so a target across the seam is correctly seen as close.
+/// squaring, so a target across the seam is correctly seen as close. Both
+/// folds reflect instead of taking `%`, which is exact for the differences
+/// of unit-square coordinates that routing positions and targets produce.
 #[derive(Clone, Copy)]
 struct TorusMetric;
 
 impl RouteMetric for TorusMetric {
     #[inline(always)]
     fn d2(self, dx: f64, dy: f64) -> f64 {
-        let dx = wrap_delta(dx);
-        let dy = wrap_delta(dy);
+        let dx = wrap_unit_delta(dx);
+        let dy = wrap_unit_delta(dy);
         dx * dx + dy * dy
     }
 
     #[inline(always)]
     fn d2_f32(self, dx: f32, dy: f32) -> f32 {
-        // `wrap_delta` restricted to |d| ≤ 1 (unit-square coordinate deltas):
-        // fold by reflection instead of `%` so the scan pass stays free of
-        // libm calls and vectorizes. Identical to `wrap_delta` on that
-        // domain; 1-Lipschitz, so the f32 error bound carries through.
+        // `wrap_unit_delta` in `f32`: free of libm calls, so the scan pass
+        // vectorizes; 1-Lipschitz, so the f32 error bound carries through.
         let dx = dx.abs();
         let dx = if dx > 0.5 { 1.0 - dx } else { dx };
         let dy = dy.abs();
@@ -144,29 +146,26 @@ impl RouteMetric for TorusMetric {
     }
 }
 
-/// The greedy walk itself, shared by every routing entry point.
-///
-/// Distance comparisons use the metric of the topology the graph was built
-/// with: Euclidean on the unit square, wrapped distance on the torus (so a
-/// packet near the seam correctly hops *across* it instead of trekking the
-/// long way around — the seam defect fixed by this dispatch is pinned in
-/// `tests/torus_routing.rs`). The dispatch happens once per walk; the
-/// inner loop stays monomorphised and branch-free.
-///
-/// Invokes `on_hop` with each node the packet moves to (excluding the source)
-/// and returns `(terminus, hops)`. Inlined so the no-op callback of the fast
-/// path compiles away entirely.
-#[inline(always)]
-fn greedy_walk(
-    graph: &GeometricGraph,
-    source: NodeId,
-    target: Point,
-    on_hop: impl FnMut(NodeId),
-) -> (NodeId, usize) {
-    match graph.topology() {
-        Topology::UnitSquare => greedy_walk_metric(graph, source, target, EuclideanMetric, on_hop),
-        Topology::Torus => greedy_walk_metric(graph, source, target, TorusMetric, on_hop),
-    }
+/// The one topology dispatch: evaluates `$body` with `$metric` bound to the
+/// [`RouteMetric`] of `$graph`'s topology — Euclidean on the unit square,
+/// wrapped distance on the torus, so a packet near the seam hops *across* it
+/// instead of trekking the long way around (pinned in
+/// `tests/torus_routing.rs`). Each arm monomorphises `$body` on its own
+/// metric, so the dispatch happens once per call and the inner loops stay
+/// branch-free.
+macro_rules! with_metric {
+    ($graph:expr, $metric:ident => $body:expr) => {
+        match $graph.topology() {
+            Topology::UnitSquare => {
+                let $metric = EuclideanMetric;
+                $body
+            }
+            Topology::Torus => {
+                let $metric = TorusMetric;
+                $body
+            }
+        }
+    };
 }
 
 /// Lane count of the chunked min-reduction in [`min_d2_scan`]: eight
@@ -253,9 +252,17 @@ fn min_d2_scan<M: RouteMetric>(
     min_dist
 }
 
-/// One hop of the greedy walk: the per-hop argmin that every unmasked entry
-/// point shares. [`greedy_walk_metric`] loops it and [`greedy_step`] calls it
-/// once, so the walk and the stateless step cannot drift apart.
+/// Whether neighbor `j` may carry a packet under the liveness mask `alive`:
+/// an empty mask, or an index past its end, counts as alive.
+#[inline(always)]
+fn is_alive(alive: &[bool], j: u32) -> bool {
+    alive.get(j as usize).copied().unwrap_or(true)
+}
+
+/// One hop of the greedy walk: the per-hop argmin that every entry point
+/// shares, masked or not. [`greedy_walk`] loops it and [`greedy_step`] /
+/// [`greedy_step_masked`] call it once, so the walk and the stateless step
+/// cannot drift apart.
 ///
 /// **Pass 1** streams `current`'s half-width `f32` scan row into `scratch`
 /// and finds the approximate minimum ([`min_d2_scan`], vectorized, 8
@@ -269,42 +276,63 @@ fn min_d2_scan<M: RouteMetric>(
 /// distance) are **bit-identical** to the preserved all-`f64` scalar walk
 /// ([`greedy_walk_reference`]), which property tests pin.
 ///
+/// A non-empty `alive` mask (see [`is_alive`]) restricts the argmin to live
+/// neighbors: the window reopens at the approximate minimum over the *live*
+/// neighbors, and pass 2 skips the dead ones. The same window argument then
+/// yields the exact live argmin with the same tie-breaking. Callers without a
+/// mask pass an empty-slice literal, and the mask folds away.
+///
 /// One hop touches exactly one random-access stream — the packed scan row
 /// `[x_bits… y_bits… idx…]` — plus the position table for the few exact
 /// confirmations (small enough to stay cache-resident). Nothing is
 /// allocated.
 ///
-/// Returns the winner's exact squared distance and index; an empty row
-/// returns `(f64::INFINITY, u32::MAX)`. The caller applies the progress rule.
+/// Returns the winner's exact squared distance and index; an empty row, or
+/// one whose neighbors are all dead, returns `(f64::INFINITY, u32::MAX)`.
+/// The caller applies the progress rule.
 #[inline(always)]
 fn greedy_hop<M: RouteMetric>(
     graph: &GeometricGraph,
     current: NodeId,
     target: Point,
     metric: M,
+    alive: &[bool],
     scratch: &mut [f32; SCAN_BUF],
 ) -> (f64, u32) {
     let tx = target.x as f32;
     let ty = target.y as f32;
     let (xs32, ys32, idx) = graph.scan_block(current);
+    let approx = |x: u32, y: u32| metric.d2_f32(f32::from_bits(x) - tx, f32::from_bits(y) - ty);
     let mut min_dist = f64::INFINITY;
     let mut best = u32::MAX;
+    let mut confirm = |j: u32| {
+        let p = graph.position(NodeId(j as usize));
+        let d = metric.d2(p.x - target.x, p.y - target.y);
+        // Strict `<` keeps the first-encountered minimum: the lowest
+        // neighbor index, CSR rows being sorted.
+        if d < min_dist {
+            min_dist = d;
+            best = j;
+        }
+    };
     if xs32.len() <= SCAN_BUF {
         let buf = &mut scratch[..xs32.len()];
-        let approx_min = min_d2_scan(metric, xs32, ys32, buf, tx, ty);
-        // Every exact minimizer's approximate distance lies within the
-        // window (an empty row leaves it at infinity).
+        let mut approx_min = min_d2_scan(metric, xs32, ys32, buf, tx, ty);
+        if !alive.is_empty() {
+            // A dead neighbor may hold the row's minimum: reopen the window
+            // at the minimum over the live ones.
+            approx_min = buf
+                .iter()
+                .zip(idx)
+                .filter(|&(_, &j)| is_alive(alive, j))
+                .fold(f32::INFINITY, |m, (&d32, _)| m.min(d32));
+        }
+        // Every exact (live) minimizer's approximate distance lies within
+        // the window (an empty or all-dead row leaves it at infinity).
         let window = approx_min + SCAN_ABS_ERROR;
-        for (k, &d32) in buf.iter().enumerate() {
-            if d32 <= window {
-                let p = graph.position(NodeId(idx[k] as usize));
-                let d = metric.d2(p.x - target.x, p.y - target.y);
-                // Strict `<` keeps the first-encountered minimum: the
-                // lowest neighbor index, CSR rows being sorted.
-                if d < min_dist {
-                    min_dist = d;
-                    best = idx[k];
-                }
+        for (&d32, &j) in buf.iter().zip(idx) {
+            if d32 <= window && is_alive(alive, j) {
+                confirm(j);
             }
         }
     } else {
@@ -312,38 +340,39 @@ fn greedy_hop<M: RouteMetric>(
         // connectivity-radius degree) recompute the approximate distances
         // in pass 2 — same window, same winner.
         let mut approx_min = f32::INFINITY;
-        for (&x, &y) in xs32.iter().zip(ys32) {
-            approx_min =
-                approx_min.min(metric.d2_f32(f32::from_bits(x) - tx, f32::from_bits(y) - ty));
+        for ((&x, &y), &j) in xs32.iter().zip(ys32).zip(idx) {
+            if is_alive(alive, j) {
+                approx_min = approx_min.min(approx(x, y));
+            }
         }
         let window = approx_min + SCAN_ABS_ERROR;
-        for (k, (&x32, &y32)) in xs32.iter().zip(ys32).enumerate() {
-            if metric.d2_f32(f32::from_bits(x32) - tx, f32::from_bits(y32) - ty) <= window {
-                let p = graph.position(NodeId(idx[k] as usize));
-                let d = metric.d2(p.x - target.x, p.y - target.y);
-                if d < min_dist {
-                    min_dist = d;
-                    best = idx[k];
-                }
+        for ((&x, &y), &j) in xs32.iter().zip(ys32).zip(idx) {
+            if approx(x, y) <= window && is_alive(alive, j) {
+                confirm(j);
             }
         }
     }
     (min_dist, best)
 }
 
-/// Monomorphised walk body behind [`greedy_walk`]: [`greedy_hop`] until no
-/// neighbor is strictly closer to the target than the current node. The
-/// distance carried from hop to hop is the winner's exact `f64` squared
-/// distance, computed from [`GeometricGraph::position`] in pass 2 — the same
-/// value [`greedy_step`] derives afresh at every node.
+/// The greedy walk, shared by every routing entry point: [`greedy_hop`]
+/// until no (live) neighbor is strictly closer to the target than the
+/// current node. The distance carried from hop to hop is the winner's exact
+/// `f64` squared distance, computed from [`GeometricGraph::position`] in
+/// pass 2 — the same value [`greedy_step`] derives afresh at every node.
+///
+/// Invokes `on_hop` with each node the packet moves to (excluding the
+/// source). Inlined so the no-op callback and the empty mask of the fast
+/// path compile away entirely.
 #[inline(always)]
-fn greedy_walk_metric<M: RouteMetric>(
+fn greedy_walk<M: RouteMetric>(
     graph: &GeometricGraph,
     source: NodeId,
     target: Point,
     metric: M,
+    alive: &[bool],
     mut on_hop: impl FnMut(NodeId),
-) -> (NodeId, usize) {
+) -> FastRoute {
     let mut current = source;
     let src = graph.position(source);
     let mut current_dist = metric.d2(src.x - target.x, src.y - target.y);
@@ -352,11 +381,15 @@ fn greedy_walk_metric<M: RouteMetric>(
     let mut scratch = [0f32; SCAN_BUF];
     let mut hops = 0usize;
     loop {
-        let (min_dist, best) = greedy_hop(graph, current, target, metric, &mut scratch);
+        let (min_dist, best) = greedy_hop(graph, current, target, metric, alive, &mut scratch);
         // A neighbor must be strictly closer than the current node to make
         // progress; otherwise the packet stops here.
         if min_dist >= current_dist {
-            return (current, hops);
+            return FastRoute {
+                source,
+                terminus: current,
+                hops,
+            };
         }
         current = NodeId(best as usize);
         current_dist = min_dist;
@@ -380,7 +413,7 @@ fn greedy_walk_reference<M: RouteMetric>(
     source: NodeId,
     target: Point,
     metric: M,
-) -> (NodeId, usize) {
+) -> FastRoute {
     let mut current = source.index();
     let src = graph.position(source);
     let mut current_dist = metric.d2(src.x - target.x, src.y - target.y);
@@ -396,7 +429,11 @@ fn greedy_walk_reference<M: RouteMetric>(
             min_dist = min_dist.min(dist(j));
         }
         if min_dist >= current_dist {
-            return (NodeId(current), hops);
+            return FastRoute {
+                source,
+                terminus: NodeId(current),
+                hops,
+            };
         }
         let mut best = 0usize;
         for (k, &j) in nbrs.iter().enumerate() {
@@ -411,78 +448,18 @@ fn greedy_walk_reference<M: RouteMetric>(
     }
 }
 
-/// One hop of the liveness-masked walk and step, as [`greedy_hop`] is of the
-/// unmasked pair: the argmin over the neighbors marked alive (indices beyond
-/// `alive`'s length count as alive). An all-`f64` scalar scan modeled on
-/// [`greedy_walk_reference`] — the public entry points only reach it with a
-/// non-empty mask, i.e. while churn has actually killed nodes, so it trades
-/// the vectorized fast path for the simplest correct scan. Strict `<` keeps
-/// the lowest neighbor index on equal distance, CSR rows being sorted.
-/// Returns `(f64::INFINITY, u32::MAX)` when no neighbor is alive; the caller
-/// applies the progress rule.
-#[inline(always)]
-fn masked_hop<M: RouteMetric>(
-    graph: &GeometricGraph,
-    current: NodeId,
-    target: Point,
-    metric: M,
-    alive: &[bool],
-) -> (f64, u32) {
-    let mut min_dist = f64::INFINITY;
-    let mut best = u32::MAX;
-    for &j in graph.neighbors(current) {
-        if !alive.get(j as usize).copied().unwrap_or(true) {
-            continue;
-        }
-        let p = graph.position(NodeId(j as usize));
-        let d = metric.d2(p.x - target.x, p.y - target.y);
-        if d < min_dist {
-            min_dist = d;
-            best = j;
-        }
-    }
-    (min_dist, best)
-}
-
-/// Liveness-masked greedy walk for fault-injection scenarios: [`masked_hop`]
-/// until no live neighbor is strictly closer, so packets route *around*
-/// crashed nodes; with an all-alive mask it is bit-identical to the unmasked
-/// reference.
-///
-/// Graceful degradation: when every closer neighbor is dead the walk stops at
-/// the nearest **live** local minimum; if the source cannot move at all, the
-/// terminus is the source itself with zero hops (callers treat a self-partner
-/// as a free no-op).
-#[inline(always)]
-fn greedy_walk_masked<M: RouteMetric>(
-    graph: &GeometricGraph,
-    source: NodeId,
-    target: Point,
-    metric: M,
-    alive: &[bool],
-) -> (NodeId, usize) {
-    let mut current = source;
-    let src = graph.position(source);
-    let mut current_dist = metric.d2(src.x - target.x, src.y - target.y);
-    let mut hops = 0usize;
-    loop {
-        let (min_dist, best) = masked_hop(graph, current, target, metric, alive);
-        if min_dist >= current_dist {
-            return (current, hops);
-        }
-        current = NodeId(best as usize);
-        current_dist = min_dist;
-        hops += 1;
-    }
-}
-
 /// [`route_terminus`] restricted to live nodes: routes from `source` towards
 /// the *position* `target`, skipping neighbors whose entry in `alive` is
-/// `false` (see `greedy_walk_masked` for the degradation semantics).
+/// `false` (indices past the mask's end count as alive).
 ///
-/// An empty `alive` means every node is alive and takes the vectorized
-/// [`route_terminus`] walk, so callers pass their mask as is and never choose
-/// between the two walks themselves.
+/// The walk degrades gracefully: when every closer neighbor is dead it stops
+/// at the nearest **live** local minimum; if the source cannot move at all,
+/// the terminus is the source itself with zero hops (callers treat a
+/// self-partner as a free no-op).
+///
+/// An empty `alive` means every node is alive and takes [`route_terminus`]
+/// itself, so callers pass their mask as is and never choose between the
+/// two entry points themselves.
 ///
 /// # Panics
 ///
@@ -496,15 +473,7 @@ pub fn route_terminus_masked(
     if alive.is_empty() {
         return route_terminus(graph, source, target);
     }
-    let (terminus, hops) = match graph.topology() {
-        Topology::UnitSquare => greedy_walk_masked(graph, source, target, EuclideanMetric, alive),
-        Topology::Torus => greedy_walk_masked(graph, source, target, TorusMetric, alive),
-    };
-    FastRoute {
-        source,
-        terminus,
-        hops,
-    }
+    with_metric!(graph, metric => greedy_walk(graph, source, target, metric, alive, |_| {}))
 }
 
 /// [`route_terminus_to_node`] restricted to live nodes — greedy-routes
@@ -534,12 +503,7 @@ pub fn route_terminus_to_node_masked(
 ///
 /// Panics if `source` is out of range for the graph.
 pub fn route_terminus(graph: &GeometricGraph, source: NodeId, target: Point) -> FastRoute {
-    let (terminus, hops) = greedy_walk(graph, source, target, |_| {});
-    FastRoute {
-        source,
-        terminus,
-        hops,
-    }
+    with_metric!(graph, metric => greedy_walk(graph, source, target, metric, &[], |_| {}))
 }
 
 /// [`route_terminus`] through the preserved scalar reference walk, for
@@ -556,15 +520,7 @@ pub fn route_terminus_reference(
     source: NodeId,
     target: Point,
 ) -> FastRoute {
-    let (terminus, hops) = match graph.topology() {
-        Topology::UnitSquare => greedy_walk_reference(graph, source, target, EuclideanMetric),
-        Topology::Torus => greedy_walk_reference(graph, source, target, TorusMetric),
-    };
-    FastRoute {
-        source,
-        terminus,
-        hops,
-    }
+    with_metric!(graph, metric => greedy_walk_reference(graph, source, target, metric))
 }
 
 /// Allocation-free variant of [`route_to_node`]: greedy-routes from `source`
@@ -601,12 +557,9 @@ pub fn route_to_position_into(
 ) -> FastRoute {
     path.clear();
     path.push(source);
-    let (terminus, hops) = greedy_walk(graph, source, target, |node| path.push(node));
-    FastRoute {
-        source,
-        terminus,
-        hops,
-    }
+    with_metric!(graph, metric => {
+        greedy_walk(graph, source, target, metric, &[], |node| path.push(node))
+    })
 }
 
 /// Routes a packet from `source` towards the *position* `target` and stops at
@@ -688,34 +641,15 @@ pub fn round_trip(graph: &GeometricGraph, a: NodeId, b: NodeId) -> (usize, bool)
 ///
 /// Panics if `current` is out of range for the graph.
 pub fn greedy_step(graph: &GeometricGraph, current: NodeId, target: Point) -> Option<NodeId> {
-    match graph.topology() {
-        Topology::UnitSquare => greedy_step_metric(graph, current, target, EuclideanMetric),
-        Topology::Torus => greedy_step_metric(graph, current, target, TorusMetric),
-    }
-}
-
-/// Monomorphised body of [`greedy_step`]: [`greedy_hop`] once, on a stack
-/// scratch buffer, plus the walk's progress rule against `current`'s own
-/// distance.
-#[inline]
-fn greedy_step_metric<M: RouteMetric>(
-    graph: &GeometricGraph,
-    current: NodeId,
-    target: Point,
-    metric: M,
-) -> Option<NodeId> {
-    let pos = graph.position(current);
-    let current_dist = metric.d2(pos.x - target.x, pos.y - target.y);
-    let mut scratch = [0f32; SCAN_BUF];
-    let (min_dist, best) = greedy_hop(graph, current, target, metric, &mut scratch);
-    (min_dist < current_dist).then_some(NodeId(best as usize))
+    with_metric!(graph, metric => step(graph, current, target, metric, &[]))
 }
 
 /// [`greedy_step`] restricted to live neighbors: the per-hop forwarding
 /// decision of the message-passing runtime under node churn. Same mask
-/// semantics as `greedy_walk_masked`, same progress rule and tie-breaking —
-/// iterating it from a live source reproduces [`route_terminus_masked`]
-/// **bit-identically** (same terminus, same hop count), pinned by
+/// semantics as [`route_terminus_masked`], same progress rule and
+/// tie-breaking — iterating it from a live source reproduces
+/// [`route_terminus_masked`] **bit-identically** (same terminus, same hop
+/// count), pinned by
 /// `iterated_greedy_step_masked_matches_route_terminus_masked`. An empty
 /// `alive` means every node is alive and takes [`greedy_step`] itself.
 ///
@@ -732,20 +666,16 @@ pub fn greedy_step_masked(
     if alive.is_empty() {
         return greedy_step(graph, current, target);
     }
-    match graph.topology() {
-        Topology::UnitSquare => {
-            greedy_step_masked_metric(graph, current, target, EuclideanMetric, alive)
-        }
-        Topology::Torus => greedy_step_masked_metric(graph, current, target, TorusMetric, alive),
-    }
+    with_metric!(graph, metric => step(graph, current, target, metric, alive))
 }
 
-/// Monomorphised body of [`greedy_step_masked`]: [`masked_hop`] once, plus
-/// the walk's progress rule against `current`'s own distance, recomputed
-/// from [`GeometricGraph::position`] (the same `f64` the walk carries, bit
-/// for bit — both read every coordinate from the one position table).
-#[inline]
-fn greedy_step_masked_metric<M: RouteMetric>(
+/// Monomorphised body of [`greedy_step`] and [`greedy_step_masked`]:
+/// [`greedy_hop`] once, on a stack scratch buffer, plus the walk's progress
+/// rule against `current`'s own distance, recomputed from
+/// [`GeometricGraph::position`] (the same `f64` the walk carries, bit for
+/// bit — both read every coordinate from the one position table).
+#[inline(always)]
+fn step<M: RouteMetric>(
     graph: &GeometricGraph,
     current: NodeId,
     target: Point,
@@ -754,7 +684,8 @@ fn greedy_step_masked_metric<M: RouteMetric>(
 ) -> Option<NodeId> {
     let pos = graph.position(current);
     let current_dist = metric.d2(pos.x - target.x, pos.y - target.y);
-    let (min_dist, best) = masked_hop(graph, current, target, metric, alive);
+    let mut scratch = [0f32; SCAN_BUF];
+    let (min_dist, best) = greedy_hop(graph, current, target, metric, alive, &mut scratch);
     (min_dist < current_dist).then_some(NodeId(best as usize))
 }
 

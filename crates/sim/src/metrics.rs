@@ -192,22 +192,6 @@ impl ConvergenceTrace {
         }
         table
     }
-
-    /// Downsamples the trace to at most `max_points` samples (keeping the
-    /// first and last), for compact figure output.
-    pub fn downsample(&self, max_points: usize) -> ConvergenceTrace {
-        if max_points == 0 || self.points.len() <= max_points {
-            return self.clone();
-        }
-        let stride = (self.points.len() - 1) as f64 / (max_points - 1).max(1) as f64;
-        let mut points = Vec::with_capacity(max_points);
-        for k in 0..max_points {
-            let idx = ((k as f64 * stride).round() as usize).min(self.points.len() - 1);
-            points.push(self.points[idx]);
-        }
-        points.dedup_by_key(|p| p.transmissions);
-        ConvergenceTrace { points }
-    }
 }
 
 #[cfg(test)]
@@ -266,17 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn downsample_keeps_endpoints() {
-        let t = sample_trace();
-        let d = t.downsample(4);
-        assert!(d.len() <= 4);
-        assert_eq!(d.points().first(), t.points().first());
-        assert_eq!(d.points().last(), t.points().last());
-        // Downsampling a short trace is the identity.
-        assert_eq!(t.downsample(100), t);
-    }
-
-    #[test]
     fn thin_to_stride_keeps_multiples_and_the_origin() {
         let mut t = sample_trace(); // ticks 0, 10, 20, …, 90
         t.thin_to_stride(20);
@@ -325,6 +298,5 @@ mod tests {
         let t = ConvergenceTrace::new();
         assert!(t.is_empty());
         assert_eq!(t.transmissions_to_reach(0.5), None);
-        assert_eq!(t.downsample(3).len(), 0);
     }
 }

@@ -502,10 +502,6 @@ fn report_registry(report: &ScenarioReport) -> MetricsRegistry {
         "engine.ticks",
         trials.iter().map(|t| t.ticks).sum::<u64>() as f64,
     );
-    registry.set(
-        "engine.rounds",
-        trials.iter().map(|t| t.rounds).sum::<u64>() as f64,
-    );
     registry.set("engine.mean_final_error", report.summary.mean_final_error);
     registry.set(
         "tx.local",

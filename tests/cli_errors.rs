@@ -210,22 +210,33 @@ fn validate_rejects_the_params_run_rejects() {
         ),
         // Value ranges the protocol constructors enforce.
         (
-            r#"{"name": "affine-complete", "params": {"alpha": 5.0}}"#,
-            "error: invalid parameter `alpha`: coefficient 5 outside the open interval \
-             (1/3, 1/2)\n",
-        ),
-        (
             r#"{"name": "perturbed-affine-complete", "params": {"magnitude": -1}}"#,
             "error: invalid parameter `magnitude`: perturbation bound must be non-negative \
              and finite\n",
         ),
+        // Settings that are constants, not params: their keys are unknown.
+        (
+            r#"{"name": "affine-complete", "params": {"alpha": 5.0}}"#,
+            "error: invalid parameter `alpha`: unknown parameter for protocol \
+             `affine-complete` (known: none)\n",
+        ),
         (
             r#"{"name": "affine-recursive", "params": {"epsilon-decay": 2}}"#,
-            "error: invalid parameter `epsilon-decay`: must lie in (0, 1]\n",
+            "error: invalid parameter `epsilon-decay`: unknown parameter for protocol \
+             `affine-recursive` (known: coefficient-fraction, coefficient-fixed, \
+             max-top-rounds)\n",
         ),
         (
             r#"{"name": "affine-idealized", "params": {"rounds-factor": -1}}"#,
-            "error: invalid parameter `rounds-factor`: must be strictly positive\n",
+            "error: invalid parameter `rounds-factor`: unknown parameter for protocol \
+             `affine-idealized` (known: coefficient-fraction, coefficient-fixed, \
+             max-top-rounds)\n",
+        ),
+        (
+            r#"{"name": "affine-recursive", "params": {"max-exchanges-factor": -1}}"#,
+            "error: invalid parameter `max-exchanges-factor`: unknown parameter for protocol \
+             `affine-recursive` (known: coefficient-fraction, coefficient-fixed, \
+             max-top-rounds)\n",
         ),
         // Ranges that only the params check enforces, each shared with the
         // constructor.
@@ -237,10 +248,6 @@ fn validate_rejects_the_params_run_rejects() {
         (
             r#"{"name": "affine-idealized", "params": {"coefficient-fraction": -1}}"#,
             "error: invalid parameter `coefficient-fraction`: must be strictly positive\n",
-        ),
-        (
-            r#"{"name": "affine-recursive", "params": {"max-exchanges-factor": -1}}"#,
-            "error: invalid parameter `max-exchanges-factor`: must be strictly positive\n",
         ),
         (
             r#"{"name": "geographic", "params": {"selector": "rejection-sampled", "cap": -1}}"#,
